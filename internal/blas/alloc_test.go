@@ -12,10 +12,10 @@ import (
 // at runtime with AllocsPerRun, which the race detector's
 // instrumentation would distort — hence the !race build tag.
 //
-// Before this contract existed, dgemmNTPacked allocated its 64 KiB
-// packing buffer on every call and MultiCode.EncodeInto allocated one
-// m-slice per block column (B allocations per encode); both are now
-// allocation-free steady-state (sync.Pool and a stack accumulator).
+// The packed GEMM (gemmPacked) takes its fixed-size packing buffers from
+// panelPool and keeps edge tiles in a stack array; MultiCode.EncodeInto
+// uses a stack accumulator. Both are allocation-free in steady state,
+// which is why each kernel runs once before it is measured.
 
 func TestKernelsDoNotAllocate(t *testing.T) {
 	const n, k = 96, 64

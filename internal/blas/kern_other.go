@@ -1,0 +1,10 @@
+//go:build !amd64
+
+package blas
+
+// useAsm is always false off amd64: kern8x4Go is the only kernel.
+var useAsm = false
+
+func kern8x4AVX2(k int, a, b, c *float64, ldc int) {
+	panic("blas: no assembly micro-kernel on this architecture")
+}

@@ -35,25 +35,32 @@ func Vectors(b int) (v1, v2 []float64) {
 }
 
 // EncodeBlockInto writes the 2 x C checksum of block (R x C) into chk.
-// Row 0 of chk is the plain column sum, row 1 the weighted sum.
+// Row 0 of chk is the plain column sum, row 1 the weighted sum. It
+// returns block.NormMax(), taken in the same pass, so verification
+// reads each block once.
 //
 // abft:hotpath
 // abft:noescape
 // abft:bce checks=2
-func EncodeBlockInto(block, chk *mat.Matrix) {
+func EncodeBlockInto(block, chk *mat.Matrix) float64 {
 	if chk.Rows != 2 || chk.Cols != block.Cols {
 		panic(fmt.Sprintf("checksum: chk %dx%d for block %dx%d", chk.Rows, chk.Cols, block.Rows, block.Cols))
 	}
+	maxv := 0.0
 	for c := 0; c < block.Cols; c++ {
 		col := block.Col(c)
 		s1, s2 := 0.0, 0.0
 		for i, v := range col {
 			s1 += v
 			s2 += float64(i+1) * v
+			if av := math.Abs(v); av > maxv {
+				maxv = av
+			}
 		}
 		chk.Set(0, c, s1)
 		chk.Set(1, c, s2)
 	}
+	return maxv
 }
 
 // EncodeMatrix builds the full 2N x n checksum matrix for the lower
@@ -99,11 +106,17 @@ func EncodeMatrixMulti(a *mat.Matrix, b, m int) *mat.Matrix {
 // and recalculated checksums of a block: well above the accumulation
 // noise of O(n) updates, well below any bit flip that matters.
 func Tolerance(block *mat.Matrix) float64 {
-	scale := block.NormMax()
+	return toleranceFor(block.Rows, block.NormMax())
+}
+
+// toleranceFor is Tolerance for a block of rows rows whose largest
+// absolute element is normMax.
+func toleranceFor(rows int, normMax float64) float64 {
+	scale := normMax
 	if scale < 1 {
 		scale = 1
 	}
-	return 1e-9 * float64(block.Rows) * scale
+	return 1e-9 * float64(rows) * scale
 }
 
 // Mismatch is a flagged block column: the recalculated checksums
@@ -188,8 +201,8 @@ func Apply(block *mat.Matrix, corrs []Correction) error {
 // scheme's recovery path). scratch must be a 2 x block.Cols matrix; it
 // is overwritten.
 func VerifyAndCorrect(block, stored, scratch *mat.Matrix) ([]Correction, error) {
-	EncodeBlockInto(block, scratch)
-	ms := Compare(stored, scratch, Tolerance(block))
+	normMax := EncodeBlockInto(block, scratch)
+	ms := Compare(stored, scratch, toleranceFor(block.Rows, normMax))
 	if len(ms) == 0 {
 		return nil, nil
 	}

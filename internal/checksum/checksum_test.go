@@ -200,6 +200,47 @@ func TestTinyErrorBelowToleranceIgnored(t *testing.T) {
 	}
 }
 
+func TestFusedToleranceMatchesTolerance(t *testing.T) {
+	// VerifyAndCorrect takes max|block| from its encode pass; the
+	// checksums and the threshold must keep the bits of a plain
+	// column-sum pass and Tolerance's separate NormMax pass.
+	for _, tc := range []struct {
+		rows, cols int
+		scale      float64
+		seed       int64
+	}{
+		{8, 8, 1e-3, 1}, {8, 8, 1e6, 2}, {64, 64, 1, 3}, {13, 5, 42, 4}, {1, 1, 0.5, 5},
+	} {
+		block := mat.RandGeneral(tc.rows, tc.cols, tc.seed)
+		for j := 0; j < tc.cols; j++ {
+			col := block.Col(j)
+			for i := range col {
+				col[i] *= tc.scale
+			}
+		}
+		if tc.seed == 3 {
+			block.Set(5, 7, math.NaN()) // NormMax skips NaN; so must the fused pass
+		}
+		got := mat.New(2, tc.cols)
+		normMax := EncodeBlockInto(block, got)
+		if a, b := toleranceFor(block.Rows, normMax), Tolerance(block); math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("%dx%d: fused threshold %v, Tolerance %v", tc.rows, tc.cols, a, b)
+		}
+		for j := 0; j < tc.cols; j++ {
+			s1, s2 := 0.0, 0.0 // one column, top to bottom
+			for i, v := range block.Col(j) {
+				s1 += v
+				s2 += float64(i+1) * v
+			}
+			for i, want := range []float64{s1, s2} {
+				if math.Float64bits(got.At(i, j)) != math.Float64bits(want) {
+					t.Fatalf("%dx%d: checksum (%d,%d) %v, want %v", tc.rows, tc.cols, i, j, got.At(i, j), want)
+				}
+			}
+		}
+	}
+}
+
 func TestToleranceScalesWithMagnitude(t *testing.T) {
 	small := mat.New(8, 8)
 	small.Fill(0.001)
@@ -364,5 +405,19 @@ func TestCorruptedStoredChecksumFailsSafely(t *testing.T) {
 	stored2.Add(1, 5, -4)
 	if _, err := VerifyAndCorrect(block, stored2, scratch); err == nil {
 		t.Fatal("corrupted weighted checksum must be flagged uncorrectable")
+	}
+}
+
+func BenchmarkVerifyAndCorrect64(b *testing.B) {
+	a := mat.RandSPD(128, 1)
+	block := a.View(64, 0, 64, 64)
+	stored := mat.New(2, 64)
+	EncodeBlockInto(block, stored)
+	scratch := mat.New(2, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := VerifyAndCorrect(block, stored, scratch); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

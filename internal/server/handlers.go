@@ -132,6 +132,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		failJSON(w, http.StatusServiceUnavailable, "draining", "daemon is shutting down; submissions are closed")
 		return
 	}
+	// The response describes the job as accepted: snapshot it before a
+	// worker can pick it up, or a fast job would answer "done".
+	s.mu.Lock()
+	info := s.infoLocked(j)
+	s.mu.Unlock()
 	select {
 	case s.queue <- j:
 	default:
@@ -142,9 +147,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reg.Inc("server.jobs.submitted")
-	s.mu.Lock()
-	info := s.infoLocked(j)
-	s.mu.Unlock()
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	writeJSON(w, http.StatusAccepted, info)
 }

@@ -24,6 +24,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -287,13 +288,41 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.cfg.MetricsPath != "" {
 		snap, err := s.reg.Snapshot()
 		if err == nil {
-			err = os.WriteFile(s.cfg.MetricsPath, snap, 0o644)
+			err = writeFileAtomic(s.cfg.MetricsPath, snap)
 		}
 		if err != nil && httpErr == nil {
 			httpErr = fmt.Errorf("server: metrics flush: %w", err)
 		}
 	}
 	return httpErr
+}
+
+// writeFileAtomic replaces path with data whole: it writes and syncs a
+// temp file beside path and renames it into place, so a reader, or a
+// crash mid-write, never sees a truncated snapshot. The temp file is
+// removed on every failure.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	_, werr := tmp.Write(data)
+	if werr == nil {
+		werr = tmp.Chmod(0o644)
+	}
+	if werr == nil {
+		werr = tmp.Sync()
+	}
+	if cerr := tmp.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr == nil {
+		werr = os.Rename(tmp.Name(), path)
+	}
+	if werr != nil {
+		os.Remove(tmp.Name())
+	}
+	return werr
 }
 
 // Metrics returns the global registry snapshot (the /metrics body).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -488,6 +489,66 @@ func TestLongPollReturnsOnCompletion(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("long-poll never returned after completion")
+	}
+}
+
+// TestShutdownMetricsReplacedWhole pins the shutdown flush's
+// temp-file-plus-rename write: a stale file at the path is replaced by
+// one complete snapshot and no temp file is left beside it; a path in
+// a missing directory fails loudly and leaves nothing behind.
+func TestShutdownMetricsReplacedWhole(t *testing.T) {
+	dir := t.TempDir()
+	metricsPath := filepath.Join(dir, "metrics.json")
+	stale := []byte(`{"stale": tru`)
+	if err := os.WriteFile(metricsPath, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A reader holding the old file keeps reading the old file whole: the
+	// flush swaps the directory entry rather than truncating in place.
+	reader, err := os.Open(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	s, err := New(Config{Workers: 1, QueueDepth: 4, Clock: realClock(), MetricsPath: metricsPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if old, err := io.ReadAll(reader); err != nil || !bytes.Equal(old, stale) {
+		t.Fatalf("open reader saw %q (%v) after the flush, want the old file %q", old, err, stale)
+	}
+	flushed, err := os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := decodeSnapshot(t, flushed); snap["counters"] == nil {
+		t.Fatalf("flushed file is not a registry snapshot: %.200s", flushed)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "metrics.json" {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v after the flush, want only metrics.json", names)
+	}
+	if info, err := os.Stat(metricsPath); err != nil || info.Mode().Perm() != 0o644 {
+		t.Fatalf("metrics file mode %v (%v), want 0644", info.Mode().Perm(), err)
+	}
+
+	missing := filepath.Join(dir, "absent", "metrics.json")
+	s, err = New(Config{Workers: 1, QueueDepth: 4, Clock: realClock(), MetricsPath: missing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Shutdown(context.Background()); err == nil {
+		t.Fatal("shutdown into a missing directory reported no metrics flush error")
 	}
 }
 

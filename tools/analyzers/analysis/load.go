@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -251,6 +252,13 @@ func (l *Loader) parseDir(dir string, includeTests bool) ([]*ast.File, error) {
 			continue
 		}
 		if !includeTests && strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// Honor GOOS/GOARCH file suffixes and //go:build lines, as the
+		// compiler does: a package may declare one symbol per platform.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-bench ci fmt bench trace-demo serve-smoke campaign-smoke
+.PHONY: build test race lint lint-bench perfbench-check ci fmt bench trace-demo serve-smoke campaign-smoke
 
 # The arm64 vet pass type-checks the tree without the amd64 assembly,
 # so the portable micro-kernel (internal/blas/kern_other.go) keeps
@@ -49,6 +49,13 @@ lint-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkLoadRepo|BenchmarkSuite|BenchmarkSummaries|BenchmarkHotpath' -benchmem \
 		./tools/analyzers/analysis | tee artifacts/lint-bench.txt
 	$(GO) run ./tools/lintbudget | tee artifacts/lint-budget.txt
+
+# perfbench (BENCHMARK.json's benchmark) is a Go module of its own
+# that calls the blas, checksum and core APIs directly; `./...` above
+# never loads it, so this is where a signature change breaks the build
+# instead of the benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Rewrite files in place to satisfy the formatting gate.
 fmt:
@@ -100,4 +107,4 @@ trace-demo:
 		-metrics-out artifacts/fig8-metrics.json > artifacts/fig8.txt
 	@echo "wrote artifacts/fig8-trace.json artifacts/fig8-metrics.json artifacts/fig8.txt"
 
-ci: build lint race
+ci: build lint perfbench-check race

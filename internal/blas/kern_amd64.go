@@ -24,10 +24,16 @@ func hasAVX2FMA() bool {
 }
 
 // kern8x4AVX2 is kern8x4 in AVX2/FMA assembly. a, b and c point at
-// the first elements of k*8, k*4 and (3*ldc+8) values.
+// the first elements of (k-1)*sa+8, (k-1)*sb+4 and 3*ldc+8 values.
 //
 //go:noescape
-func kern8x4AVX2(k int, a, b, c *float64, ldc int)
+func kern8x4AVX2(k int, a *float64, sa int, b *float64, sb int, c *float64, ldc int)
+
+// subScaledAVX2 is subScaled in AVX2 assembly over n elements of x
+// and y.
+//
+//go:noescape
+func subScaledAVX2(n int, alpha float64, x, y *float64)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -1,22 +1,22 @@
 #include "textflag.h"
 
 // One depth step of the 8x4 tile: load A's 8 rows (two vectors) from
-// SI+off*64, broadcast B's 4 values from DI+off*32, and fold the 32
+// a0 and a1, broadcast B's 4 values from b0..b3, and fold the 32
 // products into the accumulators Y0..Y7 (column c in Y(2c), Y(2c+1)).
-#define STEP(aoff, boff) \
-	VMOVUPD      aoff(SI), Y8          \
-	VMOVUPD      aoff+32(SI), Y9       \
-	VBROADCASTSD boff(DI), Y10         \
-	VBROADCASTSD boff+8(DI), Y11       \
-	VBROADCASTSD boff+16(DI), Y12      \
-	VBROADCASTSD boff+24(DI), Y13      \
-	VFMADD231PD  Y8, Y10, Y0           \
-	VFMADD231PD  Y9, Y10, Y1           \
-	VFMADD231PD  Y8, Y11, Y2           \
-	VFMADD231PD  Y9, Y11, Y3           \
-	VFMADD231PD  Y8, Y12, Y4           \
-	VFMADD231PD  Y9, Y12, Y5           \
-	VFMADD231PD  Y8, Y13, Y6           \
+#define STEP(a0, a1, b0, b1, b2, b3) \
+	VMOVUPD      a0, Y8           \
+	VMOVUPD      a1, Y9           \
+	VBROADCASTSD b0, Y10          \
+	VBROADCASTSD b1, Y11          \
+	VBROADCASTSD b2, Y12          \
+	VBROADCASTSD b3, Y13          \
+	VFMADD231PD  Y8, Y10, Y0      \
+	VFMADD231PD  Y9, Y10, Y1      \
+	VFMADD231PD  Y8, Y11, Y2      \
+	VFMADD231PD  Y9, Y11, Y3      \
+	VFMADD231PD  Y8, Y12, Y4      \
+	VFMADD231PD  Y9, Y12, Y5      \
+	VFMADD231PD  Y8, Y13, Y6      \
 	VFMADD231PD  Y9, Y13, Y7
 
 // Add one accumulated column pair to C at DX and step DX to the next
@@ -28,14 +28,23 @@
 	VMOVUPD hi, 32(DX)     \
 	ADDQ    R8, DX
 
-// func kern8x4AVX2(k int, a, b, c *float64, ldc int)
-TEXT ·kern8x4AVX2(SB), NOSPLIT, $0-40
+// func kern8x4AVX2(k int, a *float64, sa int, b *float64, sb int, c *float64, ldc int)
+//
+// A's depth step is R9 = 8*sa bytes and B's R10 = 8*sb bytes; an
+// unrolled quad reaches steps 1..3 by scaled-index addressing.
+TEXT ·kern8x4AVX2(SB), NOSPLIT, $0-56
 	MOVQ k+0(FP), CX
 	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DI
-	MOVQ c+24(FP), DX
-	MOVQ ldc+32(FP), R8
+	MOVQ sa+16(FP), R9
+	MOVQ b+24(FP), DI
+	MOVQ sb+32(FP), R10
+	MOVQ c+40(FP), DX
+	MOVQ ldc+48(FP), R8
 	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	LEAQ (R9)(R9*2), R11  // 3 A steps
+	LEAQ (R10)(R10*2), R12 // 3 B steps
 
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -52,12 +61,12 @@ TEXT ·kern8x4AVX2(SB), NOSPLIT, $0-40
 	JZ   tail
 
 loop4:
-	STEP(0, 0)
-	STEP(64, 32)
-	STEP(128, 64)
-	STEP(192, 96)
-	ADDQ $256, SI
-	ADDQ $128, DI
+	STEP((SI), 32(SI), (DI), 8(DI), 16(DI), 24(DI))
+	STEP((SI)(R9*1), 32(SI)(R9*1), (DI)(R10*1), 8(DI)(R10*1), 16(DI)(R10*1), 24(DI)(R10*1))
+	STEP((SI)(R9*2), 32(SI)(R9*2), (DI)(R10*2), 8(DI)(R10*2), 16(DI)(R10*2), 24(DI)(R10*2))
+	STEP((SI)(R11*1), 32(SI)(R11*1), (DI)(R12*1), 8(DI)(R12*1), 16(DI)(R12*1), 24(DI)(R12*1))
+	LEAQ (SI)(R9*4), SI
+	LEAQ (DI)(R10*4), DI
 	DECQ BX
 	JNZ  loop4
 
@@ -66,9 +75,9 @@ tail:
 	JZ   store
 
 loop1:
-	STEP(0, 0)
-	ADDQ $64, SI
-	ADDQ $32, DI
+	STEP((SI), 32(SI), (DI), 8(DI), 16(DI), 24(DI))
+	ADDQ R9, SI
+	ADDQ R10, DI
 	DECQ CX
 	JNZ  loop1
 
@@ -77,6 +86,64 @@ store:
 	STORE(Y2, Y3)
 	STORE(Y4, Y5)
 	STORE(Y6, Y7)
+	VZEROUPPER
+	RET
+
+// func subScaledAVX2(n int, alpha float64, x, y *float64)
+//
+// y[i] -= alpha*x[i]: VMULPD rounds the product, then VSUBPD the
+// difference, lane by lane as the scalar loop does; eight elements per
+// iteration, then four, then one.
+TEXT ·subScaledAVX2(SB), NOSPLIT, $0-32
+	MOVQ         n+0(FP), CX
+	VBROADCASTSD alpha+8(FP), Y0
+	MOVQ         x+16(FP), SI
+	MOVQ         y+24(FP), DI
+
+	MOVQ CX, BX
+	SHRQ $3, BX
+	JZ   sub4
+
+sub8:
+	VMULPD  (SI), Y0, Y1
+	VMULPD  32(SI), Y0, Y2
+	VMOVUPD (DI), Y3
+	VMOVUPD 32(DI), Y4
+	VSUBPD  Y1, Y3, Y3
+	VSUBPD  Y2, Y4, Y4
+	VMOVUPD Y3, (DI)
+	VMOVUPD Y4, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	DECQ    BX
+	JNZ     sub8
+
+sub4:
+	TESTQ $4, CX
+	JZ    sub1
+	VMULPD  (SI), Y0, Y1
+	VMOVUPD (DI), Y3
+	VSUBPD  Y1, Y3, Y3
+	VMOVUPD Y3, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+
+sub1:
+	ANDQ $3, CX
+	JZ   subdone
+
+sub1loop:
+	VMOVSD (SI), X1
+	VMULSD X0, X1, X1
+	VMOVSD (DI), X3
+	VSUBSD X1, X3, X3
+	VMOVSD X3, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	DECQ   CX
+	JNZ    sub1loop
+
+subdone:
 	VZEROUPPER
 	RET
 

@@ -31,24 +31,31 @@ func requireAsm(t *testing.T) {
 	}
 }
 
+// TestMicroKernelsBitIdentical runs both micro-kernels on packed
+// panels (sa = 8, sb = 4) and on operands read in place (sa = lda,
+// sb = ldb), and checks they write only the tile.
 func TestMicroKernelsBitIdentical(t *testing.T) {
 	requireAsm(t)
 	for _, k := range []int{1, 3, 4, 5, 255, 256, 257} {
-		a := randSlice(k*kernMR, int64(k))
-		b := randSlice(k*kernNR, int64(k)+1)
-		for _, ldc := range []int{kernMR, 11} {
-			c0 := randSlice(3*ldc+kernMR, 7)
-			asm := append([]float64(nil), c0...)
-			ref := append([]float64(nil), c0...)
-			kern8x4AVX2(k, &a[0], &b[0], &asm[0], ldc)
-			kern8x4Go(k, a, b, ref, ldc)
-			if i := firstDiff(asm, ref); i >= 0 {
-				t.Fatalf("k=%d ldc=%d: element %d asm %v, Go %v", k, ldc, i, asm[i], ref[i])
-			}
-			for j := 0; j < kernNR-1; j++ {
-				for i := kernMR; i < ldc; i++ {
-					if asm[i+j*ldc] != c0[i+j*ldc] {
-						t.Fatalf("k=%d ldc=%d: wrote the gap row %d of column %d", k, ldc, i, j)
+		for _, sa := range []int{kernMR, 19} {
+			for _, sb := range []int{kernNR, 13} {
+				a := randSlice((k-1)*sa+kernMR, int64(k))
+				b := randSlice((k-1)*sb+kernNR, int64(k)+1)
+				for _, ldc := range []int{kernMR, 11} {
+					c0 := randSlice(3*ldc+kernMR, 7)
+					asm := append([]float64(nil), c0...)
+					ref := append([]float64(nil), c0...)
+					kern8x4AVX2(k, &a[0], sa, &b[0], sb, &asm[0], ldc)
+					kern8x4Go(k, a, sa, b, sb, ref, ldc)
+					if i := firstDiff(asm, ref); i >= 0 {
+						t.Fatalf("k=%d sa=%d sb=%d ldc=%d: element %d asm %v, Go %v", k, sa, sb, ldc, i, asm[i], ref[i])
+					}
+					for j := 0; j < kernNR-1; j++ {
+						for i := kernMR; i < ldc; i++ {
+							if asm[i+j*ldc] != c0[i+j*ldc] {
+								t.Fatalf("k=%d ldc=%d: wrote the gap row %d of column %d", k, ldc, i, j)
+							}
+						}
 					}
 				}
 			}
@@ -181,6 +188,175 @@ func TestBlockedFactorBitIdentical(t *testing.T) {
 			t.Fatalf("Go micro-kernel: element %d differs from the assembly one", i)
 		}
 	}
+}
+
+// transposed returns the cols x rows transpose of the rows x cols
+// column-major matrix x (leading dimension ld), with leading
+// dimension cols+pad.
+func transposed(x []float64, rows, cols, ld, pad int) ([]float64, int) {
+	ldt := cols + pad
+	t := randSlice(ldt*rows, 99) // padding holds junk the driver must not read
+	for j := 0; j < cols; j++ {
+		for i := 0; i < rows; i++ {
+			t[j+i*ldt] = x[i+j*ld]
+		}
+	}
+	return t, ldt
+}
+
+// TestGemmLayoutInvariant pins the in-place reads against packing:
+// Dgemm(NoTrans, Trans) reads one operand where it lies, and
+// Dgemm(Trans, NoTrans) on transposed copies must pack both, yet the
+// two give the same bits for any alpha, for m < n and m > n, and on
+// ragged shapes, on either micro-kernel. Dsyrk's lower mode is held to
+// the same test.
+func TestGemmLayoutInvariant(t *testing.T) {
+	t.Run("default", testGemmLayoutInvariant)
+	t.Run("go", func(t *testing.T) { withGoKernel(func() { testGemmLayoutInvariant(t) }) })
+}
+
+func testGemmLayoutInvariant(t *testing.T) {
+	const pad = 3
+	for _, alpha := range []float64{1, -1, 2.5} {
+		for _, sz := range [][3]int{{14, 64, 300}, {64, 14, 300}, {7, 5, 37}, {130, 61, 9}, {3, 131, 520}, {261, 4, 64}} {
+			m, n, k := sz[0], sz[1], sz[2]
+			lda, ldb, ldc := m+pad, n+pad, m+1
+			a := randSlice(lda*k, int64(m+k))
+			b := randSlice(ldb*k, int64(n+k))
+			at, ldat := transposed(a, m, k, lda, pad)
+			bt, ldbt := transposed(b, n, k, ldb, pad)
+			got := randSlice(ldc*n, int64(m*n))
+			want := append([]float64(nil), got...)
+			Dgemm(NoTrans, Trans, m, n, k, alpha, a, lda, b, ldb, 1, got, ldc)
+			Dgemm(Trans, NoTrans, m, n, k, alpha, at, ldat, bt, ldbt, 1, want, ldc)
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("alpha=%v m=%d n=%d k=%d: element %d in place %v, packed %v", alpha, m, n, k, i, got[i], want[i])
+			}
+		}
+		for _, sz := range [][2]int{{7, 37}, {45, 300}, {130, 64}} {
+			n, k := sz[0], sz[1]
+			ld := n + pad
+			a := randSlice(ld*k, int64(n+k))
+			at, ldat := transposed(a, n, k, ld, pad)
+			got := randSlice(ld*n, int64(n*k))
+			want := append([]float64(nil), got...)
+			Dsyrk(n, k, alpha, a, ld, 1, got, ld)
+			gemmPacked(true, Trans, NoTrans, n, n, k, alpha, at, ldat, at, ldat, want, ld)
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("syrk alpha=%v n=%d k=%d: element %d in place %v, packed %v", alpha, n, k, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestSubScaledKernelsBitIdentical(t *testing.T) {
+	requireAsm(t)
+	x := randSlice(40, 1)
+	y0 := randSlice(40, 2)
+	for n := 0; n <= 35; n++ {
+		for off := 0; off < 4; off++ { // unaligned starts
+			asm := append([]float64(nil), y0...)
+			ref := append([]float64(nil), y0...)
+			subScaled(-0.375, x[off:][:n], asm[off:][:n])
+			subScaledGo(-0.375, x[off:][:n], ref[off:][:n])
+			if i := firstDiff(asm, ref); i >= 0 {
+				t.Fatalf("n=%d off=%d: element %d asm %v, Go %v", n, off, i, asm[i], ref[i])
+			}
+		}
+	}
+}
+
+// dpotf2Scalar is Dpotf2 with its column update as the scalar loop it
+// was before subScaled. The conversion only pins the rounding the
+// loop had, a product rounded before the subtraction.
+func dpotf2Scalar(n int, a []float64, lda int) error {
+	for j := 0; j < n; j++ {
+		col := a[j*lda:][:n]
+		d := col[j]
+		for k := 0; k < j; k++ {
+			v := a[j+k*lda]
+			d -= v * v
+		}
+		if d <= 0 || math.IsNaN(d) {
+			return &PivotError{Index: j, Value: d}
+		}
+		d = math.Sqrt(d)
+		col[j] = d
+		for k := 0; k < j; k++ {
+			ajk := a[j+k*lda]
+			if ajk == 0 {
+				continue
+			}
+			kcol := a[k*lda:][:n]
+			for i := j + 1; i < n; i++ {
+				col[i] -= float64(ajk * kcol[i])
+			}
+		}
+		inv := 1 / d
+		for i := j + 1; i < n; i++ {
+			col[i] *= inv
+		}
+	}
+	return nil
+}
+
+// trsmRightTransScalar is Dtrsm(Right, Trans, alpha = 1) with its
+// in-block solve as the scalar loop it was before subScaled.
+func trsmRightTransScalar(m, n int, l []float64, ldl int, b []float64, ldb int) {
+	for k0 := 0; k0 < n; k0 += trsmNB {
+		kb := min(trsmNB, n-k0)
+		if k0 > 0 {
+			gemmPacked(false, NoTrans, Trans, m, kb, k0, -1, b, ldb, l[k0:], ldl, b[k0*ldb:], ldb)
+		}
+		for k := k0; k < k0+kb; k++ {
+			bk := b[k*ldb:][:m]
+			for j := k0; j < k; j++ {
+				lkj := l[k+j*ldl]
+				if lkj == 0 {
+					continue
+				}
+				bj := b[j*ldb:][:m]
+				for i := range bk {
+					bk[i] -= float64(lkj * bj[i])
+				}
+			}
+			d := 1 / l[k+k*ldl]
+			for i := range bk {
+				bk[i] *= d
+			}
+		}
+	}
+}
+
+func TestVectorLoopsMatchScalar(t *testing.T) {
+	check := func(t *testing.T) {
+		for _, n := range []int{1, 5, 17, 64, 100} {
+			a := spdSlice(n, int64(n))
+			got := append([]float64(nil), a...)
+			want := append([]float64(nil), a...)
+			errGot, errWant := Dpotf2(n, got, n), dpotf2Scalar(n, want, n)
+			if (errGot == nil) != (errWant == nil) {
+				t.Fatalf("potf2 n=%d: error %v, scalar %v", n, errGot, errWant)
+			}
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("potf2 n=%d: element %d is %v, scalar %v", n, i, got[i], want[i])
+			}
+		}
+		for _, n := range []int{1, 7, 20, 64} {
+			for _, m := range []int{1, 13, 100} {
+				l := lowerWithGoodDiag(n, int64(n))
+				got := randSlice((m+2)*n, int64(m*n))
+				want := append([]float64(nil), got...)
+				Dtrsm(Right, Trans, m, n, 1, l, n, got, m+2)
+				trsmRightTransScalar(m, n, l, n, want, m+2)
+				if i := firstDiff(got, want); i >= 0 {
+					t.Fatalf("trsm m=%d n=%d: element %d is %v, scalar %v", m, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	t.Run("default", check)
+	t.Run("go", func(t *testing.T) { withGoKernel(func() { check(t) }) })
 }
 
 func BenchmarkPackedKernels(b *testing.B) {

@@ -9,9 +9,9 @@ const (
 )
 
 // trsmNB is the column block of Dtrsm(Right, Trans): the columns
-// solved one by one between two packed updates. On a 448 x 64 panel
-// solve, 8 beat 16 (whose in-block loops do twice the scalar work) and
-// 4 (which repacks the solved columns twice as often).
+// solved one by one between two packed updates. It decides which terms
+// of a solution the micro-kernel sums (fused) and which the in-block
+// loop does (unfused), so it is part of the factor's bits.
 const trsmNB = 8
 
 // Dgemm computes C ← alpha*op(A)*op(B) + beta*C where op(A) is
@@ -139,14 +139,11 @@ func Dtrsm(side Side, transL Transpose, m, n int, alpha float64, l []float64, ld
 			for k := k0; k < k0+kb; k++ {
 				bk := b[k*ldb:][:m]
 				for j := k0; j < k; j++ {
-					lkj := l[k+j*ldl]
+					lkj := l[k+j*ldl] //nolint:hotpath — one read of L's row k per column update; the update's m-long loop runs in subScaled
 					if lkj == 0 {
 						continue
 					}
-					bj := b[j*ldb:][:len(bk)]
-					for i := range bk {
-						bk[i] -= lkj * bj[i]
-					}
+					subScaled(lkj, b[j*ldb:][:len(bk)], bk)
 				}
 				d := 1 / l[k+k*ldl]
 				for i := range bk {

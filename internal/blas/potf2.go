@@ -32,7 +32,7 @@ func (e *PivotError) Unwrap() error { return ErrNotPositiveDefinite }
 //
 // abft:hotpath
 // abft:noescape
-// abft:bce checks=6
+// abft:bce checks=5
 func Dpotf2(n int, a []float64, lda int) error {
 	for j := 0; j < n; j++ {
 		col := a[j*lda:][:n]
@@ -49,14 +49,11 @@ func Dpotf2(n int, a []float64, lda int) error {
 		col[j] = d
 		// a[j+1:, j] = (a[j+1:, j] - A[j+1:, 0:j]*a[j, 0:j]ᵀ) / d
 		for k := 0; k < j; k++ {
-			ajk := a[j+k*lda]
+			ajk := a[j+k*lda] //nolint:hotpath — one read of row j per column update; the update's loop runs in subScaled
 			if ajk == 0 {
 				continue
 			}
-			kcol := a[k*lda:][:n]
-			for i := j + 1; i < n; i++ {
-				col[i] -= ajk * kcol[i]
-			}
+			subScaled(ajk, a[k*lda+j+1:][:n-j-1], col[j+1:])
 		}
 		inv := 1 / d
 		for i := j + 1; i < n; i++ {

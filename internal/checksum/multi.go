@@ -48,7 +48,9 @@ func (c *MultiCode) Vectors() int { return c.m }
 // MaxErrors returns the per-column correction capability ⌊m/2⌋.
 func (c *MultiCode) MaxErrors() int { return c.m / 2 }
 
-// EncodeInto writes the m x C checksum of block into chk.
+// EncodeInto writes the m x C checksum of block into chk. It returns
+// block.NormMax(), taken in the same pass, so verification reads each
+// block once.
 //
 // The accumulator lives in a fixed stack array for the code sizes the
 // factorization actually uses (m ≤ 8); encoding is allocation-free per
@@ -56,7 +58,7 @@ func (c *MultiCode) MaxErrors() int { return c.m / 2 }
 //
 // abft:hotpath
 // abft:bce checks=2
-func (c *MultiCode) EncodeInto(block, chk *mat.Matrix) {
+func (c *MultiCode) EncodeInto(block, chk *mat.Matrix) float64 {
 	if block.Rows != c.b {
 		panic(fmt.Sprintf("checksum: block has %d rows, code built for %d", block.Rows, c.b))
 	}
@@ -69,6 +71,7 @@ func (c *MultiCode) EncodeInto(block, chk *mat.Matrix) {
 		sums = make([]float64, c.m) //nolint:hotpath — cold: codes larger than 8 vectors pay one allocation per encode, never per column
 	}
 	sums = sums[:c.m]
+	maxv := 0.0
 	for col := 0; col < block.Cols; col++ {
 		data := block.Col(col)
 		for s := range sums {
@@ -76,6 +79,9 @@ func (c *MultiCode) EncodeInto(block, chk *mat.Matrix) {
 		}
 		// Accumulate all m weighted sums in one pass: w_s[i] = (i+1)^s.
 		for i, v := range data {
+			if av := math.Abs(v); av > maxv {
+				maxv = av
+			}
 			w := 1.0
 			x := float64(i + 1)
 			for s := range sums {
@@ -87,6 +93,7 @@ func (c *MultiCode) EncodeInto(block, chk *mat.Matrix) {
 			chk.Set(s, col, sv)
 		}
 	}
+	return maxv
 }
 
 // VerifyAndCorrect recalculates the block's m checksums, compares them
@@ -95,10 +102,14 @@ func (c *MultiCode) EncodeInto(block, chk *mat.Matrix) {
 // applied, or an error when some column's corruption exceeds the
 // code's capability.
 func (c *MultiCode) VerifyAndCorrect(block, stored, scratch *mat.Matrix) ([]Correction, error) {
-	c.EncodeInto(block, scratch)
-	tol := Tolerance(block)
+	tol := toleranceFor(block.Rows, c.EncodeInto(block, scratch))
 	var out []Correction
-	syn := make([]float64, c.m)
+	var synbuf [8]float64
+	syn := synbuf[:]
+	if c.m > len(synbuf) {
+		syn = make([]float64, c.m)
+	}
+	syn = syn[:c.m]
 	for col := 0; col < block.Cols; col++ {
 		dirty := false
 		for s := 0; s < c.m; s++ {

@@ -1,6 +1,7 @@
 package checksum
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -289,4 +290,103 @@ func TestMultiCodeRandomizedStress(t *testing.T) {
 			t.Fatalf("trial %d: not restored (diff %g)", trial, mat.MaxAbsDiff(blk, orig))
 		}
 	}
+}
+
+// multiVerifyTwoPass is MultiCode.VerifyAndCorrect as it was before
+// EncodeInto returned max|block|: encode, then a second NormMax pass
+// for the threshold. It is the reference the one-pass version must
+// match bit for bit.
+func multiVerifyTwoPass(c *MultiCode, block, stored, scratch *mat.Matrix) ([]Correction, error) {
+	c.EncodeInto(block, scratch)
+	tol := Tolerance(block)
+	var out []Correction
+	syn := make([]float64, c.m)
+	for col := 0; col < block.Cols; col++ {
+		dirty := false
+		for s := 0; s < c.m; s++ {
+			syn[s] = scratch.At(s, col) - stored.At(s, col)
+			if math.Abs(syn[s]) > tol*math.Pow(float64(c.b), float64(s)) {
+				dirty = true
+			}
+		}
+		if !dirty {
+			continue
+		}
+		rows, mags, ok := c.solveColumn(syn, tol)
+		if !ok {
+			return out, errOverCapacity
+		}
+		for j, r := range rows {
+			block.Add(r, col, -mags[j])
+			out = append(out, Correction{Row: r, Col: col, Delta: mags[j], OK: true})
+		}
+	}
+	return out, nil
+}
+
+var errOverCapacity = errors.New("over capacity")
+
+func TestMultiVerifyOnePassMatchesTwoPass(t *testing.T) {
+	corrected, failed := 0, 0
+	for _, m := range []int{2, 3, 4, 6, 9} {
+		for seed := int64(0); seed < 12; seed++ {
+			const b = 16
+			rng := rand.New(rand.NewSource(seed))
+			blk := mat.RandGeneral(b, b, seed)
+			scale := math.Pow(10, float64(rng.Intn(13)-6))
+			for j := 0; j < b; j++ {
+				col := blk.Col(j)
+				for i := range col {
+					col[i] *= scale
+				}
+			}
+			c := NewMultiCode(m, b)
+			stored := mat.New(m, b)
+			c.EncodeInto(blk, stored)
+			if seed%4 == 3 {
+				blk.Set(rng.Intn(b), rng.Intn(b), math.NaN()) // NormMax skips NaN; so must the fused pass
+			}
+			for e := 0; e < int(seed%4); e++ { // 0..3 errors anywhere
+				blk.Add(rng.Intn(b), rng.Intn(b), scale*(1+rng.Float64())*100)
+			}
+			if seed%3 == 2 { // one column past the code's capability
+				for r := 0; r <= c.MaxErrors(); r++ {
+					blk.Add(2*r+1, 5, scale*(1+rng.Float64())*100)
+				}
+			}
+			if got, want := toleranceFor(b, c.EncodeInto(blk, mat.New(m, b))), Tolerance(blk); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("m=%d seed=%d: one-pass threshold %v, two-pass %v", m, seed, got, want)
+			}
+			ref := blk.Clone()
+			gotScratch, refScratch := mat.New(m, b), mat.New(m, b)
+			got, gotErr := c.VerifyAndCorrect(blk, stored, gotScratch)
+			want, wantErr := multiVerifyTwoPass(c, ref, stored, refScratch)
+			if (gotErr == nil) != (wantErr == nil) || len(got) != len(want) {
+				t.Fatalf("m=%d seed=%d: got %v (%v), want %v (%v)", m, seed, got, gotErr, want, wantErr)
+			}
+			corrected += len(got)
+			if gotErr != nil {
+				failed++
+			}
+			for i := range got {
+				g, w := got[i], want[i]
+				if g.Row != w.Row || g.Col != w.Col || g.OK != w.OK || math.Float64bits(g.Delta) != math.Float64bits(w.Delta) {
+					t.Fatalf("m=%d seed=%d: correction %d is %+v, want %+v", m, seed, i, g, w)
+				}
+			}
+			for _, pair := range [][2]*mat.Matrix{{blk, ref}, {gotScratch, refScratch}} {
+				for j := 0; j < pair[0].Cols; j++ {
+					for i, v := range pair[0].Col(j) {
+						if w := pair[1].At(i, j); math.Float64bits(v) != math.Float64bits(w) {
+							t.Fatalf("m=%d seed=%d: element (%d,%d) is %v, want %v", m, seed, i, j, v, w)
+						}
+					}
+				}
+			}
+		}
+	}
+	if corrected == 0 || failed == 0 {
+		t.Fatalf("the cases made %d corrections and %d failures; both must occur", corrected, failed)
+	}
+	t.Logf("%d corrections, %d over-capacity columns", corrected, failed)
 }

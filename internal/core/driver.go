@@ -75,7 +75,9 @@ func Run(o Options) (Result, error) {
 		}
 	}
 	if e.a != nil && runErr == nil {
-		res.L = e.a.Clone()
+		// The working copy is the run's own and nothing reads it after
+		// this point, so it becomes the factor without another copy.
+		res.L = e.a
 		res.L.LowerFromFull()
 	}
 	e.finalizeMetrics(&res)

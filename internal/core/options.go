@@ -248,7 +248,8 @@ type Result struct {
 	GPUStats hetsim.Stats
 	CPUStats hetsim.Stats
 
-	// L is the computed factor (real plane only).
+	// L is the computed factor (real plane only). It is the run's own
+	// matrix: it shares no storage with Options.Data.
 	L *mat.Matrix
 
 	// Trace is the recorded timeline (only when Options.Trace is set).

@@ -40,3 +40,28 @@ func TestFactorBitIdenticalAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestResultDoesNotAliasInput checks that Result.L is the run's own
+// matrix: writing it leaves Options.Data, and a second run from it,
+// untouched.
+func TestResultDoesNotAliasInput(t *testing.T) {
+	const n, b = 128, 32
+	a := mat.RandSPD(n, 9)
+	orig := a.Clone()
+	o := Options{Profile: hetsim.Laptop(), N: n, BlockSize: b, Scheme: SchemeEnhanced, ConcurrentRecalc: true, Data: a}
+	first := mustRun(t, o)
+	if &first.L.Col(0)[0] == &a.Col(0)[0] {
+		t.Fatal("Result.L shares its storage with Options.Data")
+	}
+	if mat.MaxAbsDiff(a, orig) != 0 {
+		t.Fatal("Run changed Options.Data")
+	}
+	first.L.Set(n-1, 0, first.L.At(n-1, 0)+1)
+	second := mustRun(t, o)
+	if &second.L.Col(0)[0] == &first.L.Col(0)[0] {
+		t.Fatal("two runs returned one Result.L")
+	}
+	if mat.MaxAbsDiff(a, orig) != 0 || mat.MaxAbsDiff(second.L, first.L) == 0 {
+		t.Fatal("writing one run's factor reached the input or the next run's factor")
+	}
+}

@@ -87,3 +87,79 @@ func subScaledGo(alpha float64, x, y []float64) {
 		y[i] -= float64(alpha * x[i])
 	}
 }
+
+// ColChecksums computes the two column checksums of the rows x cols
+// column-major a (leading dimension lda): for each column c it writes
+// s1 = Σ a[i,c] to out[c*ldo] and s2 = Σ (i+1)·a[i,c] to out[c*ldo+1],
+// both summed in increasing i with each product rounded before its
+// add. It returns max |a[i,c]| over the whole of a, ignoring NaNs, or
+// 0 when a is empty.
+//
+// With useAsm, four columns at a time run in AVX2, one column per
+// lane, so every sum keeps the order of colChecksumsGo and the two give
+// the same bits; the rows past the last multiple of four and the
+// columns past the last multiple of four finish in Go.
+//
+// abft:hotpath
+// abft:noescape
+// abft:bce checks=9
+func ColChecksums(rows, cols int, a []float64, lda int, out []float64, ldo int) float64 {
+	r4 := rows &^ 3
+	if !useAsm || r4 == 0 {
+		return colChecksumsGo(rows, cols, a, lda, out, ldo)
+	}
+	maxv := 0.0
+	c := 0
+	var acc [12]float64 // s1 of the four columns, then s2, then max|a|
+	for ; c+4 <= cols; c += 4 {
+		_ = a[(c+3)*lda+r4-1]
+		colChecksums4AVX2(r4, &a[c*lda], lda, &acc) //nolint:hotpath — assembly leaf: no Go body to walk; go vet's asmdecl checks its frame
+		for q := 0; q < 4; q++ {
+			if m := acc[8+q]; m > maxv {
+				maxv = m
+			}
+			maxv = checksumTail(a[(c+q)*lda:][:rows], r4, acc[q], acc[4+q], out[(c+q)*ldo:], maxv)
+		}
+	}
+	if c < cols {
+		if m := colChecksumsGo(rows, cols-c, a[c*lda:], lda, out[c*ldo:], ldo); m > maxv {
+			maxv = m
+		}
+	}
+	return maxv
+}
+
+// colChecksumsGo is ColChecksums' portable loop and the tests'
+// reference for the assembly one.
+//
+// abft:hotpath
+// abft:noescape
+// abft:bce checks=4
+func colChecksumsGo(rows, cols int, a []float64, lda int, out []float64, ldo int) float64 {
+	maxv := 0.0
+	for c := 0; c < cols; c++ {
+		maxv = checksumTail(a[c*lda:][:rows], 0, 0, 0, out[c*ldo:], maxv)
+	}
+	return maxv
+}
+
+// checksumTail continues one column's checksums s1, s2 and the running
+// max|a| from row from to the end of col, writes the sums to o[0] and
+// o[1] and returns the max. The conversion rounds the weighted product,
+// so no compiler may fuse it into the add.
+//
+// abft:hotpath
+// abft:noescape
+// abft:bce checks=2
+func checksumTail(col []float64, from int, s1, s2 float64, o []float64, maxv float64) float64 {
+	for i, v := range col[from:] {
+		s1 += v
+		s2 += float64(float64(from+i+1) * v)
+		if av := math.Abs(v); av > maxv {
+			maxv = av
+		}
+	}
+	o = o[:2]
+	o[0], o[1] = s1, s2
+	return maxv
+}

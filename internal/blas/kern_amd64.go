@@ -35,6 +35,14 @@ func kern8x4AVX2(k int, a *float64, sa int, b *float64, sb int, c *float64, ldc 
 //go:noescape
 func subScaledAVX2(n int, alpha float64, x, y *float64)
 
+// colChecksums4AVX2 is ColChecksums over rows (a multiple of four) of
+// the four columns at a, a+lda, a+2*lda and a+3*lda. It writes the
+// columns' s1 to acc[0:4], their s2 to acc[4:8] and each column's
+// max|a| to acc[8:12].
+//
+//go:noescape
+func colChecksums4AVX2(rows int, a *float64, lda int, acc *[12]float64)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 // xgetbv returns extended control register 0.

@@ -147,6 +147,71 @@ subdone:
 	VZEROUPPER
 	RET
 
+// Fold one transposed row r (row i of the four columns, one per lane)
+// into the sums as the scalar loop does: s1 += r in Y8, s2 += w*r in Y9
+// with the product rounded first, max(|r|, Y10) into Y10 keeping Y10
+// when |r| is NaN, then w += 1 in Y11.
+#define CHKROW(r) \
+	VADDPD r, Y8, Y8     \
+	VMULPD r, Y11, Y14   \
+	VADDPD Y14, Y9, Y9   \
+	VANDPD r, Y13, Y15   \
+	VMAXPD Y10, Y15, Y10 \
+	VADDPD Y12, Y11, Y11
+
+// func colChecksums4AVX2(rows int, a *float64, lda int, acc *[12]float64)
+//
+// rows is a positive multiple of four. Each iteration loads rows i..i+3 of the four columns, transposes the
+// 4x4 tile so Y0..Y3 hold rows i..i+3 with one column per lane, and
+// folds the rows in increasing i. Every instruction is VEX-encoded: a
+// legacy-SSE one would cost an AVX-SSE state transition.
+TEXT ·colChecksums4AVX2(SB), NOSPLIT, $0-32
+	MOVQ rows+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), R8
+	MOVQ acc+24(FP), DI
+	SHLQ $3, R8
+	LEAQ (R8)(R8*2), R9 // 3 columns
+	SHRQ $2, CX
+
+	MOVQ         $0x3ff0000000000000, AX // 1.0
+	VMOVQ        AX, X12
+	VBROADCASTSD X12, Y12
+	MOVQ         $0x7fffffffffffffff, AX // |x| mask
+	VMOVQ        AX, X13
+	VBROADCASTSD X13, Y13
+	VMOVAPD      Y12, Y11 // w = 1
+	VXORPD       Y8, Y8, Y8
+	VXORPD       Y9, Y9, Y9
+	VXORPD       Y10, Y10, Y10
+
+chkloop:
+	VMOVUPD    (SI), Y0
+	VMOVUPD    (SI)(R8*1), Y1
+	VMOVUPD    (SI)(R8*2), Y2
+	VMOVUPD    (SI)(R9*1), Y3
+	VUNPCKLPD  Y1, Y0, Y4      // a0 b0 a2 b2
+	VUNPCKHPD  Y1, Y0, Y5      // a1 b1 a3 b3
+	VUNPCKLPD  Y3, Y2, Y6      // c0 d0 c2 d2
+	VUNPCKHPD  Y3, Y2, Y7      // c1 d1 c3 d3
+	VPERM2F128 $0x20, Y6, Y4, Y0 // row i
+	VPERM2F128 $0x20, Y7, Y5, Y1 // row i+1
+	VPERM2F128 $0x31, Y6, Y4, Y2 // row i+2
+	VPERM2F128 $0x31, Y7, Y5, Y3 // row i+3
+	CHKROW(Y0)
+	CHKROW(Y1)
+	CHKROW(Y2)
+	CHKROW(Y3)
+	ADDQ       $32, SI
+	DECQ       CX
+	JNZ        chkloop
+
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y9, 32(DI)
+	VMOVUPD Y10, 64(DI)
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

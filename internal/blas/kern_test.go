@@ -384,3 +384,78 @@ func BenchmarkPackedKernels(b *testing.B) {
 		b.ReportMetric(float64(m*n*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 	})
 }
+
+// specialValues mixes the values a checksum kernel must treat exactly
+// as the scalar loop does into random data: NaN, ±Inf, ±0, subnormals
+// and magnitudes near overflow.
+func specialValues(n int, seed int64) []float64 {
+	s := randSlice(n, seed)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		5e-324, -5e-324, 2.2e-308, math.MaxFloat64, -math.MaxFloat64, 1e300}
+	for i := int(seed) % 7; i < n; i += 13 {
+		s[i] = specials[(i/13)%len(specials)]
+	}
+	return s
+}
+
+// sameBits reports whether x and y are the same float64, counting any
+// two NaNs as the same: a NaN's payload depends on which operand of an
+// add the compiler puts first.
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+}
+
+// TestColChecksumsKernelsBitIdentical runs ColChecksums' assembly path
+// and its Go loop over ragged shapes, at a wide stride, on plain and on
+// special values, and checks they agree and write only their entries.
+func TestColChecksumsKernelsBitIdentical(t *testing.T) {
+	requireAsm(t)
+	const lda, ldo = 512, 3
+	rowsList := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 64, 67}
+	colsList := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 64}
+	for _, special := range []bool{false, true} {
+		for _, rows := range rowsList {
+			for _, cols := range colsList {
+				seed := int64(rows*100 + cols)
+				a := randSlice(lda*cols, seed)
+				if special {
+					a = specialValues(lda*cols, seed)
+				}
+				out0 := randSlice(ldo*cols, 3)
+				asm := append([]float64(nil), out0...)
+				ref := append([]float64(nil), out0...)
+				mAsm := ColChecksums(rows, cols, a, lda, asm, ldo)
+				mRef := colChecksumsGo(rows, cols, a, lda, ref, ldo)
+				if !sameBits(mAsm, mRef) {
+					t.Fatalf("special=%v %dx%d: max asm %v, Go %v", special, rows, cols, mAsm, mRef)
+				}
+				for i := range asm {
+					if !sameBits(asm[i], ref[i]) {
+						t.Fatalf("special=%v %dx%d: out[%d] asm %v, Go %v", special, rows, cols, i, asm[i], ref[i])
+					}
+					if i%ldo == 2 && asm[i] != out0[i] {
+						t.Fatalf("%dx%d: wrote the gap entry out[%d]", rows, cols, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestColChecksumsMaxIgnoresNaN pins the max's NaN rule on both paths:
+// a NaN never becomes the max, the way `av > maxv` skips it.
+func TestColChecksumsMaxIgnoresNaN(t *testing.T) {
+	check := func(t *testing.T) {
+		a := make([]float64, 8*4)
+		for i := range a {
+			a[i] = math.NaN()
+		}
+		a[5], a[17] = -3, 2
+		out := make([]float64, 2*4)
+		if got := ColChecksums(8, 4, a, 8, out, 2); got != 3 {
+			t.Fatalf("max = %v, want 3", got)
+		}
+	}
+	t.Run("asm", check)
+	t.Run("go", func(t *testing.T) { withGoKernel(func() { check(t) }) })
+}

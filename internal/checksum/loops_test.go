@@ -1,0 +1,162 @@
+package checksum
+
+import (
+	"math"
+	"testing"
+
+	"abftchol/internal/blas"
+	"abftchol/internal/mat"
+)
+
+// The loops below are the At/Set/Add versions the direct-slice and
+// kernel code replaced, kept as bit references. encodeBlockAt rounds
+// the weighted product explicitly, as the kernel does, so no compiler
+// fuses it into the add.
+
+func encodeBlockAt(block, chk *mat.Matrix) float64 {
+	maxv := 0.0
+	for c := 0; c < block.Cols; c++ {
+		s1, s2 := 0.0, 0.0
+		for i := 0; i < block.Rows; i++ {
+			v := block.At(i, c)
+			s1 += v
+			s2 += float64(float64(i+1) * v)
+			if av := math.Abs(v); av > maxv {
+				maxv = av
+			}
+		}
+		chk.Set(0, c, s1)
+		chk.Set(1, c, s2)
+	}
+	return maxv
+}
+
+func compareAt(stored, recalced *mat.Matrix, tol float64) []Mismatch {
+	var out []Mismatch
+	for c := 0; c < stored.Cols; c++ {
+		d1 := recalced.At(0, c) - stored.At(0, c)
+		d2 := recalced.At(1, c) - stored.At(1, c)
+		if math.Abs(d1) > tol || math.Abs(d2) > tol*weightScale(stored.Cols) {
+			out = append(out, Mismatch{Col: c, D1: d1, D2: d2})
+		}
+	}
+	return out
+}
+
+func updatePOTF2At(chk, la *mat.Matrix) {
+	b := la.Rows
+	for j := 0; j < b; j++ {
+		d := la.At(j, j)
+		for r := 0; r < chk.Rows; r++ {
+			chk.Set(r, j, chk.At(r, j)/d)
+		}
+		for r := 0; r < chk.Rows; r++ {
+			cj := chk.At(r, j)
+			if cj == 0 {
+				continue
+			}
+			for i := j + 1; i < b; i++ {
+				chk.Add(r, i, -cj*la.At(i, j))
+			}
+		}
+	}
+}
+
+// sameMatrixBits compares element bits, counting any two NaNs as equal.
+func sameMatrixBits(a, b *mat.Matrix) bool {
+	for j := 0; j < a.Cols; j++ {
+		for i := 0; i < a.Rows; i++ {
+			x, y := a.At(i, j), b.At(i, j)
+			if math.Float64bits(x) != math.Float64bits(y) && !(math.IsNaN(x) && math.IsNaN(y)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// withSpecials writes NaN, ±Inf, ±0 and subnormals into m.
+func withSpecials(m *mat.Matrix) {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 5e-324, -2.2e-308}
+	k := 0
+	for j := 0; j < m.Cols; j++ {
+		for i := j % 5; i < m.Rows; i += 5 {
+			m.Set(i, j, specials[k%len(specials)])
+			k++
+		}
+	}
+}
+
+func TestEncodeBlockIntoMatchesScalarLoop(t *testing.T) {
+	big := mat.RandGeneral(512, 70, 4)
+	for _, special := range []bool{false, true} {
+		for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 64, 67} {
+			for _, cols := range []int{1, 3, 4, 5, 9, 64} {
+				block := big.View(3, 2, rows, cols).Clone()
+				if special {
+					withSpecials(block)
+				}
+				// Read the block at stride 512 as well as tightly.
+				wide := mat.New(512, cols).View(0, 0, rows, cols)
+				wide.CopyFrom(block)
+				for _, blk := range []*mat.Matrix{block, wide} {
+					got, want := mat.New(2, cols), mat.New(2, cols)
+					gm, wm := EncodeBlockInto(blk, got), encodeBlockAt(blk, want)
+					if gm != wm || !sameMatrixBits(got, want) {
+						t.Fatalf("special=%v %dx%d stride %d: max %v/%v, checksums\n%v\nscalar loop\n%v", special, rows, cols, blk.Stride, gm, wm, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestCompareMatchesAtLoop(t *testing.T) {
+	const b = 64
+	stored := mat.RandGeneral(2, b, 1)
+	recalced := stored.Clone()
+	for c := 0; c < b; c += 3 {
+		recalced.Add(c%2, c, float64(c)*1e-7)
+	}
+	withSpecials(recalced.View(0, 40, 2, 10))
+	for _, tol := range []float64{0, 1e-9, 1e-6, 1e-4} {
+		got, want := Compare(stored, recalced, tol), compareAt(stored, recalced, tol)
+		if len(got) != len(want) {
+			t.Fatalf("tol %g: %d mismatches, the At loop finds %d", tol, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Col != want[i].Col || !sameBits(got[i].D1, want[i].D1) || !sameBits(got[i].D2, want[i].D2) {
+				t.Fatalf("tol %g: mismatch %d is %+v, the At loop gives %+v", tol, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+}
+
+func TestUpdatePOTF2MatchesAtLoop(t *testing.T) {
+	for _, b := range []int{1, 2, 7, 64} {
+		l := mat.RandSPD(b, int64(b))
+		if err := blas.Dpotf2(b, l.Data, l.Stride); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []int{2, 3, 5} {
+			chk := mat.RandGeneral(m+1, b, int64(m)).View(0, 0, m, b) // strided
+			// A zero checksum entry skips its column update, which
+			// shows when the factor holds an Inf below it.
+			chk.Set(m-1, 0, 0)
+			chk.Set(0, b-1, math.Copysign(0, -1))
+			if b > 1 {
+				l.Set(b-1, 0, math.Inf(1))
+			}
+			ref := chk.Clone()
+			UpdatePOTF2(chk, l)
+			updatePOTF2At(ref, l)
+			if !sameMatrixBits(chk, ref) {
+				t.Fatalf("b=%d m=%d: UpdatePOTF2 differs from the At loop", b, m)
+			}
+		}
+	}
+}

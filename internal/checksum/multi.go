@@ -78,6 +78,8 @@ func (c *MultiCode) EncodeInto(block, chk *mat.Matrix) float64 {
 			sums[s] = 0
 		}
 		// Accumulate all m weighted sums in one pass: w_s[i] = (i+1)^s.
+		// The conversion rounds each product before its add, as
+		// EncodeBlockInto does, so no compiler fuses the two.
 		for i, v := range data {
 			if av := math.Abs(v); av > maxv {
 				maxv = av
@@ -85,7 +87,7 @@ func (c *MultiCode) EncodeInto(block, chk *mat.Matrix) float64 {
 			w := 1.0
 			x := float64(i + 1)
 			for s := range sums {
-				sums[s] += w * v
+				sums[s] += float64(w * v)
 				w *= x
 			}
 		}

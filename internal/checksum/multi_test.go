@@ -11,16 +11,18 @@ import (
 )
 
 func TestMultiCodeM2MatchesPairCode(t *testing.T) {
-	// m=2 must be exactly the paper's two-vector code.
-	b := 8
-	blk := mat.RandGeneral(b, b, 1)
-	c := NewMultiCode(2, b)
-	multi := mat.New(2, b)
-	c.EncodeInto(blk, multi)
-	pair := mat.New(2, b)
-	EncodeBlockInto(blk, pair)
-	if mat.MaxAbsDiff(multi, pair) > 1e-12 {
-		t.Fatal("m=2 multi code disagrees with the pair code")
+	// m=2 must be exactly the paper's two-vector code, to the bit:
+	// EncodeMatrixMulti encodes m=2 with EncodeBlockInto.
+	for _, b := range []int{8, 67} {
+		blk := mat.RandGeneral(b, b, 1)
+		c := NewMultiCode(2, b)
+		multi := mat.New(2, b)
+		c.EncodeInto(blk, multi)
+		pair := mat.New(2, b)
+		EncodeBlockInto(blk, pair)
+		if !sameMatrixBits(multi, pair) {
+			t.Fatalf("b=%d: m=2 multi code disagrees with the pair code", b)
+		}
 	}
 }
 

@@ -65,24 +65,30 @@ func UpdateTRSM(chk, l *mat.Matrix) {
 //
 // abft:hotpath
 // abft:noescape
-// abft:bce checks=6
+// abft:bce checks=3
 func UpdatePOTF2(chk, la *mat.Matrix) {
 	b := la.Rows
 	if la.Cols != b || chk.Cols != b {
 		panic(fmt.Sprintf("checksum: potf2 update shapes chk %dx%d la %dx%d", chk.Rows, chk.Cols, la.Rows, la.Cols))
 	}
+	// Each chk element takes the same operations in the same order as
+	// the row-by-row loop of the paper; the loops run down columns so
+	// they read contiguous memory.
 	for j := 0; j < b; j++ {
-		d := la.At(j, j)
-		for r := 0; r < chk.Rows; r++ {
-			chk.Set(r, j, chk.At(r, j)/d)
+		lj := la.Col(j)
+		cj := chk.Col(j)
+		d := lj[j]
+		for r := range cj {
+			cj[r] /= d
 		}
-		for r := 0; r < chk.Rows; r++ {
-			cj := chk.At(r, j)
-			if cj == 0 {
-				continue
-			}
-			for i := j + 1; i < b; i++ {
-				chk.Add(r, i, -cj*la.At(i, j))
+		for i := j + 1; i < b; i++ {
+			ci := chk.Col(i)[:len(cj)]
+			l := lj[i]
+			for r, c := range cj {
+				if c == 0 {
+					continue
+				}
+				ci[r] += -c * l
 			}
 		}
 	}

@@ -23,6 +23,10 @@ func TestRunKeepsOneMatrixCopy(t *testing.T) {
 	// about a matrix per worker; with the collector off, the warm-up
 	// run's buffers stay pooled for the measured one.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// sync.Pool keeps a cache per P: a buffer Put on one P is missed by
+	// a Get on another and allocated again. One P keeps the warm-up's
+	// buffers where the measured run looks for them.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	mustRun(t, o)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -321,7 +321,7 @@ func campaignAt(cfg CampaignConfig, j int) []Scenario {
 		// mis-compute.
 		return nil
 	}
-	rng := rand.New(rand.NewSource(SubSeed(cfg.Seed, j)))
+	rng := rand.New(newStream(SubSeed(cfg.Seed, j)))
 	var out []Scenario
 	for n := poisson(rng, cfg.RatePerIteration); n > 0; n-- {
 		out = append(out, strike(cfg, rng, j)...)

@@ -123,8 +123,12 @@ func (m *Matrix) View(i, j, r, c int) *Matrix {
 	}
 }
 
-// Clone returns a deep copy with a tight stride.
+// Clone returns a deep copy with a tight stride. A tight-stride
+// receiver is copied in one append, which skips New's zeroing pass.
 func (m *Matrix) Clone() *Matrix {
+	if m.Stride == m.Rows && m.Rows*m.Cols > 0 {
+		return &Matrix{Rows: m.Rows, Cols: m.Cols, Stride: m.Rows, Data: append([]float64(nil), m.Data[:m.Rows*m.Cols]...)}
+	}
 	out := New(m.Rows, m.Cols)
 	out.CopyFrom(m)
 	return out

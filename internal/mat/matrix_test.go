@@ -353,3 +353,48 @@ func TestRandVectorDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// randSPDByDots is RandSPD's earlier loop, one At-based dot product per
+// lower-triangle element: the bit reference for the column-order one.
+func randSPDByDots(n int, seed int64) *Matrix {
+	g := RandGeneral(n, n, seed)
+	m := New(n, n)
+	for j := 0; j < n; j++ {
+		for i := j; i < n; i++ {
+			s := 0.0
+			for k := 0; k < n; k++ {
+				s += g.At(i, k) * g.At(j, k)
+			}
+			m.Set(i, j, s)
+			m.Set(j, i, s)
+		}
+	}
+	for i := 0; i < n; i++ {
+		m.Add(i, i, float64(n))
+	}
+	return m
+}
+
+func TestRandSPDMatchesDotLoop(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 64, 129} {
+		got, want := RandSPD(n, int64(n)), randSPDByDots(n, int64(n))
+		for i, v := range got.Data {
+			if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("n=%d: element %d is %v, the dot loop gives %v", n, i, v, want.Data[i])
+			}
+		}
+	}
+}
+
+func TestCloneCopiesViewsAndTightMatrices(t *testing.T) {
+	m := RandGeneral(9, 7, 2)
+	for _, v := range []*Matrix{m, m.View(0, 2, 9, 3), m.View(1, 1, 5, 4), m.View(0, 0, 0, 3), New(0, 0)} {
+		c := v.Clone()
+		if c.Rows != v.Rows || c.Cols != v.Cols || c.Stride != v.Rows || len(c.Data) != v.Rows*v.Cols {
+			t.Fatalf("clone of %dx%d (stride %d) is %dx%d, stride %d, %d elements", v.Rows, v.Cols, v.Stride, c.Rows, c.Cols, c.Stride, len(c.Data))
+		}
+		if MaxAbsDiff(c, v) != 0 {
+			t.Fatalf("clone of %dx%d differs from its source", v.Rows, v.Cols)
+		}
+	}
+}

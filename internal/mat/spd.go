@@ -17,15 +17,21 @@ func RandSPD(n int, seed int64) *Matrix {
 		}
 	}
 	m := New(n, n)
-	// m = g * gᵀ, lower triangle computed then mirrored.
+	// m = g * gᵀ, lower triangle computed then mirrored. Each m[i,j]
+	// sums g[i,k]*g[j,k] in increasing k, as a dot product would, but
+	// the sums advance down contiguous columns of g and m.
 	for j := 0; j < n; j++ {
-		for i := j; i < n; i++ {
-			s := 0.0
-			for k := 0; k < n; k++ {
-				s += g.At(i, k) * g.At(j, k)
+		col := m.Col(j)[j:]
+		for k := 0; k < n; k++ {
+			gk := g.Col(k)[j:]
+			gjk := gk[0]
+			col := col[:len(gk)]
+			for i, v := range gk {
+				col[i] += v * gjk
 			}
-			m.Set(i, j, s)
-			m.Set(j, i, s)
+		}
+		for i, v := range col[1:] {
+			m.Set(j, j+1+i, v)
 		}
 	}
 	for i := 0; i < n; i++ {

@@ -114,14 +114,16 @@ func findingLess(a, b *jsonFinding) bool {
 }
 
 // TestDriverOnSeededBugs points the driver at a self-contained fixture
-// module carrying one seeded bug per guarded invariant — an unguarded
-// write to a guarded field (lockcheck), a leaked worker goroutine
-// (goleak), a map-range streamed into a JSON encoder (detorder), a
-// driver whose TRSM checksum update went missing (chkflow), a %v wrap
-// severing a sentinel chain (errflow), and a handler minting
+// module carrying seeded bugs — an unguarded write to a guarded field
+// (lockcheck), a leaked worker goroutine (goleak), a map-range streamed
+// into a JSON encoder and a wall-clock read in the numeric core
+// (determinism), a driver whose TRSM checksum update went missing and
+// one that never verifies its TRSM's output under the post-write
+// discipline (abftprotocol), an allocating hot kernel (hotpath), a %v
+// wrap severing a sentinel chain (errflow), and a handler minting
 // context.Background() instead of inheriting the request context
 // (ctxcheck) — and asserts the end-to-end pipeline (loader, suite,
-// driver formatting, exit code) reports all of them.
+// driver formatting, exit code) reports every one of them.
 func TestDriverOnSeededBugs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the fixture module")
@@ -143,9 +145,19 @@ func TestDriverOnSeededBugs(t *testing.T) {
 		t.Fatalf("driver exited %d on the seeded-bug module, want 1; output:\n%s", code, sb.String())
 	}
 	out := sb.String()
-	for _, want := range []string{"[lockcheck]", "[goleak]", "[detorder]", "[chkflow]", "[hotpath]", "[errflow]", "[ctxcheck]"} {
+	for _, want := range []string{
+		"[lockcheck] write to r.counters without holding r.mu",
+		"[goleak] goroutine has no join point",
+		"[determinism] emit inside a range over a map",
+		"[determinism] time.Now reads the wall clock",
+		"[abftprotocol] TRSM panel solve can reach the next verification point without checksum.UpdateTRSM",
+		"[abftprotocol] on the SchemeOnline path, trsm can reach the function exit without a subsequent verifyBlocks",
+		"[hotpath] make allocates in hot path Daxpy",
+		"[errflow] fmt.Errorf without %w severs a classified error chain",
+		"[ctxcheck] context.Background() in request-scoped code",
+	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("driver output carries no %s finding on the seeded bug:\n%s", want, out)
+			t.Errorf("driver output carries no %q finding on the seeded bug:\n%s", want, out)
 		}
 	}
 }

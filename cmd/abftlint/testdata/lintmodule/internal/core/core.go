@@ -1,6 +1,7 @@
-// Package core is a deliberately buggy miniature of the real executor:
-// the driver below forgets the TRSM checksum update — the seeded
-// chkflow bug (unpaired mutation).
+// Package core is a deliberately buggy miniature of the real executor.
+// It seeds one bug per half of the ABFT protocol: runOnce forgets the
+// TRSM checksum update (an unpaired mutation), and runOnceRight never
+// verifies the panel its TRSM writes (a post-write ordering bug).
 package core
 
 import (
@@ -62,8 +63,8 @@ func (e *exec) updPOTF2(j int) {
 	checksum.UpdatePOTF2(e.chkView(j, j), e.block(j, j))
 }
 
-// updTRSM exists but the driver below never calls it: the panel's
-// checksums go stale the moment trsm rewrites it.
+// updTRSM exists but runOnce never calls it: the panel's checksums go
+// stale the moment trsm rewrites it.
 func (e *exec) updTRSM(j int) {
 	checksum.UpdateTRSM(e.chk.View(e.m*(j+1), j*e.b, e.m, e.b), e.block(j, j))
 }
@@ -95,6 +96,36 @@ func (e *exec) runOnce() error {
 			if err := e.verifyBlocks(nil); err != nil {
 				return err
 			}
+		}
+	}
+	return nil
+}
+
+// runOnceRight keeps every checksum current, but under the post-write
+// discipline it never verifies the panel its TRSM just wrote.
+//
+// abft:protocol driver steps=potf2,trsm
+func (e *exec) runOnceRight() error {
+	sch := e.sch
+	ft := sch.FaultTolerant()
+	if ft {
+		e.encode()
+	}
+	for j := 0; j < e.nb; j++ {
+		if err := e.potf2(j); err != nil {
+			return err
+		}
+		if ft {
+			e.updPOTF2(j)
+		}
+		if sch == SchemeOnline {
+			if err := e.verifyBlocks([][2]int{{j, j}}); err != nil {
+				return err
+			}
+		}
+		e.trsm(j)
+		if ft {
+			e.updTRSM(j)
 		}
 	}
 	return nil

@@ -6,7 +6,7 @@ import (
 )
 
 // Export streams the counters in map iteration order: the seeded
-// detorder bug (map-range into a JSON emit without a sort).
+// determinism bug (map-range into a JSON emit without a sort).
 func (r *Registry) Export(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	r.mu.Lock()

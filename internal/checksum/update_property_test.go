@@ -9,7 +9,7 @@ import (
 	"abftchol/internal/mat"
 )
 
-// The dynamic twin of the static chkflow proof: chkflow proves every
+// The dynamic twin of the static abftprotocol proof, which proves every
 // tile mutation is *paired* with its checksum update, and these
 // properties prove each update's *arithmetic* actually restores the
 // m-vector encode invariant chk(block) = W·block the pairing relies

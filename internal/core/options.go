@@ -44,7 +44,7 @@ import (
 type Scheme int
 
 // Each scheme declares its verification discipline to the static
-// analyzers (verifyread, chkflow) with an `abft:protocol scheme`
+// analyzer (abftprotocol) with an `abft:protocol scheme`
 // annotation; docs/LINTING.md documents the convention.
 const (
 	// SchemeNone is plain MAGMA Algorithm 1: no checksums at all.

@@ -23,7 +23,7 @@
 // Everything here is pure-function-of-the-run: same seed, same
 // options, byte-identical snapshot and trace. That property is what
 // lets tests assert on exported artifacts and what makes a metrics
-// diff between two commits meaningful. The package is in the detsim
+// diff between two commits meaningful. The package is in the determinism
 // analyzer's scope (see docs/LINTING.md), so wall-clock reads and
 // ambient randomness are rejected at lint time.
 //
@@ -33,4 +33,4 @@
 // whole experiment sweeps through the same registry via Config.Obs.
 package obs
 
-//go:generate go run ../../tools/obsdoc
+//go:generate go run ../../tools/gendoc observability

@@ -9,7 +9,7 @@ package campaign
 // output; it IS the output, byte for byte, and TestReliabilityDocCurrent
 // re-records it on every test run to catch drift.
 
-//go:generate go run ../../../tools/reldoc
+//go:generate go run ../../../tools/gendoc reliability
 
 import (
 	"context"
@@ -24,7 +24,7 @@ import (
 )
 
 // Marker comments bracketing the generated sections of
-// docs/RELIABILITY.md; tools/reldoc rewrites what is between them and
+// docs/RELIABILITY.md; tools/gendoc rewrites what is between them and
 // the drift test asserts the embedding.
 const (
 	ClassesBegin  = "<!-- BEGIN GENERATED FAULT-CLASS TABLE (go generate ./internal/reliability/campaign) -->"
@@ -78,7 +78,7 @@ func docConfig() Config {
 
 // DocSample executes the sample campaign with a journal and renders
 // the artifacts as markdown: the journal after completion and the
-// aggregated report. tools/reldoc embeds the result in
+// aggregated report. tools/gendoc embeds the result in
 // docs/RELIABILITY.md; the drift test re-records and compares.
 func DocSample() (string, error) {
 	dir, err := os.MkdirTemp("", "reldoc")

@@ -8,7 +8,7 @@ import (
 
 // TestReliabilityDocCurrent pins docs/RELIABILITY.md to the live
 // code: the fault-class table, the outcome table, and the sample
-// campaign must be exactly what tools/reldoc would regenerate.
+// campaign must be exactly what tools/gendoc would regenerate.
 // Because DocSample executes a real campaign, this test is also the
 // round-trip proof that the documented journal and report formats
 // still hold — a change that alters any shown byte fails here until

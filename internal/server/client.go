@@ -16,7 +16,7 @@ import (
 // -server flag is built on it, and Client.RunPoint plugs into
 // experiments.NewRemoteScheduler so whole sweeps execute remotely.
 // Polling is server-side (?wait= long-poll), so the client never
-// sleeps — it stays within the detorder analyzer's no-wall-clock
+// sleeps — it stays within the determinism analyzer's no-wall-clock
 // discipline.
 type Client struct {
 	// Base is the daemon root, e.g. "http://127.0.0.1:8787".

@@ -9,7 +9,7 @@ package server
 // output, byte for byte, and TestServiceDocCurrent re-records it on
 // every test run to catch drift.
 
-//go:generate go run ../../tools/servicedoc
+//go:generate go run ../../tools/gendoc service
 
 import (
 	"context"
@@ -22,7 +22,7 @@ import (
 )
 
 // Marker comments bracketing the generated sections of
-// docs/SERVICE.md; tools/servicedoc rewrites what is between them and
+// docs/SERVICE.md; tools/gendoc rewrites what is between them and
 // the drift test asserts the embedding.
 const (
 	EndpointsBegin = "<!-- BEGIN GENERATED ENDPOINT TABLE (go generate ./internal/server) -->"
@@ -181,7 +181,7 @@ func docSteps() []docStep {
 
 // DocSession boots a daemon under DocClock, drives the scripted
 // exchanges through its real handlers, and renders the captured
-// session as markdown. tools/servicedoc embeds the result in
+// session as markdown. tools/gendoc embeds the result in
 // docs/SERVICE.md; TestServiceDocCurrent re-records and compares.
 func DocSession() (string, error) {
 	srv, err := New(Config{

@@ -8,7 +8,7 @@ import (
 
 // TestServiceDocCurrent pins docs/SERVICE.md to the live server: the
 // endpoint table, the error table, and the captured session must be
-// exactly what tools/servicedoc would regenerate. Because DocSession
+// exactly what tools/gendoc would regenerate. Because DocSession
 // drives the real handlers, this test is also the round-trip proof
 // that every documented exchange still works — a handler change that
 // alters any shown byte fails here until

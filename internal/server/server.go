@@ -14,7 +14,7 @@
 // shared experiments.Scheduler, whose singleflight memoization merges
 // identical concurrent submissions into one execution. All wall-clock
 // access goes through an injected Clock so the package stays inside
-// the detorder analyzer's scope; cmd/abftd wires the real clock.
+// the determinism analyzer's scope; cmd/abftd wires the real clock.
 package server
 
 import (
@@ -35,7 +35,7 @@ import (
 )
 
 // Clock abstracts the two time operations the daemon needs. The
-// detorder analyzer bans direct wall-clock reads in this package
+// determinism analyzer bans direct wall-clock reads in this package
 // (deterministic-output discipline); production wiring lives in
 // cmd/abftd (RealClock there), and tests or documentation generators
 // substitute fixed clocks to make whole HTTP sessions reproducible.

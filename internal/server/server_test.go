@@ -20,7 +20,7 @@ import (
 	"abftchol/internal/obs"
 )
 
-// realClock is fine in tests (detorder exempts _test.go files).
+// realClock is fine in tests (determinism exempts _test.go files here).
 func realClock() Clock { return Clock{Now: time.Now, After: time.After} }
 
 // newTestServer boots a daemon behind an httptest listener and owns

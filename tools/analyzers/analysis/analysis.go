@@ -9,7 +9,7 @@
 // The framework adds one repository-specific extension: an Analyzer
 // may carry an AppliesTo predicate restricting it to the packages
 // where its invariant is load-bearing (e.g. determinism only matters
-// under internal/hetsim, internal/core, and internal/fault). The
+// in the numeric core and the packages that emit its output). The
 // driver — not the analyzer body — consults the predicate, so the
 // analyzers themselves stay policy-free.
 package analysis
@@ -71,6 +71,18 @@ func (p *Pass) Report(d Diagnostic) {
 // Reportf records a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+}
+
+// NonTestFiles returns the package's files without its _test.go files:
+// the program as it ships, for rules that tests break on purpose.
+func (p *Pass) NonTestFiles() []*ast.File {
+	var out []*ast.File
+	for _, f := range p.Files {
+		if !strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go") {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // PathIn returns a predicate satisfied by the listed import paths and

@@ -46,7 +46,7 @@ func TestNolintParsing(t *testing.T) {
 
 func f() {
 	_ = 1 //nolint:abftlint — whole suite, with justification
-	_ = 2 //nolint:detsim,floateq — two analyzers
+	_ = 2 //nolint:determinism,floateq — two analyzers
 	_ = 3 //nolint
 	_ = 4 // unrelated comment
 	_ = 5 //nolint:matindex
@@ -60,13 +60,13 @@ func f() {
 			t.Errorf("line %d allows(%q) = %v, want %v", line, name, got, want)
 		}
 	}
-	check(4, "detsim", true) // abftlint silences every analyzer
+	check(4, "determinism", true) // abftlint silences every analyzer
 	check(4, "floateq", true)
-	check(5, "detsim", true)
+	check(5, "determinism", true)
 	check(5, "floateq", true)
-	check(5, "matindex", false) // only the named analyzers
-	check(6, "detsim", true)    // bare nolint silences everything
-	check(7, "detsim", false)   // ordinary comment
+	check(5, "matindex", false)    // only the named analyzers
+	check(6, "determinism", true)  // bare nolint silences everything
+	check(7, "determinism", false) // ordinary comment
 	check(8, "matindex", true)
 	check(8, "floateq", false)
 }

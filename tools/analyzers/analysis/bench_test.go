@@ -69,7 +69,7 @@ func BenchmarkHotpath(b *testing.B) {
 }
 
 // BenchmarkSummaries isolates the summary-construction phase the
-// interprocedural analyzers (chkflow) pay on top of the per-function
+// interprocedural analyzers (abftprotocol) pay on top of the per-function
 // passes: building every package's call graph, condensing its SCCs,
 // and propagating May/Must facts bottom-up with a representative
 // classifier. Reported separately in docs/LINTING.md so a regression

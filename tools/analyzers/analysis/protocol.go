@@ -1,13 +1,13 @@
 package analysis
 
-// Declarative ABFT protocol specs. The verification-placement
-// (verifyread) and checksum-maintenance (chkflow) analyzers used to
-// hard-code which driver functions exist, which step methods they
-// guard, and which schemes impose which verification discipline. That
-// knowledge now lives with the code being checked, as `// abft:protocol`
-// annotations in internal/core, and both analyzers parse it into the
-// same tables here. A new driver (the roadmap's LU/QR registry)
-// declares its protocol and gets both analyzers for free.
+// Declarative ABFT protocol specs. The protocol prover
+// (abftprotocol) checks verification placement and checksum
+// maintenance without hard-coding which driver functions exist, which
+// step methods they guard, or which schemes impose which verification
+// discipline: that knowledge lives with the code being checked, as
+// `// abft:protocol` annotations in internal/core, parsed into the
+// tables here. A new driver (the roadmap's LU/QR registry) declares
+// its protocol and gets the whole proof for free.
 //
 // Grammar (one directive per comment line):
 //
@@ -88,8 +88,8 @@ func (p *Protocol) Scheme(name string) (SchemeSpec, bool) {
 	return SchemeSpec{}, false
 }
 
-// StepTable renders the drivers as the map verifyread's hard-coded
-// protocol table used: driver name to step list. The drift test pins
+// StepTable renders the drivers as the map the ordering check once
+// hard-coded: driver name to step list. The drift test pins
 // this against the historical literal.
 func (p *Protocol) StepTable() map[string][]string {
 	t := make(map[string][]string, len(p.Drivers))
@@ -97,17 +97,6 @@ func (p *Protocol) StepTable() map[string][]string {
 		t[d.Name] = append([]string(nil), d.Steps...)
 	}
 	return t
-}
-
-// FTSchemes returns the schemes declared fault tolerant.
-func (p *Protocol) FTSchemes() []SchemeSpec {
-	var out []SchemeSpec
-	for _, s := range p.Schemes {
-		if s.FT {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // ParseProtocol extracts the protocol declared by the files' comments.

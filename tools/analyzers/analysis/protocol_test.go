@@ -54,9 +54,6 @@ func runOnceRight() {}
 	if !ok || none.FT || none.Verify != VerifyNone {
 		t.Errorf("SchemeNone = %+v, %v", none, ok)
 	}
-	if ft := p.FTSchemes(); len(ft) != 1 || ft[0].Name != "SchemeOnline" {
-		t.Errorf("FTSchemes = %+v", ft)
-	}
 }
 
 func TestParseProtocolErrors(t *testing.T) {

@@ -104,7 +104,12 @@ func RunAllTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, map[string]
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer.Name < b.Analyzer.Name
+		if a.Analyzer.Name != b.Analyzer.Name {
+			return a.Analyzer.Name < b.Analyzer.Name
+		}
+		// One analyzer may report twice at a position (abftprotocol's
+		// ordering and pairing halves); the message settles the order.
+		return a.Message < b.Message
 	})
 	return findings, elapsed, nil
 }

@@ -34,7 +34,7 @@ func ImportAs(path string) Option {
 }
 
 // Run loads the package rooted at dir (relative to the test's working
-// directory, e.g. "testdata/src/detsimtest"), applies the analyzer,
+// directory, e.g. "testdata/src/coretest"), applies the analyzer,
 // and reports mismatches against the package's want comments.
 func Run(t *testing.T, a *analysis.Analyzer, dir string, opts ...Option) {
 	t.Helper()

@@ -47,7 +47,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"abftchol/tools/analyzers/analysis"
 )
@@ -77,10 +76,7 @@ const factBlocking analysis.Facts = 1
 func run(pass *analysis.Pass) error {
 	cg := analysis.BuildCallGraph(pass)
 	sums := cg.Summarize(pass.TypesInfo, blockingLocal(pass.TypesInfo))
-	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
+	for _, f := range pass.NonTestFiles() {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

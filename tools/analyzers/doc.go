@@ -7,7 +7,7 @@ import (
 
 // Markers delimiting the generated analyzer table in docs/LINTING.md.
 // Everything between them is owned by `go generate ./tools/analyzers`
-// (tools/analyzers/gendoc); hand edits there are overwritten.
+// (tools/gendoc); hand edits there are overwritten.
 const (
 	TableBegin = "<!-- BEGIN GENERATED ANALYZER TABLE (go generate ./tools/analyzers) -->"
 	TableEnd   = "<!-- END GENERATED ANALYZER TABLE -->"

@@ -229,10 +229,10 @@ func localFacts(info *types.Info) func(ast.Node) analysis.Facts {
 func run(pass *analysis.Pass) error {
 	cg := analysis.BuildCallGraph(pass)
 	sums := cg.Summarize(pass.TypesInfo, localFacts(pass.TypesInfo))
-	for _, f := range pass.Files {
-		if isTestFile(pass, f) {
-			continue
-		}
+	// Tests build severed and malformed chains deliberately (the
+	// partition property test in internal/core is one), so every rule
+	// skips them.
+	for _, f := range pass.NonTestFiles() {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -247,13 +247,6 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	return nil
-}
-
-// isTestFile reports whether the file is a _test.go file. Tests build
-// severed and malformed chains deliberately (the partition property
-// test in internal/core is one), so every rule skips them.
-func isTestFile(pass *analysis.Pass, f *ast.File) bool {
-	return strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go")
 }
 
 // unit is the per-function provenance state.

@@ -1,14 +1,16 @@
 // Package goleak verifies that every goroutine spawned by the
 // parallel sweep engine (internal/experiments), the blocked
-// right-looking kernels (internal/blas), the job daemon
-// (internal/server), and the reliability campaign engine
-// (internal/reliability) is joined before its spawner
-// returns. The engine's determinism contract — byte-identical output
-// at -parallel 1 and -parallel N — relies on every worker finishing
-// before results are assembled; a leaked goroutine is a worker whose
-// writes race the assembly pass, exactly the class of silent
-// corruption the paper's online ABFT exists to catch at the next
-// checksum. Catch it at lint time instead.
+// right-looking kernels (internal/blas), the checksum kernels
+// (internal/checksum), the ABFT executor (internal/core), the job
+// daemon (internal/server), and the reliability campaign engine
+// (internal/reliability) is joined before its spawner returns. The
+// engine's determinism contract — byte-identical output at -parallel 1
+// and -parallel N — relies on every worker finishing before results
+// are assembled, and a kernel goroutine still writing the shared
+// matrix after its kernel "completes" races the next kernel. Either
+// way the corruption is silent, exactly the class the paper's online
+// ABFT exists to catch at the next checksum — except no checksum
+// models it. Catch it at lint time instead.
 //
 // For each `go func(){...}()` the analyzer identifies the join
 // mechanism and checks it flow-sensitively on the spawner's CFG:
@@ -20,12 +22,14 @@
 //     including the zero-trip edge of any loop the Wait hides in.
 //   - channel: the goroutine sends on (or closes) a channel and the
 //     spawner receives from it on some path, or the channel escapes
-//     (parameter, field, captured from an enclosing scope) so an
-//     outer join is plausible.
+//     (parameter, field, captured from an enclosing scope, returned
+//     to the caller) so an outer join is plausible. A channel the
+//     literal takes as a parameter is judged by the argument the
+//     spawn binds to it.
 //   - neither: the spawn has no join point and is flagged.
 //
-// `go method()` spawns (no literal body) are outside the analysis —
-// nakedgoroutine already covers bare spawns structurally.
+// `go method()` spawns (no literal body) are outside the analysis:
+// their join question belongs to a body this pass does not see.
 package goleak
 
 import (
@@ -42,11 +46,12 @@ const Doc = "require every go statement to have a join point reachable on all ex
 var Analyzer = &analysis.Analyzer{
 	Name:  "goleak",
 	Doc:   Doc,
-	Scope: "internal/experiments, internal/blas, internal/checksum, internal/server, internal/reliability",
+	Scope: "internal/experiments, internal/blas, internal/checksum, internal/core, internal/server, internal/reliability",
 	AppliesTo: analysis.PathIn(
 		"abftchol/internal/experiments",
 		"abftchol/internal/blas",
 		"abftchol/internal/checksum",
+		"abftchol/internal/core",
 		"abftchol/internal/server",
 		"abftchol/internal/reliability",
 	),
@@ -67,6 +72,9 @@ func run(pass *analysis.Pass) error {
 }
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
+	if !spawns(fd.Body) {
+		return // most functions spawn nothing; skip building their CFG
+	}
 	g := analysis.BuildCFG(fd.Body)
 	lt := analysis.CollectLifetime(g)
 	if len(lt.Spawns) == 0 {
@@ -75,7 +83,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	info := pass.TypesInfo
 	for _, sp := range lt.Spawns {
 		if sp.Body == nil {
-			continue // method-value spawn; nakedgoroutine's territory
+			continue // method-value spawn: no body to inspect
 		}
 		if wg, ok := waitGroupFor(info, sp); ok {
 			checkWaitGroupJoin(pass, fd, g, sp, wg)
@@ -89,6 +97,18 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		}
 		pass.Reportf(sp.Go.Pos(), "goroutine has no join point: no WaitGroup, no channel the spawner waits on; it can outlive %s and race later work", fd.Name.Name)
 	}
+}
+
+// spawns reports whether body contains a go statement at any depth.
+func spawns(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.GoStmt); ok {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // ---- WaitGroup discipline -------------------------------------------
@@ -223,9 +243,11 @@ func nodesCalling(g *analysis.CFG, info *types.Info, recv, method string) []*ana
 // ---- channel joins ---------------------------------------------------
 
 // channelFor finds a channel the goroutine body signals on (send or
-// close). local reports whether that channel is declared inside the
-// spawning function — only then can this pass demand the join locally;
-// params, fields, and captures may be joined by a caller.
+// close), resolved to the spawner's expression for it. local reports
+// whether that channel is declared inside the spawning function and
+// not returned from it — only then can this pass demand the join
+// locally; params, fields, captures, and returned channels may be
+// joined by a caller.
 func channelFor(info *types.Info, fd *ast.FuncDecl, sp analysis.SpawnSite) (ch ast.Expr, local, ok bool) {
 	ast.Inspect(sp.Body.Body, func(n ast.Node) bool {
 		if _, isLit := n.(*ast.FuncLit); isLit {
@@ -248,26 +270,64 @@ func channelFor(info *types.Info, fd *ast.FuncDecl, sp analysis.SpawnSite) (ch a
 	if !ok {
 		return nil, false, false
 	}
-	local = declaredWithin(info, fd, ch)
+	ch = boundArg(info, sp, ch)
+	obj := varOf(info, ch)
+	local = obj != nil && obj.Pos() > fd.Body.Pos() && obj.Pos() < fd.Body.End() &&
+		!returned(info, fd, obj)
 	return ch, local, true
 }
 
-// declaredWithin reports whether the channel expression resolves to a
-// simple variable declared inside fd's body (as opposed to a
-// parameter, struct field, or capture from an enclosing scope).
-func declaredWithin(info *types.Info, fd *ast.FuncDecl, ch ast.Expr) bool {
+// varOf resolves a channel expression that is a simple variable to
+// its object; nil for fields, calls, and other expressions.
+func varOf(info *types.Info, ch ast.Expr) types.Object {
 	id, isID := ast.Unparen(ch).(*ast.Ident)
 	if !isID {
-		return false
+		return nil
 	}
-	obj := info.Uses[id]
+	if obj := info.Uses[id]; obj != nil {
+		return obj
+	}
+	return info.Defs[id]
+}
+
+// boundArg maps a channel the goroutine literal names by one of its
+// own parameters to the argument the spawn binds to that parameter:
+// `go func(d chan<- T) { d <- v }(done)` signals on done.
+func boundArg(info *types.Info, sp analysis.SpawnSite, ch ast.Expr) ast.Expr {
+	obj := varOf(info, ch)
 	if obj == nil {
-		obj = info.Defs[id]
+		return ch
 	}
-	if obj == nil {
-		return false
+	i := 0
+	for _, field := range sp.Body.Type.Params.List {
+		for _, name := range field.Names {
+			if info.Defs[name] == obj && i < len(sp.Go.Call.Args) {
+				return sp.Go.Call.Args[i]
+			}
+			i++
+		}
 	}
-	return obj.Pos() > fd.Body.Pos() && obj.Pos() < fd.Body.End()
+	return ch
+}
+
+// returned reports whether fd hands the channel to its caller in one
+// of its own return statements; the join then belongs to the caller.
+func returned(info *types.Info, fd *ast.FuncDecl, obj types.Object) bool {
+	found := false
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if _, isLit := n.(*ast.FuncLit); isLit {
+			return false
+		}
+		if ret, ok := n.(*ast.ReturnStmt); ok {
+			for _, r := range ret.Results {
+				if varOf(info, r) == obj {
+					found = true
+				}
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // spawnerReceives reports whether the spawning function (outside the

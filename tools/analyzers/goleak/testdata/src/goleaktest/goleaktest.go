@@ -109,8 +109,8 @@ type flusher struct{}
 
 func (flusher) flush() {}
 
-// methodSpawn launches a method value: spawns without a literal body
-// are nakedgoroutine's territory, not goleak's.
+// methodSpawn launches a method value: a spawn without a literal body
+// has no body for goleak to inspect.
 func methodSpawn(f flusher) {
 	go f.flush()
 }

@@ -67,10 +67,7 @@ func run(pass *analysis.Pass) error {
 	for _, bad := range guards.BadSeeds {
 		pass.Reportf(bad.Pos, "guards: comment names %q, which is not a sibling field of this mutex", bad.Name)
 	}
-	for _, f := range pass.Files {
-		if name := pass.Fset.Position(f.Pos()).Filename; strings.HasSuffix(name, "_test.go") {
-			continue
-		}
+	for _, f := range pass.NonTestFiles() {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -374,9 +371,6 @@ func copiesLockValue(info *types.Info, e ast.Expr) bool {
 // mutex-bearing values.
 func checkCopies(pass *analysis.Pass, f *ast.File) {
 	info := pass.TypesInfo
-	if name := pass.Fset.Position(f.Pos()).Filename; strings.HasSuffix(name, "_test.go") {
-		return
-	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:

@@ -3,17 +3,16 @@
 // checked. See docs/LINTING.md for the invariant each pass guards and
 // the sanctioned //nolint escape hatch.
 //
-//go:generate go run abftchol/tools/analyzers/gendoc
+//go:generate go run abftchol/tools/gendoc linting
 package analyzers
 
 import (
 	"sort"
 
+	"abftchol/tools/analyzers/abftprotocol"
 	"abftchol/tools/analyzers/analysis"
-	"abftchol/tools/analyzers/chkflow"
 	"abftchol/tools/analyzers/ctxcheck"
-	"abftchol/tools/analyzers/detorder"
-	"abftchol/tools/analyzers/detsim"
+	"abftchol/tools/analyzers/determinism"
 	"abftchol/tools/analyzers/errflow"
 	"abftchol/tools/analyzers/floateq"
 	"abftchol/tools/analyzers/goleak"
@@ -21,16 +20,14 @@ import (
 	"abftchol/tools/analyzers/injectortick"
 	"abftchol/tools/analyzers/lockcheck"
 	"abftchol/tools/analyzers/matindex"
-	"abftchol/tools/analyzers/nakedgoroutine"
 	"abftchol/tools/analyzers/streamsync"
-	"abftchol/tools/analyzers/verifyread"
 )
 
 // Version identifies the suite revision in machine-readable output
 // (abftlint -json emits it in the header line). Bump it whenever the
 // analyzer set, a diagnostic format, or the JSON wire format changes,
 // so CI artifact consumers can detect incomparable runs.
-const Version = "0.10.0"
+const Version = "0.11.0"
 
 // Suite lists every analyzer the abftlint driver runs. The order is
 // load-bearing — it fixes the sequence of findings in -json output and
@@ -38,10 +35,9 @@ const Version = "0.10.0"
 // order at init and pinned by a drift test, keeping the artifact
 // stable as analyzers are added.
 var Suite = []*analysis.Analyzer{
-	chkflow.Analyzer,
+	abftprotocol.Analyzer,
 	ctxcheck.Analyzer,
-	detorder.Analyzer,
-	detsim.Analyzer,
+	determinism.Analyzer,
 	errflow.Analyzer,
 	floateq.Analyzer,
 	goleak.Analyzer,
@@ -49,9 +45,7 @@ var Suite = []*analysis.Analyzer{
 	injectortick.Analyzer,
 	lockcheck.Analyzer,
 	matindex.Analyzer,
-	nakedgoroutine.Analyzer,
 	streamsync.Analyzer,
-	verifyread.Analyzer,
 }
 
 func init() {

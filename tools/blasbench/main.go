@@ -8,7 +8,7 @@
 // fused_overhead_percent.
 //
 // `make bench` runs it; CI archives BENCH_blas.json. Wall-clock timing
-// lives here, outside the detsim-clean internal packages, exactly as
+// lives here, outside the determinism-clean internal packages, exactly as
 // with sweepbench.
 package main
 

@@ -7,7 +7,7 @@
 // at the repository root. `make bench` runs it; CI archives the file.
 //
 // Wall-clock timing lives here, outside internal/reliability, on
-// purpose: campaign execution is detsim-clean, and the benchmark is
+// purpose: campaign execution is determinism-clean, and the benchmark is
 // the one place where real elapsed time is the measurement.
 package main
 

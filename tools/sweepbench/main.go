@@ -7,7 +7,7 @@
 // accounting. `make bench` runs it; CI archives both files.
 //
 // Wall-clock timing lives here, outside internal/experiments, on
-// purpose: the simulator packages are detsim-clean (no time.Now), and
+// purpose: the simulator packages are determinism-clean (no time.Now), and
 // the benchmark is the one place where real elapsed time is the
 // measurement, not a hazard.
 package main

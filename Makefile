@@ -39,16 +39,19 @@ lint:
 # Time the analyzer suite itself: one full module load/type-check
 # (BenchmarkLoadRepo) and one pass of all registered analyzers over it
 # (BenchmarkSuite). The current figures live in docs/LINTING.md; rerun
-# this when adding an analyzer to keep them honest. lintbudget then
-# gates the measured suite time against the committed BENCH_lint.json
-# baseline (fail past 3x): a suite that quietly tripled its own cost
-# is a regression, not noise. Re-record with
-# `go run ./tools/lintbudget -update` when the roster changes.
+# this when adding an analyzer to keep them honest. `tools/bench -check
+# lint` then gates the load and per-analyzer times against the
+# committed BENCH_lint.json (fail past 3x, or on a changed suite version
+# or analyzer roster): a suite that quietly tripled its own cost is a
+# regression, not noise. Re-record with `go run ./tools/bench lint`
+# when the roster changes. The gate is not piped through tee, which
+# would hide its exit status; the fresh report is
+# artifacts/BENCH_lint.json.
 lint-bench:
 	mkdir -p artifacts
 	$(GO) test -run '^$$' -bench 'BenchmarkLoadRepo|BenchmarkSuite|BenchmarkSummaries|BenchmarkHotpath' -benchmem \
 		./tools/analyzers/analysis | tee artifacts/lint-bench.txt
-	$(GO) run ./tools/lintbudget | tee artifacts/lint-budget.txt
+	$(GO) run ./tools/bench -check lint
 
 # perfbench (BENCHMARK.json's benchmark) is a Go module of its own
 # that calls the blas, checksum and core APIs directly; `./...` above
@@ -63,19 +66,24 @@ fmt:
 
 # Benchmarks plus a deterministic metrics snapshot of the full
 # experiment sweep, so a perf investigation always has the matching
-# kernel/verification counters next to the timings. sweepbench times
-# the full `-exp all` sweep serial-cold vs parallel-cold vs warm-cache
-# (verifying byte-identity along the way) and records the comparison
-# in BENCH_sweep.json at the repo root. relbench runs the default
-# fault-injection campaign grid serial vs parallel and records coverage
-# rates with Wilson intervals in BENCH_reliability.json.
+# kernel/verification counters next to the timings. tools/bench then
+# re-records every committed BENCH_<name>.json at the repo root in its
+# one schema (environment, timed entries with reps/median/min, rates,
+# exact values): blas times the BLAS3 kernels plain vs fused with their
+# checksum update; sweep times the full `-exp all` sweep serial-cold vs
+# parallel-cold vs warm-cache (verifying byte-identity, and writing the
+# warm pass's cache-hit metrics to artifacts/sweep-cache-metrics.json);
+# reliability runs the default fault-injection campaign grid serial vs
+# parallel and keeps its coverage report; lint times the analyzer suite.
+# CI gates each file with `go run ./tools/bench -check <name>`.
 bench:
 	mkdir -p artifacts
 	$(GO) test -bench=. -benchmem ./... | tee artifacts/bench.txt
 	$(GO) run ./cmd/abftchol -exp all -quick -metrics-out artifacts/bench-metrics.json > /dev/null
-	$(GO) run ./tools/sweepbench -out BENCH_sweep.json -metrics-out artifacts/sweep-cache-metrics.json
-	$(GO) run ./tools/blasbench -out BENCH_blas.json
-	$(GO) run ./tools/relbench -out BENCH_reliability.json
+	$(GO) run ./tools/bench sweep
+	$(GO) run ./tools/bench blas
+	$(GO) run ./tools/bench reliability
+	$(GO) run ./tools/bench lint
 
 # End-to-end check of the job daemon (docs/SERVICE.md): build abftd,
 # boot it on a random port, drive a submit → poll → fetch session,
@@ -85,7 +93,7 @@ bench:
 # (CI uploads it).
 serve-smoke:
 	mkdir -p artifacts
-	$(GO) run ./tools/servesmoke
+	$(GO) run ./tools/smoke serve
 
 # Kill-and-resume check of the reliability campaign engine
 # (docs/RELIABILITY.md): build abftchol, run a reference campaign to
@@ -95,7 +103,7 @@ serve-smoke:
 # artifacts/campaign-smoke.txt (CI uploads it).
 campaign-smoke:
 	mkdir -p artifacts
-	$(GO) run ./tools/campaignsmoke
+	$(GO) run ./tools/smoke campaign
 
 # The observability artifacts CI uploads: a Perfetto-loadable Chrome
 # trace of the fig8 sweep's last run plus the sweep's metrics

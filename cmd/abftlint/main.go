@@ -90,7 +90,7 @@ func load(patterns []string) []*analysis.Package {
 // revision that produced the findings, so CI artifact diffs can tell
 // a changed tree from a changed toolchain, and carries each analyzer's
 // wall time so the artifact doubles as the suite's performance record
-// (tools/lintbudget gates the total against a committed baseline).
+// (`tools/bench lint` gates them against a committed baseline).
 // Findings follow, one object per line, sorted by (file, line, column,
 // analyzer) — the order is deterministic regardless of package load
 // order. The timings are the only nondeterministic bytes, and they

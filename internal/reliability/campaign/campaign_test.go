@@ -242,6 +242,99 @@ func TestJournalShardCountMismatch(t *testing.T) {
 	}
 }
 
+// TestJournalRejectsHostileRecord: a record whose tally sums to the
+// shard size but holds a negative count, or that names another cell
+// than the plan's, or a shard the plan does not have, is journal
+// corruption naming the shard, never merged into the report.
+func TestJournalRejectsHostileRecord(t *testing.T) {
+	cfg := quickConfig()
+	fp, err := cfg.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "laptop/magma/storage-offset"
+	for _, tc := range []struct {
+		name string
+		rec  ShardRecord
+		want string
+	}{
+		{"negative count", ShardRecord{Cell: 0, Shard: 0, Key: key, Counts: Counts{Clean: 8, Silent: -2}}, key + "#0"},
+		{"foreign key", ShardRecord{Cell: 0, Shard: 1, Key: "laptop/online/storage-offset", Counts: Counts{Clean: 6}}, key + "#1"},
+		{"shard not in plan", ShardRecord{Cell: 0, Shard: 4, Key: key, Counts: Counts{Clean: 6}}, "0#4"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "j.jsonl")
+			j, _, err := OpenJournal(path, fp, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(tc.rec); err != nil {
+				t.Fatal(err)
+			}
+			j.Close()
+			_, err = Run(context.Background(), cfg, experiments.NewScheduler(2, nil), RunOptions{JournalPath: path})
+			if err == nil || !strings.Contains(err.Error(), "corrupt") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("hostile record %+v: got %v, want a corruption error naming %s", tc.rec, err, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzJournalLoad: whatever bytes sit in the journal file, OpenJournal
+// either fails or returns only shards the plan has, each tallying
+// exactly its trials with no count outside [0, shard size]. The seed
+// is a complete journal written by Run.
+func FuzzJournalLoad(f *testing.F) {
+	cfg := quickConfig()
+	fp, err := cfg.Fingerprint()
+	if err != nil {
+		f.Fatal(err)
+	}
+	plan, err := NewPlan(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed := filepath.Join(f.TempDir(), "seed.jsonl")
+	if _, err := Run(context.Background(), cfg, experiments.NewScheduler(2, nil), RunOptions{JournalPath: seed}); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(data[:len(data)/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "j.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, done, err := OpenJournal(path, fp, cfg)
+		if err != nil {
+			return
+		}
+		j.Close()
+		size := map[ShardKey]int{}
+		for _, sh := range plan.Shards {
+			size[ShardKey{sh.Cell, sh.Index}] = sh.Hi - sh.Lo
+		}
+		for k, c := range done {
+			n, ok := size[k]
+			if !ok {
+				t.Fatalf("shard %+v is not in the plan", k)
+			}
+			for _, v := range []int{c.Clean, c.Corrected, c.Uncorrectable, c.Silent} {
+				if v < 0 || v > n {
+					t.Fatalf("shard %+v: count %d outside [0, %d]: %+v", k, v, n, c)
+				}
+			}
+			if c.Total() != n {
+				t.Fatalf("shard %+v tallies %d trials, plan says %d", k, c.Total(), n)
+			}
+		}
+	})
+}
+
 // TestZeroConfigJournalRoundTrip: the all-defaults campaign config
 // round-trips through the journal header unchanged (normalization
 // happens before writing, and reopening with the same input config

@@ -49,8 +49,9 @@ type Journal struct {
 
 // OpenJournal opens (or creates) the journal at path for the campaign
 // identified by fingerprint, returning the shards it already records.
-// A journal for a different campaign is an error, not a resume. A
-// torn trailing line — the crash signature of a mid-append kill — is
+// A journal for a different campaign is an error, not a resume, and so
+// is a record that does not fit the plan of cfg (see Plan.checkRecord).
+// A torn trailing line — the crash signature of a mid-append kill — is
 // truncated away.
 func OpenJournal(path, fingerprint string, cfg Config) (*Journal, map[ShardKey]Counts, error) {
 	norm, err := cfg.Normalize()
@@ -65,10 +66,15 @@ func OpenJournal(path, fingerprint string, cfg Config) (*Journal, map[ShardKey]C
 		return nil, nil, fmt.Errorf("campaign: open journal: %w", err)
 	}
 	j := &Journal{f: f}
-	done, keep, headerOK, err := j.load(fingerprint)
+	recs, keep, headerOK, err := j.load(fingerprint)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
+	}
+	done, err := resumed(norm, recs)
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("campaign: journal %s corrupt: %w", path, err)
 	}
 	// Drop any torn tail, then position for append.
 	if err := f.Truncate(keep); err != nil {
@@ -89,13 +95,61 @@ func OpenJournal(path, fingerprint string, cfg Config) (*Journal, map[ShardKey]C
 	return j, done, nil
 }
 
+// resumed checks the journaled shard records against the plan of cfg
+// and returns their tallies. The plan is built only when there are
+// records to check.
+func resumed(cfg Config, recs []ShardRecord) (map[ShardKey]Counts, error) {
+	done := make(map[ShardKey]Counts, len(recs))
+	if len(recs) == 0 {
+		return done, nil
+	}
+	plan, err := NewPlan(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, rec := range recs {
+		if err := plan.checkRecord(rec); err != nil {
+			return nil, err
+		}
+		done[ShardKey{rec.Cell, rec.Shard}] = rec.Counts
+	}
+	return done, nil
+}
+
+// checkRecord rejects a shard record that the plan could not have
+// written: a shard the plan does not have, a cell key other than the
+// plan's, or a tally with a count outside [0, shard size] or a total
+// other than the shard size. Bounding each count keeps the total from
+// overflowing into a plausible value.
+func (p *Plan) checkRecord(rec ShardRecord) error {
+	perCell := (p.Config.TrialsPerCell + p.Config.ShardTrials - 1) / p.Config.ShardTrials
+	if rec.Cell < 0 || rec.Cell >= len(p.Cells) || rec.Shard < 0 || rec.Shard >= perCell {
+		return fmt.Errorf("shard %d#%d is not in the plan", rec.Cell, rec.Shard)
+	}
+	cell, sh := p.Cells[rec.Cell], p.Shards[rec.Cell*perCell+rec.Shard]
+	if rec.Key != cell.Key() {
+		return fmt.Errorf("shard %s#%d is recorded under cell %q", cell.Key(), sh.Index, rec.Key)
+	}
+	size := sh.Hi - sh.Lo
+	c := rec.Counts
+	for _, n := range []int{c.Clean, c.Corrected, c.Uncorrectable, c.Silent} {
+		if n < 0 || n > size {
+			return fmt.Errorf("shard %s#%d has a count of %d in a %d-trial shard", cell.Key(), sh.Index, n, size)
+		}
+	}
+	if got := c.Total(); got != size {
+		return fmt.Errorf("journaled shard %s#%d tallies %d trials, plan says %d", cell.Key(), sh.Index, got, size)
+	}
+	return nil
+}
+
 // load parses the journal, returning the recorded shards, the byte
 // offset of the end of the last intact line (the valid prefix to keep),
 // and whether an intact header was found. A final line that is
 // incomplete or unparsable is the torn-append crash signature and is
 // simply excluded from the kept prefix; a bad line anywhere *before*
 // the end is corruption and an error.
-func (j *Journal) load(fingerprint string) (map[ShardKey]Counts, int64, bool, error) {
+func (j *Journal) load(fingerprint string) ([]ShardRecord, int64, bool, error) {
 	if _, err := j.f.Seek(0, 0); err != nil {
 		return nil, 0, false, err
 	}
@@ -103,7 +157,7 @@ func (j *Journal) load(fingerprint string) (map[ShardKey]Counts, int64, bool, er
 	if err != nil {
 		return nil, 0, false, err
 	}
-	done := make(map[ShardKey]Counts)
+	var recs []ShardRecord
 	var keep int64
 	headerOK := false
 	pos := 0
@@ -131,7 +185,7 @@ func (j *Journal) load(fingerprint string) (map[ShardKey]Counts, int64, bool, er
 			if uerr := json.Unmarshal(line, &hdr); uerr != nil || torn {
 				if lastLine {
 					// Torn header: nothing durable yet, start over.
-					return done, 0, false, nil
+					return nil, 0, false, nil
 				}
 				return nil, 0, false, fmt.Errorf("campaign: journal %s has a corrupt header", j.f.Name())
 			}
@@ -149,15 +203,15 @@ func (j *Journal) load(fingerprint string) (map[ShardKey]Counts, int64, bool, er
 		var rec ShardRecord
 		if uerr := json.Unmarshal(line, &rec); uerr != nil || torn {
 			if lastLine {
-				return done, keep, true, nil
+				return recs, keep, true, nil
 			}
 			return nil, 0, false, fmt.Errorf("campaign: journal %s corrupt (bad record before EOF)", j.f.Name())
 		}
-		done[ShardKey{rec.Cell, rec.Shard}] = rec.Counts
+		recs = append(recs, rec)
 		keep = int64(next)
 		pos = next
 	}
-	return done, keep, headerOK, nil
+	return recs, keep, headerOK, nil
 }
 
 // Append durably records one completed shard.

@@ -91,9 +91,6 @@ func Run(ctx context.Context, cfg Config, sched *experiments.Scheduler, opts Run
 		}
 		cell := plan.Cells[sh.Cell]
 		if counts, ok := done[ShardKey{sh.Cell, sh.Index}]; ok {
-			if got, want := counts.Total(), sh.Hi-sh.Lo; got != want {
-				return nil, fmt.Errorf("campaign: journaled shard %s#%d tallies %d trials, plan says %d", cell.Key(), sh.Index, got, want)
-			}
 			c := perCell[sh.Cell]
 			c.Merge(counts)
 			perCell[sh.Cell] = c

@@ -53,9 +53,9 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 // RunAllTimed is RunAll plus accounting: the second result maps each
 // analyzer's name to the wall time its Run spent, summed over every
 // package it applied to. The driver's -json header publishes the map
-// and tools/lintbudget gates the total against a committed baseline,
-// so an analyzer whose cost quietly explodes fails CI instead of
-// taxing every future `make lint`.
+// and `tools/bench lint` gates each analyzer against a committed
+// baseline, so an analyzer whose cost quietly explodes fails CI instead
+// of taxing every future `make lint`.
 func RunAllTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, map[string]time.Duration, error) {
 	var findings []Finding
 	elapsed := make(map[string]time.Duration, len(analyzers))

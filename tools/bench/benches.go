@@ -1,0 +1,272 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"time"
+
+	"abftchol/internal/blas"
+	"abftchol/internal/checksum"
+	"abftchol/internal/experiments"
+	"abftchol/internal/mat"
+	"abftchol/internal/obs"
+	"abftchol/internal/reliability/campaign"
+	"abftchol/tools/analyzers"
+	"abftchol/tools/analyzers/analysis"
+)
+
+// The blas bench times the three kernels the factorization spends its
+// time in (Dgemm, Dsyrk, Dtrsm), serial and parallel, plain and fused
+// with the ABFT checksum update the factorization pairs them with. The
+// update is O(n²) against the kernel's O(n³), so fused should track
+// plain closely: the fused_overhead_pct rates show how closely. Rates
+// use the min, the least disturbed sample.
+const (
+	blasN, blasK = 256, 128
+	blasReps     = 20
+)
+
+func benchBLAS(r *Report) error {
+	n, k := blasN, blasK
+	a := make([]float64, n*k)
+	b := make([]float64, n*k)
+	c := make([]float64, n*n)
+	fill(a, 1)
+	fill(b, 2)
+
+	// Dtrsm solves B·L⁻ᵀ over a well-conditioned lower triangle l.
+	l := make([]float64, k*k)
+	fill(l, 5)
+	for j := range k {
+		clear(l[j*k : j*k+j]) // column j above the diagonal
+		l[j+j*k] = float64(k)
+	}
+	bt := make([]float64, n*k)
+	fill(bt, 6)
+
+	// Checksum slabs for the fused variants: the 2-vector code over
+	// the operands, updated online exactly as the factorization does.
+	chkC := mat.New(2, n) // checksum of the updated block columns
+	chkA := mat.New(2, k) // checksum of the multiplying panel
+	chkB := mat.New(2, k) // checksum of the solved panel
+	panel, lm := mat.FromSlice(n, k, b), mat.FromSlice(k, k, l)
+	fill(chkC.Data, 3)
+	fill(chkA.Data, 4)
+	fill(chkB.Data, 7)
+
+	// The factorization's shapes: the trailing update C -= A·Bᵀ, the
+	// diagonal block update C -= A·Aᵀ, and the Right/Trans panel solve.
+	gemm := func() { blas.Dgemm(blas.NoTrans, blas.Trans, n, n, k, -1, a, n, b, n, 1, c, n) }
+	gemmPar := func() { blas.DgemmParallel(blas.NoTrans, blas.Trans, n, n, k, -1, a, n, b, n, 1, c, n) }
+	syrk := func() { blas.Dsyrk(n, k, -1, a, n, 1, c, n) }
+	syrkPar := func() { blas.DsyrkParallel(n, k, -1, a, n, 1, c, n) }
+	trsm := func() { blas.Dtrsm(blas.Right, blas.Trans, n, k, 1, l, k, bt, n) }
+	trsmPar := func() { blas.DtrsmParallel(blas.Right, blas.Trans, n, k, 1, l, k, bt, n) }
+	rankK := func() { checksum.UpdateRankK(chkC, chkA, panel) }
+	fused := func(kernel, update func()) func() { return func() { kernel(); update() } }
+
+	flops := map[string]float64{
+		"dgemm": 2 * float64(n) * float64(n) * float64(k),
+		"dsyrk": float64(n) * float64(n+1) * float64(k),
+		"dtrsm": float64(n) * float64(k) * float64(k),
+	}
+	for _, kr := range []struct {
+		op, variant string
+		fn          func()
+	}{
+		{"dgemm", "serial", gemm},
+		{"dgemm", "parallel", gemmPar},
+		{"dgemm", "fused-serial", fused(gemm, rankK)},
+		{"dgemm", "fused-parallel", fused(gemmPar, rankK)},
+		{"dsyrk", "serial", syrk},
+		{"dsyrk", "parallel", syrkPar},
+		{"dsyrk", "fused-serial", fused(syrk, rankK)},
+		{"dtrsm", "serial", trsm},
+		{"dtrsm", "parallel", trsmPar},
+		{"dtrsm", "fused-serial", fused(trsm, func() { checksum.UpdateTRSM(chkB, lm) })},
+	} {
+		name := kr.op + "/" + kr.variant
+		kr.fn() // warm-up: pool, caches, goroutine machinery
+		for range blasReps {
+			r.time(name, func() error { kr.fn(); return nil })
+		}
+		r.Rates["gflops/"+name] = flops[kr.op] / r.entry(name).MinMS / 1e6
+	}
+	for op := range flops {
+		plain, fused := r.entry(op+"/serial").MinMS, r.entry(op+"/fused-serial").MinMS
+		r.Rates["fused_overhead_pct/"+op] = (fused - plain) / plain * 100
+	}
+	r.setExact("n", n)
+	r.setExact("k", k)
+	return nil
+}
+
+func fill(s []float64, seed int) {
+	for i := range s {
+		s[i] = float64((i*7+seed)%13)/13 - 0.5
+	}
+}
+
+// The sweep bench renders the full `-exp all` experiment set three
+// ways per rep: serial from a cold start, parallel over a cold cache,
+// and parallel again over the now warm cache. All three must be
+// byte-identical, and the warm pass must execute no point: a cold pass
+// that failed to fill the cache would still render identical output.
+// The warm pass's metrics snapshot, the cache-hit accounting, goes to
+// sweepMetricsOut.
+const (
+	sweepReps       = 5
+	sweepMetricsOut = "artifacts/sweep-cache-metrics.json"
+)
+
+func benchSweep(r *Report) error {
+	root, err := os.MkdirTemp("", "bench-sweep-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(root)
+	reg, ids := experiments.Registry(), experiments.IDs()
+	var want string
+	pass := func(name string, sched *experiments.Scheduler, sink *experiments.Obs) error {
+		return r.time(name, func() error {
+			var b strings.Builder
+			for _, id := range ids {
+				fmt.Fprintln(&b, sched.Run(reg[id].Run, reg[id].Profile, experiments.Config{Obs: sink}))
+			}
+			if err := sched.StoreErr(); err != nil {
+				return fmt.Errorf("%s pass: %w", name, err)
+			}
+			if want == "" {
+				want = b.String()
+			} else if b.String() != want {
+				return fmt.Errorf("the %s pass did not render byte-identical output", name)
+			}
+			return nil
+		})
+	}
+	var warm *experiments.Obs
+	for i := range sweepReps {
+		cache := experiments.NewCache(filepath.Join(root, strconv.Itoa(i)))
+		warm = &experiments.Obs{Metrics: obs.NewRegistry()}
+		if err := pass("serial_cold", experiments.NewScheduler(1, nil), nil); err != nil {
+			return err
+		}
+		if err := pass("parallel_cold", experiments.NewScheduler(0, cache), nil); err != nil {
+			return err
+		}
+		if err := pass("parallel_warm", experiments.NewScheduler(0, cache), warm); err != nil {
+			return err
+		}
+		if n := warm.Metrics.Counter("sweep.points.executed"); n != 0 {
+			return fmt.Errorf("the warm pass executed %d points the cold pass should have cached", n)
+		}
+	}
+	r.Rates["speedup_warm_vs_serial_cold"] = r.entry("serial_cold").MedianMS / r.entry("parallel_warm").MedianMS
+	r.setExact("experiments", slices.Sorted(slices.Values(ids)))
+	r.setExact("byte_identical", true)
+	r.setExact("points_planned", warm.Metrics.Counter("sweep.points.planned"))
+	r.setExact("points_executed_warm", warm.Metrics.Counter("sweep.points.executed"))
+	r.setExact("cache_hits_warm", warm.Metrics.Counter("sweep.cache.hits"))
+	r.setExact("dedup_hits_warm", warm.Metrics.Counter("sweep.dedup.hits"))
+	snap, err := warm.Metrics.Snapshot()
+	if err != nil {
+		return err
+	}
+	return writeFile(sweepMetricsOut, snap)
+}
+
+// The reliability bench runs the default (machine × scheme × fault
+// class) campaign grid serially and on the parallel worker pool,
+// requires every report to be byte-identical, and keeps the report,
+// the outcome rates with Wilson 95% intervals per cell, as an exact
+// value: byte-for-byte what `abftchol -campaign` with the same seed
+// prints.
+const (
+	relReps = 5
+	relSeed = 20160523
+)
+
+func benchReliability(r *Report) error {
+	var want []byte
+	trials := 0
+	pass := func(name string, workers int) error {
+		return r.time(name, func() error {
+			rep, err := campaign.Run(context.Background(), campaign.Config{Seed: relSeed}, experiments.NewScheduler(workers, nil), campaign.RunOptions{})
+			if err != nil {
+				return err
+			}
+			data, err := rep.Marshal()
+			if err == nil && want != nil && !bytes.Equal(data, want) {
+				err = fmt.Errorf("the %s campaign report is not byte-identical to the first", name)
+			}
+			want, trials = data, rep.TotalTrials
+			return err
+		})
+	}
+	for range relReps {
+		if err := pass("serial", 1); err != nil {
+			return err
+		}
+		if err := pass("parallel", 0); err != nil { // 0: GOMAXPROCS workers
+			return err
+		}
+	}
+	parallel := r.entry("parallel").MedianMS
+	r.Rates["speedup_parallel_vs_serial"] = r.entry("serial").MedianMS / parallel
+	r.Rates["trials_per_second_parallel"] = float64(trials) / parallel * 1e3
+	r.setExact("byte_identical", true)
+	r.setExact("campaign", json.RawMessage(want))
+	return nil
+}
+
+// The lint bench times the static-analysis suite's own cost: one load
+// and type-check of the module, then every registered analyzer over
+// it (analysis.RunAllTimed, the timings abftlint -json publishes).
+// The suite version and analyzer roster are exact, so a changed roster
+// is re-recorded rather than compared against incomparable times.
+const lintReps = 3
+
+func benchLint(r *Report) error {
+	var roster []string
+	for _, a := range analyzers.Suite {
+		roster = append(roster, a.Name)
+	}
+	for range lintReps {
+		var pkgs []*analysis.Package
+		err := r.time("load", func() error {
+			loader, err := analysis.NewLoader(".")
+			if err == nil {
+				pkgs, err = loader.Load("./...")
+			}
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		for _, pkg := range pkgs {
+			if len(pkg.Errors) > 0 {
+				return fmt.Errorf("%s: %v", pkg.ImportPath, pkg.Errors[0])
+			}
+		}
+		_, timings, err := analysis.RunAllTimed(pkgs, analyzers.Suite)
+		if err != nil {
+			return err
+		}
+		var suite time.Duration
+		for _, name := range roster {
+			r.add("analyzer/"+name, timings[name])
+			suite += timings[name]
+		}
+		r.add("suite", suite)
+	}
+	r.setExact("version", analyzers.Version)
+	r.setExact("analyzers", roster)
+	return nil
+}

@@ -119,10 +119,9 @@ func findingLess(a, b *jsonFinding) bool {
 // into a JSON encoder and a wall-clock read in the numeric core
 // (determinism), a driver whose TRSM checksum update went missing and
 // one that never verifies its TRSM's output under the post-write
-// discipline (abftprotocol), an allocating hot kernel (hotpath), a %v
-// wrap severing a sentinel chain (errflow), and a handler minting
-// context.Background() instead of inheriting the request context
-// (ctxcheck) — and asserts the end-to-end pipeline (loader, suite,
+// discipline (abftprotocol), a %v wrap severing a sentinel chain
+// (errflow), and a handler minting context.Background() instead of
+// inheriting the request context (ctxcheck) — and asserts the end-to-end pipeline (loader, suite,
 // driver formatting, exit code) reports every one of them.
 func TestDriverOnSeededBugs(t *testing.T) {
 	if testing.Short() {
@@ -152,7 +151,6 @@ func TestDriverOnSeededBugs(t *testing.T) {
 		"[determinism] time.Now reads the wall clock",
 		"[abftprotocol] TRSM panel solve can reach the next verification point without checksum.UpdateTRSM",
 		"[abftprotocol] on the SchemeOnline path, trsm can reach the function exit without a subsequent verifyBlocks",
-		"[hotpath] make allocates in hot path Daxpy",
 		"[errflow] fmt.Errorf without %w severs a classified error chain",
 		"[ctxcheck] context.Background() in request-scoped code",
 	} {

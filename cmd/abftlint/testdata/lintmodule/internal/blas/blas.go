@@ -23,20 +23,6 @@ const (
 // Dpotf2 stands in for the unblocked Cholesky kernel.
 func Dpotf2(n int, a []float64, lda int) error { return nil }
 
-// Daxpy is a seeded hotpath bug: the function is annotated as a
-// hot-path kernel but allocates a scratch slice on every loop
-// iteration — exactly the per-call allocation class the analyzer
-// exists to catch.
-//
-// abft:hotpath
-func Daxpy(n int, alpha float64, x, y []float64) {
-	for i := 0; i < n; i++ {
-		tmp := make([]float64, 1)
-		tmp[0] = alpha * x[i]
-		y[i] += tmp[0]
-	}
-}
-
 // DtrsmParallel stands in for the parallel triangular solve.
 func DtrsmParallel(side Side, transL Transpose, m, n int, alpha float64, l []float64, ldl int, b []float64, ldb int) {
 }

@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// The hot-path contract (// abft:hotpath, enforced statically by the
-// hotpath analyzer and against the compiler by tools/escapecheck) says
-// the annotated kernels never allocate per call. These tests pin that
-// at runtime with AllocsPerRun, which the race detector's
+// The hot-path contract (// abft:hotpath, proved against the compiler's
+// escape analysis by tools/escapecheck) says the annotated kernels
+// never allocate per call. These tests pin that at runtime with
+// AllocsPerRun, which also sees allocations no escape diagnostic names
+// (append growing a slice) and which the race detector's
 // instrumentation would distort — hence the !race build tag.
 //
 // The packed GEMM (gemmPacked) takes its fixed-size packing buffers from

@@ -86,7 +86,6 @@ func (o *block) panel(r int) ([]float64, int) {
 // Either way an element's sum and its bits are the same.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=2
 func gemmPacked(lower bool, transA, transB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	readA := transA == NoTrans
@@ -145,7 +144,6 @@ func gemmPacked(lower bool, transA, transB Transpose, m, n, k int, alpha float64
 // located by oa and ob.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=3
 func macroKernel(lower bool, mb, nb, kb int, oa, ob *block, c []float64, ldc, i0, j0 int) {
 	for jr := 0; jr < nb; jr += kernNR {
@@ -177,7 +175,6 @@ func macroKernel(lower bool, mb, nb, kb int, oa, ob *block, c []float64, ldc, i0
 // tile.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=8
 func edgeTile(lower bool, mrr, nrr, kb int, ap []float64, sa int, bp []float64, sb int, c []float64, ldc, diag int) {
 	var t [kernMR * kernNR]float64
@@ -204,7 +201,6 @@ func edgeTile(lower bool, mrr, nrr, kb int, ap []float64, sa int, bp []float64, 
 // as the kernel).
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=12
 func packA(trans Transpose, alpha float64, a []float64, lda, i0, mb, l0, kb int, dst []float64) {
 	whole := 0 // rows in whole panels of untransposed A, packed first
@@ -229,9 +225,9 @@ func packA(trans Transpose, alpha float64, a []float64, lda, i0, mb, l0, kb int,
 				v := 0.0
 				if r < mrr {
 					if trans == NoTrans {
-						v = alpha * a[i0+ir+r+(l0+l)*lda] //nolint:hotpath — ragged last panel only: at most kernMR-1 rows per call
+						v = alpha * a[i0+ir+r+(l0+l)*lda]
 					} else {
-						v = alpha * a[l0+l+(i0+ir+r)*lda] //nolint:hotpath — a row of Aᵀ is strided by construction; packing is O(mk) against the kernel's O(mnk)
+						v = alpha * a[l0+l+(i0+ir+r)*lda]
 					}
 				}
 				d[r] = v
@@ -246,7 +242,6 @@ func packA(trans Transpose, alpha float64, a []float64, lda, i0, mb, l0, kb int,
 // Transposed B is read down each of its columns, like packA's A.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=12
 func packB(trans Transpose, alpha float64, b []float64, ldb, l0, kb, j0, nb int, dst []float64) {
 	whole := 0 // columns in whole panels of transposed B, packed first
@@ -270,9 +265,9 @@ func packB(trans Transpose, alpha float64, b []float64, ldb, l0, kb, j0, nb int,
 				v := 0.0
 				if c < nrr {
 					if trans == Trans {
-						v = alpha * b[j0+jr+c+(l0+l)*ldb] //nolint:hotpath — ragged last panel only: at most kernNR-1 columns per call
+						v = alpha * b[j0+jr+c+(l0+l)*ldb]
 					} else {
-						v = alpha * b[l0+l+(j0+jr+c)*ldb] //nolint:hotpath — a row of B is strided by construction; packing is O(nk) against the kernel's O(mnk)
+						v = alpha * b[l0+l+(j0+jr+c)*ldb]
 					}
 				}
 				d[c] = v

@@ -16,13 +16,12 @@ import "math"
 // the same bits: FMA rounds once per step either way.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=5
 func kern8x4(k int, a []float64, sa int, b []float64, sb int, c []float64, ldc int) {
 	if useAsm {
 		// Bound the last element the kernel reads or writes.
 		_ = c[3*ldc+kernMR-1]
-		kern8x4AVX2(k, &a[:(k-1)*sa+kernMR][0], sa, &b[:(k-1)*sb+kernNR][0], sb, &c[0], ldc) //nolint:hotpath — assembly leaf: no Go body to walk; go vet's asmdecl checks its frame
+		kern8x4AVX2(k, &a[:(k-1)*sa+kernMR][0], sa, &b[:(k-1)*sb+kernNR][0], sb, &c[0], ldc)
 	} else {
 		kern8x4Go(k, a, sa, b, sb, c, ldc)
 	}
@@ -32,7 +31,6 @@ func kern8x4(k int, a []float64, sa int, b []float64, sb int, c []float64, ldc i
 // the assembly one.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=6
 func kern8x4Go(k int, a []float64, sa int, b []float64, sb int, c []float64, ldc int) {
 	var acc [kernMR * kernNR]float64
@@ -62,13 +60,12 @@ func kern8x4Go(k int, a []float64, sa int, b []float64, sb int, c []float64, ldc
 // subtracts, with no fused step.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=2
 func subScaled(alpha float64, x, y []float64) {
 	if useAsm {
 		if len(y) > 0 {
 			_ = x[len(y)-1]
-			subScaledAVX2(len(y), alpha, &x[0], &y[0]) //nolint:hotpath — assembly leaf: no Go body to walk; go vet's asmdecl checks its frame
+			subScaledAVX2(len(y), alpha, &x[0], &y[0])
 		}
 	} else {
 		subScaledGo(alpha, x, y)
@@ -79,7 +76,6 @@ func subScaled(alpha float64, x, y []float64) {
 // product, so no compiler may fuse it into the subtraction.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=1
 func subScaledGo(alpha float64, x, y []float64) {
 	x = x[:len(y)]
@@ -101,7 +97,6 @@ func subScaledGo(alpha float64, x, y []float64) {
 // columns past the last multiple of four finish in Go.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=9
 func ColChecksums(rows, cols int, a []float64, lda int, out []float64, ldo int) float64 {
 	r4 := rows &^ 3
@@ -113,7 +108,7 @@ func ColChecksums(rows, cols int, a []float64, lda int, out []float64, ldo int) 
 	var acc [12]float64 // s1 of the four columns, then s2, then max|a|
 	for ; c+4 <= cols; c += 4 {
 		_ = a[(c+3)*lda+r4-1]
-		colChecksums4AVX2(r4, &a[c*lda], lda, &acc) //nolint:hotpath — assembly leaf: no Go body to walk; go vet's asmdecl checks its frame
+		colChecksums4AVX2(r4, &a[c*lda], lda, &acc)
 		for q := 0; q < 4; q++ {
 			if m := acc[8+q]; m > maxv {
 				maxv = m
@@ -133,7 +128,6 @@ func ColChecksums(rows, cols int, a []float64, lda int, out []float64, ldo int) 
 // reference for the assembly one.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=4
 func colChecksumsGo(rows, cols int, a []float64, lda int, out []float64, ldo int) float64 {
 	maxv := 0.0
@@ -149,7 +143,6 @@ func colChecksumsGo(rows, cols int, a []float64, lda int, out []float64, ldo int
 // so no compiler may fuse it into the add.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=2
 func checksumTail(col []float64, from int, s1, s2 float64, o []float64, maxv float64) float64 {
 	for i, v := range col[from:] {

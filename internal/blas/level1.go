@@ -14,7 +14,6 @@ import "math"
 // Daxpy computes y ← alpha*x + y over n elements with unit stride.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=2
 func Daxpy(n int, alpha float64, x, y []float64) {
 	if alpha == 0 || n == 0 {
@@ -30,7 +29,6 @@ func Daxpy(n int, alpha float64, x, y []float64) {
 // Ddot returns xᵀy over n elements with unit stride.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=2
 func Ddot(n int, x, y []float64) float64 {
 	s := 0.0
@@ -45,7 +43,6 @@ func Ddot(n int, x, y []float64) float64 {
 // Dscal computes x ← alpha*x over n elements with unit stride.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=1
 func Dscal(n int, alpha float64, x []float64) {
 	x = x[:n]
@@ -93,7 +90,6 @@ func Idamax(n int, x []float64) int {
 // Dcopy copies n elements of x into y.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=2
 func Dcopy(n int, x, y []float64) {
 	copy(y[:n], x[:n])

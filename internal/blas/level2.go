@@ -71,8 +71,7 @@ func Dger(m, n int, alpha float64, x, y, a []float64, lda int) {
 // non-unit-diagonal n x n matrix L with leading dimension lda.
 //
 // abft:hotpath
-// abft:noescape
-// abft:bce checks=4
+// abft:bce checks=7
 func Dtrsv(trans Transpose, n int, l []float64, lda int, x []float64) {
 	x = x[:n]
 	if trans == NoTrans {

@@ -24,7 +24,6 @@ const trsmNB = 8
 // cannot bound loops with (verified against -d=ssa/check_bce).
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=2
 func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
 	if beta != 1 {
@@ -53,7 +52,6 @@ func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, ld
 // bits Dgemm(NoTrans, Trans) would give it.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=2
 func Dsyrk(n, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
 	for j := 0; j < n; j++ {
@@ -84,7 +82,6 @@ func Dsyrk(n, k int, alpha float64, a []float64, lda int, beta float64, c []floa
 // is blocked: its off-diagonal updates run on gemmPacked.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=20
 func Dtrsm(side Side, transL Transpose, m, n int, alpha float64, l []float64, ldl int, b []float64, ldb int) {
 	if alpha != 1 {
@@ -139,7 +136,7 @@ func Dtrsm(side Side, transL Transpose, m, n int, alpha float64, l []float64, ld
 			for k := k0; k < k0+kb; k++ {
 				bk := b[k*ldb:][:m]
 				for j := k0; j < k; j++ {
-					lkj := l[k+j*ldl] //nolint:hotpath — one read of L's row k per column update; the update's m-long loop runs in subScaled
+					lkj := l[k+j*ldl]
 					if lkj == 0 {
 						continue
 					}

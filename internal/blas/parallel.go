@@ -46,10 +46,8 @@ func parallelColumns(n int, minChunk int, fn func(j0, j1 int)) {
 // DgemmParallel is Dgemm with the output columns fanned out over
 // goroutines. Each worker owns a disjoint column range of C, so the
 // decomposition is race-free by construction.
-//
-// abft:hotpath
 func DgemmParallel(transA, transB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	parallelColumns(n, 8, func(j0, j1 int) { //nolint:hotpath — goroutine launcher; its per-call cost is amortized over a whole tile of kernel work
+	parallelColumns(n, 8, func(j0, j1 int) {
 
 		var bs []float64
 		switch transB {
@@ -67,10 +65,8 @@ func DgemmParallel(transA, transB Transpose, m, n, k int, alpha float64, a []flo
 // split is race-free; the later (right-hand) chunks have shorter
 // columns, which parallelColumns tolerates because work imbalance only
 // affects speed.
-//
-// abft:hotpath
 func DsyrkParallel(n, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
-	parallelColumns(n, 8, func(j0, j1 int) { //nolint:hotpath — goroutine launcher; its per-call cost is amortized over a whole tile of kernel work
+	parallelColumns(n, 8, func(j0, j1 int) {
 
 		// The sub-problem over columns [j0, j1) of the lower triangle:
 		// rows j0..n. That is a (n-j0) x (j1-j0) block whose top
@@ -87,17 +83,15 @@ func DsyrkParallel(n, k int, alpha float64, a []float64, lda int, beta float64, 
 // DtrsmParallel parallelizes the two cases used by the Cholesky panel
 // solves. For Left solves the columns of B are independent; for Right
 // solves the rows of B are independent, so we split rows.
-//
-// abft:hotpath
 func DtrsmParallel(side Side, transL Transpose, m, n int, alpha float64, l []float64, ldl int, b []float64, ldb int) {
 	if side == Left {
-		parallelColumns(n, 4, func(j0, j1 int) { //nolint:hotpath — goroutine launcher; its per-call cost is amortized over a whole tile of kernel work
+		parallelColumns(n, 4, func(j0, j1 int) {
 			Dtrsm(Left, transL, m, j1-j0, alpha, l, ldl, b[j0*ldb:], ldb)
 		})
 		return
 	}
 	// Right side: split the m rows of B.
-	parallelColumns(m, 32, func(i0, i1 int) { //nolint:hotpath — goroutine launcher; its per-call cost is amortized over a whole tile of kernel work
+	parallelColumns(m, 32, func(i0, i1 int) {
 
 		Dtrsm(Right, transL, i1-i0, n, alpha, l, ldl, b[i0:], ldb)
 	})

@@ -31,7 +31,6 @@ func (e *PivotError) Unwrap() error { return ErrNotPositiveDefinite }
 // not referenced. This is the POTF2 kernel that MAGMA runs on the CPU.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=5
 func Dpotf2(n int, a []float64, lda int) error {
 	for j := 0; j < n; j++ {
@@ -39,7 +38,7 @@ func Dpotf2(n int, a []float64, lda int) error {
 		// a[j,j] -= dot(a[j, 0:j], a[j, 0:j])
 		d := col[j]
 		for k := 0; k < j; k++ {
-			v := a[j+k*lda] //nolint:hotpath — row dot product is inherently strided in column-major storage; j is panel-width bounded
+			v := a[j+k*lda]
 			d -= v * v
 		}
 		if d <= 0 || math.IsNaN(d) {
@@ -49,7 +48,7 @@ func Dpotf2(n int, a []float64, lda int) error {
 		col[j] = d
 		// a[j+1:, j] = (a[j+1:, j] - A[j+1:, 0:j]*a[j, 0:j]ᵀ) / d
 		for k := 0; k < j; k++ {
-			ajk := a[j+k*lda] //nolint:hotpath — one read of row j per column update; the update's loop runs in subScaled
+			ajk := a[j+k*lda]
 			if ajk == 0 {
 				continue
 			}
@@ -68,7 +67,6 @@ func Dpotf2(n int, a []float64, lda int) error {
 // reference the hybrid and ABFT variants are validated against.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=4
 func Dpotrf(n, nb int, a []float64, lda int) error {
 	if nb <= 0 || nb >= n {

@@ -10,8 +10,9 @@ import (
 
 // Runtime pin of the // abft:hotpath contract for the checksum layer:
 // encoding and the three update routines allocate nothing per call.
-// EncodeInto used to allocate one m-length slice per block column —
-// B allocations per encode — before the stack accumulator landed.
+// MultiCode.EncodeInto is not abft:hotpath, since codes of more than
+// eight vectors allocate their accumulator, so this test is what pins
+// it at zero for m=4.
 
 func TestChecksumHotPathDoesNotAllocate(t *testing.T) {
 	const b = 32

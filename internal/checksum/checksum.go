@@ -13,6 +13,13 @@
 // δ2/δ1 gives its (1-based) row. All checksums of a matrix live in a
 // single 2N x n checksum matrix (N = n/B block rows) so they can be
 // updated with one BLAS call per factorization step.
+//
+// The code uses column, not row, checksums, as the paper does after
+// FT-ScaLAPACK: every Cholesky update multiplies blocks from the right
+// (C ← C − A·Bᵀ, X ← X·L⁻ᵀ), so a column checksum vᵀC updates to
+// vᵀC − (vᵀA)·Bᵀ from stored checksums alone. A row checksum C·w would
+// update to C·w − A·(Bᵀ·w), and Bᵀ·w is no stored checksum, so keeping
+// it would cost a fresh pass over B at every update.
 package checksum
 
 import (
@@ -23,25 +30,12 @@ import (
 	"abftchol/internal/mat"
 )
 
-// Vectors returns the two weight vectors for block size b:
-// v1 = (1, ..., 1) and v2 = (1, 2, ..., b).
-func Vectors(b int) (v1, v2 []float64) {
-	v1 = make([]float64, b)
-	v2 = make([]float64, b)
-	for i := 0; i < b; i++ {
-		v1[i] = 1
-		v2[i] = float64(i + 1)
-	}
-	return v1, v2
-}
-
 // EncodeBlockInto writes the 2 x C checksum of block (R x C) into chk.
 // Row 0 of chk is the plain column sum, row 1 the weighted sum. It
 // returns block.NormMax(), taken in the same pass, so verification
 // reads each block once. The sums run on blas.ColChecksums.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=0
 func EncodeBlockInto(block, chk *mat.Matrix) float64 {
 	if chk.Rows != 2 || chk.Cols != block.Cols {
@@ -94,15 +88,10 @@ func EncodeMatrixMulti(a *mat.Matrix, b, m int) *mat.Matrix {
 	return chk
 }
 
-// Tolerance returns the rounding-error threshold for comparing stored
-// and recalculated checksums of a block: well above the accumulation
+// toleranceFor returns the rounding-error threshold for comparing
+// stored and recalculated checksums of a block of rows rows whose
+// largest absolute element is normMax: well above the accumulation
 // noise of O(n) updates, well below any bit flip that matters.
-func Tolerance(block *mat.Matrix) float64 {
-	return toleranceFor(block.Rows, block.NormMax())
-}
-
-// toleranceFor is Tolerance for a block of rows rows whose largest
-// absolute element is normMax.
 func toleranceFor(rows int, normMax float64) float64 {
 	scale := normMax
 	if scale < 1 {
@@ -163,9 +152,10 @@ func Locate(ms []Mismatch, rows int) []Correction {
 		if m.D1 != 0 {
 			ratio := m.D2 / m.D1
 			r := math.Round(ratio)
-			// The ratio tolerance scales with the row index: both
-			// deltas carry rounding noise of similar absolute size,
-			// so the quotient is noisier for larger ratios.
+			// A fixed 0.01 tolerance on the ratio. Both deltas carry
+			// rounding noise of similar absolute size, so the quotient
+			// is noisier for larger ratios, and this bound does not
+			// grow with the row index.
 			if math.Abs(ratio-r) < 0.01 && r >= 1 && r <= float64(rows) {
 				c.Row = int(r) - 1
 				c.OK = true

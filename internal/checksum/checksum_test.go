@@ -10,18 +10,6 @@ import (
 	"abftchol/internal/mat"
 )
 
-func TestVectors(t *testing.T) {
-	v1, v2 := Vectors(4)
-	for i := 0; i < 4; i++ {
-		if v1[i] != 1 {
-			t.Fatal("v1 must be all ones")
-		}
-		if v2[i] != float64(i+1) {
-			t.Fatal("v2 must be 1..B")
-		}
-	}
-}
-
 func TestEncodeBlockInto(t *testing.T) {
 	block := mat.FromSlice(3, 2, []float64{1, 2, 3, 4, 5, 6}) // cols (1,2,3), (4,5,6)
 	chk := mat.New(2, 2)
@@ -203,7 +191,7 @@ func TestTinyErrorBelowToleranceIgnored(t *testing.T) {
 func TestFusedToleranceMatchesTolerance(t *testing.T) {
 	// VerifyAndCorrect takes max|block| from its encode pass; the
 	// checksums and the threshold must keep the bits of a plain
-	// column-sum pass and Tolerance's separate NormMax pass.
+	// column-sum pass and of a threshold from a separate NormMax pass.
 	for _, tc := range []struct {
 		rows, cols int
 		scale      float64
@@ -223,8 +211,8 @@ func TestFusedToleranceMatchesTolerance(t *testing.T) {
 		}
 		got := mat.New(2, tc.cols)
 		normMax := EncodeBlockInto(block, got)
-		if a, b := toleranceFor(block.Rows, normMax), Tolerance(block); math.Float64bits(a) != math.Float64bits(b) {
-			t.Errorf("%dx%d: fused threshold %v, Tolerance %v", tc.rows, tc.cols, a, b)
+		if a, b := toleranceFor(block.Rows, normMax), toleranceFor(block.Rows, block.NormMax()); math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("%dx%d: fused threshold %v, two-pass threshold %v", tc.rows, tc.cols, a, b)
 		}
 		for j := 0; j < tc.cols; j++ {
 			s1, s2 := 0.0, 0.0 // one column, top to bottom
@@ -246,10 +234,10 @@ func TestToleranceScalesWithMagnitude(t *testing.T) {
 	small.Fill(0.001)
 	big := mat.New(8, 8)
 	big.Fill(1e6)
-	if Tolerance(big) <= Tolerance(small) {
+	if toleranceFor(8, big.NormMax()) <= toleranceFor(8, small.NormMax()) {
 		t.Fatal("tolerance must grow with block magnitude")
 	}
-	if Tolerance(small) <= 0 {
+	if toleranceFor(8, small.NormMax()) <= 0 {
 		t.Fatal("tolerance must be positive")
 	}
 }

@@ -56,7 +56,6 @@ func (c *MultiCode) MaxErrors() int { return c.m / 2 }
 // factorization actually uses (m ≤ 8); encoding is allocation-free per
 // call, where it previously allocated one m-slice per column.
 //
-// abft:hotpath
 // abft:bce checks=2
 func (c *MultiCode) EncodeInto(block, chk *mat.Matrix) float64 {
 	if block.Rows != c.b {
@@ -68,7 +67,7 @@ func (c *MultiCode) EncodeInto(block, chk *mat.Matrix) float64 {
 	var sumbuf [8]float64
 	sums := sumbuf[:]
 	if c.m > len(sumbuf) {
-		sums = make([]float64, c.m) //nolint:hotpath — cold: codes larger than 8 vectors pay one allocation per encode, never per column
+		sums = make([]float64, c.m)
 	}
 	sums = sums[:c.m]
 	maxv := 0.0

@@ -300,7 +300,7 @@ func TestMultiCodeRandomizedStress(t *testing.T) {
 // match bit for bit.
 func multiVerifyTwoPass(c *MultiCode, block, stored, scratch *mat.Matrix) ([]Correction, error) {
 	c.EncodeInto(block, scratch)
-	tol := Tolerance(block)
+	tol := toleranceFor(block.Rows, block.NormMax())
 	var out []Correction
 	syn := make([]float64, c.m)
 	for col := 0; col < block.Cols; col++ {
@@ -356,7 +356,7 @@ func TestMultiVerifyOnePassMatchesTwoPass(t *testing.T) {
 					blk.Add(2*r+1, 5, scale*(1+rng.Float64())*100)
 				}
 			}
-			if got, want := toleranceFor(b, c.EncodeInto(blk, mat.New(m, b))), Tolerance(blk); math.Float64bits(got) != math.Float64bits(want) {
+			if got, want := toleranceFor(b, c.EncodeInto(blk, mat.New(m, b))), toleranceFor(blk.Rows, blk.NormMax()); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("m=%d seed=%d: one-pass threshold %v, two-pass %v", m, seed, got, want)
 			}
 			ref := blk.Clone()

@@ -23,7 +23,6 @@ import (
 // chk(B') = chk(B) − chk(LD)·LCᵀ (Fig. 5) in slab form.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=0
 func UpdateRankK(chkOut, chkSrc, panel *mat.Matrix) {
 	if chkOut.Rows != chkSrc.Rows || chkOut.Cols != panel.Rows || chkSrc.Cols != panel.Cols {
@@ -45,7 +44,6 @@ func UpdateRankK(chkOut, chkSrc, panel *mat.Matrix) {
 // factored B x B lower-triangular diagonal block.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=0
 func UpdateTRSM(chk, l *mat.Matrix) {
 	if chk.Cols != l.Rows || l.Rows != l.Cols {
@@ -64,7 +62,6 @@ func UpdateTRSM(chk, l *mat.Matrix) {
 // one column at a time exactly as the CPU factors them.)
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=3
 func UpdatePOTF2(chk, la *mat.Matrix) {
 	b := la.Rows

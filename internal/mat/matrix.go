@@ -50,7 +50,6 @@ func FromSlice(rows, cols int, data []float64) *Matrix {
 // At returns element (i, j).
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=1
 func (m *Matrix) At(i, j int) float64 {
 	m.boundsCheck(i, j)
@@ -60,7 +59,6 @@ func (m *Matrix) At(i, j int) float64 {
 // Set assigns element (i, j).
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=1
 func (m *Matrix) Set(i, j int, v float64) {
 	m.boundsCheck(i, j)
@@ -70,13 +68,16 @@ func (m *Matrix) Set(i, j int, v float64) {
 // Add increments element (i, j) by v.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=1
 func (m *Matrix) Add(i, j int, v float64) {
 	m.boundsCheck(i, j)
 	m.Data[i+j*m.Stride] += v
 }
 
+// boundsCheck panics unless (i, j) lies inside m. It is too large to
+// inline, so the accessors make a real call to it.
+//
+// abft:hotpath
 func (m *Matrix) boundsCheck(i, j int) {
 	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
 		panic(fmt.Sprintf("mat: index (%d,%d) out of range %dx%d", i, j, m.Rows, m.Cols))
@@ -86,7 +87,6 @@ func (m *Matrix) boundsCheck(i, j int) {
 // Col returns the j-th column as a slice aliasing the matrix storage.
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=2
 func (m *Matrix) Col(j int) []float64 {
 	if j < 0 || j >= m.Cols {
@@ -102,7 +102,6 @@ func (m *Matrix) Col(j int) []float64 {
 // matindex analyzer).
 //
 // abft:hotpath
-// abft:noescape
 // abft:bce checks=1
 func (m *Matrix) Off(i, j int) []float64 {
 	m.boundsCheck(i, j)

@@ -6,7 +6,6 @@ import (
 
 	"abftchol/tools/analyzers"
 	"abftchol/tools/analyzers/analysis"
-	"abftchol/tools/analyzers/hotpath"
 )
 
 // summarySink keeps the summary maps alive across iterations so the
@@ -46,23 +45,6 @@ func BenchmarkSuite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := analysis.RunAll(pkgs, analyzers.Suite); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHotpath isolates the performance-invariant prover: the
-// annotated-function discovery, must-inline call-graph traversal,
-// cold-span computation, and BCE-hint pass over the whole module.
-// Reported separately in docs/LINTING.md (via `make lint-bench`) so
-// the hot-path gate's own cost stays visible as kernels gain
-// annotations.
-func BenchmarkHotpath(b *testing.B) {
-	pkgs := loadRepo(b)
-	one := []*analysis.Analyzer{hotpath.Analyzer}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := analysis.RunAll(pkgs, one); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,9 +15,9 @@ const (
 
 // AnalyzerTable renders the suite registry as the markdown table
 // embedded in docs/LINTING.md. Generating the table from Suite (and
-// asserting the embedding in suite_test.go) keeps the documentation
-// and the registry from drifting: an analyzer added to one but not the
-// other fails the build.
+// asserting the embedding in tools/gendoc's TestDocsCurrent) keeps the
+// documentation and the registry from drifting: an analyzer added to
+// one but not the other fails the build.
 func AnalyzerTable() string {
 	var b strings.Builder
 	b.WriteString("| analyzer | scope | checks |\n")

@@ -16,7 +16,6 @@ import (
 	"abftchol/tools/analyzers/errflow"
 	"abftchol/tools/analyzers/floateq"
 	"abftchol/tools/analyzers/goleak"
-	"abftchol/tools/analyzers/hotpath"
 	"abftchol/tools/analyzers/injectortick"
 	"abftchol/tools/analyzers/lockcheck"
 	"abftchol/tools/analyzers/matindex"
@@ -27,7 +26,7 @@ import (
 // (abftlint -json emits it in the header line). Bump it whenever the
 // analyzer set, a diagnostic format, or the JSON wire format changes,
 // so CI artifact consumers can detect incomparable runs.
-const Version = "0.11.0"
+const Version = "0.12.0"
 
 // Suite lists every analyzer the abftlint driver runs. The order is
 // load-bearing — it fixes the sequence of findings in -json output and
@@ -41,7 +40,6 @@ var Suite = []*analysis.Analyzer{
 	errflow.Analyzer,
 	floateq.Analyzer,
 	goleak.Analyzer,
-	hotpath.Analyzer,
 	injectortick.Analyzer,
 	lockcheck.Analyzer,
 	matindex.Analyzer,

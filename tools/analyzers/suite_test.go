@@ -44,20 +44,16 @@ func TestSuiteSorted(t *testing.T) {
 	}
 }
 
-// TestDocTableCurrent fails when docs/LINTING.md's generated analyzer
-// table no longer matches the registry — the regeneration command is
-// in the failure message, so doc and registry cannot drift silently.
+// TestDocTableCurrent requires docs/LINTING.md to document every
+// registered analyzer in its own prose section. The generated table
+// itself is drift-tested with the other generated docs by
+// tools/gendoc's TestDocsCurrent.
 func TestDocTableCurrent(t *testing.T) {
 	data, err := os.ReadFile("../../docs/LINTING.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := string(data)
-	want := analyzers.TableBegin + "\n" + analyzers.AnalyzerTable()
-	if !strings.Contains(doc, want) {
-		t.Fatalf("docs/LINTING.md's analyzer table is stale; run `go generate ./tools/analyzers` to regenerate it from the Suite registry")
-	}
-	// Each registered analyzer also needs its prose section.
 	for _, a := range analyzers.Suite {
 		if !strings.Contains(doc, "## "+a.Name+" — ") {
 			t.Errorf("docs/LINTING.md has no `## %s — ...` section; document the invariant, rationale, failing example, and escape hatch", a.Name)

@@ -1,301 +1,403 @@
-// Command escapecheck proves the repository's performance annotations
-// against the real compiler rather than against a model of it. The
-// hotpath analyzer (tools/analyzers/hotpath) reasons about the AST; a
-// construct it accepts could still allocate or carry bounds checks
-// after SSA. escapecheck closes that gap: it rebuilds the hot packages
-// with `-m -m` (escape analysis) and `-d=ssa/check_bce` (bounds-check
-// elimination debugging) and diffs the compiler's diagnostics against
-// two declarative annotations in function doc comments:
+// Command escapecheck proves the repository's hot-path annotations
+// against the compiler rather than against a model of it. It rebuilds
+// internal/blas, internal/checksum and internal/mat with
+// `-gcflags='-m -m -d=ssa/check_bce,ssa/intrinsics/debug=1'` (escape
+// analysis, inlining decisions, bounds checks and intrinsic
+// substitutions) and checks two markers in function doc comments:
 //
-//	// abft:noescape      — no value escapes to the heap anywhere in
-//	                        the function body outside cold lines
+//	// abft:hotpath       — on every hot line of the body:
+//	                        (a) no value escapes to or is moved to the
+//	                            heap, an inlined helper's escapes
+//	                            included (the compiler reports them at
+//	                            the call);
+//	                        (b) every call is a builtin or a conversion,
+//	                            inlined or intrinsified from a checked
+//	                            package or math, a static call to another
+//	                            abft:hotpath function, a bodiless
+//	                            assembly leaf, or sync.Pool Get/Put
+//	                            outside any loop;
+//	                        (c) no defer, go, select, channel send or
+//	                            receive, or map range
 //	// abft:bce checks=N  — the compiler emits exactly N bounds checks
-//	                        (IsInBounds + IsSliceInBounds) in the body
+//	                        (IsInBounds + IsSliceInBounds) on hot lines
 //
-// Cold lines are exempt from noescape: the span of any panic(...)
-// statement, and the body of any if whose last statement returns or
-// panics (error guards and fail-stop exits — the paths the fused
-// kernels take only when the computation is already over).
+// A line is cold, and exempt from both, when it belongs to a panic(...)
+// call or to an if-body that ends in a panic or in a return whose error
+// result is not nil: the fail-stop paths, where an escaping error value
+// or a fmt.Sprintf costs nothing on the path the factorization takes.
+// An if-body that ends in a bare return stays hot.
 //
 // The bce count is a ratchet, not a target of zero: column-major
-// kernels legitimately keep once-per-column slice-formation checks and
-// strided scalar reads. Pinning the exact count means any regression —
-// a rewrite that re-introduces a per-element check in an inner loop —
-// shows up as a FAIL against the golden report in artifacts/.
+// kernels keep once-per-column slice-formation checks and strided
+// scalar reads. Pinning the exact count makes a rewrite that
+// re-introduces a per-element check in an inner loop a FAIL.
 //
-// Usage:
+// Usage, from the module root:
 //
-//	go run ./tools/escapecheck                  # print report to stdout
-//	go run ./tools/escapecheck -write           # rewrite artifacts/escape-report.txt
-//	go run ./tools/escapecheck -check           # compare against the golden; exit 1 on drift
+//	go run ./tools/escapecheck
 //
-// The golden embeds the toolchain version; -check byte-compares only
-// when the running toolchain matches, and otherwise just requires a
-// FAIL-free report (diagnostic wording shifts across Go releases, the
-// invariants must not).
+// It prints one PASS or FAIL line per claim, each FAIL followed by its
+// violations, and exits 1 on any FAIL.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"runtime"
-	"sort"
 	"strconv"
 	"strings"
+
+	"abftchol/tools/analyzers/analysis"
 )
 
-// packages lists the hot-path scope, mirroring the hotpath analyzer's
-// Scope. Order is the report order.
+// packages is the hot-path scope, in report order.
 var packages = []string{
 	"internal/blas",
 	"internal/checksum",
 	"internal/mat",
 }
 
-const goldenPath = "artifacts/escape-report.txt"
+const gcflags = "-m -m -d=ssa/check_bce,ssa/intrinsics/debug=1"
 
 func main() {
-	write := flag.Bool("write", false, "rewrite the golden report at "+goldenPath)
-	check := flag.Bool("check", false, "compare against the golden report; exit 1 on drift or FAIL")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: go run ./tools/escapecheck   (from the module root; no flags)")
+	}
 	flag.Parse()
-
-	report, nfail, err := buildReport(".")
+	if flag.NArg() > 0 {
+		flag.Usage()
+		os.Exit(2)
+	}
+	report, nfail, err := check(".", packages)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "escapecheck:", err)
 		os.Exit(2)
 	}
-
-	switch {
-	case *write:
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "escapecheck:", err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(goldenPath, []byte(report), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "escapecheck:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("escapecheck: wrote %s (%d FAIL)\n", goldenPath, nfail)
-		if nfail > 0 {
-			os.Exit(1)
-		}
-	case *check:
-		os.Exit(checkGolden(report, nfail))
-	default:
-		fmt.Print(report)
-		if nfail > 0 {
-			os.Exit(1)
-		}
-	}
-}
-
-// checkGolden compares the fresh report against the committed golden.
-func checkGolden(report string, nfail int) int {
-	golden, err := os.ReadFile(goldenPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "escapecheck: no golden report (%v); run `go run ./tools/escapecheck -write`\n", err)
-		return 1
-	}
-	if goldenVersion(string(golden)) == runtime.Version() {
-		if string(golden) != report {
-			fmt.Fprintln(os.Stderr, "escapecheck: report drifted from golden; diff follows")
-			printDiff(string(golden), report)
-			return 1
-		}
-		fmt.Printf("escapecheck: golden report up to date (%s)\n", runtime.Version())
-		return 0
-	}
-	// Different toolchain: exact diagnostic positions may shift, but
-	// every annotation must still hold.
+	fmt.Print(report)
 	if nfail > 0 {
-		fmt.Fprintf(os.Stderr, "escapecheck: %d annotation(s) FAIL under %s:\n", nfail, runtime.Version())
-		for _, line := range strings.Split(report, "\n") {
-			if strings.HasPrefix(line, "FAIL") || strings.HasPrefix(line, "  ") {
-				fmt.Fprintln(os.Stderr, line)
-			}
-		}
-		return 1
-	}
-	fmt.Printf("escapecheck: golden is for %s, running %s; all annotations PASS (golden not byte-compared)\n",
-		goldenVersion(string(golden)), runtime.Version())
-	return 0
-}
-
-func goldenVersion(golden string) string {
-	for _, line := range strings.Split(golden, "\n") {
-		if v, ok := strings.CutPrefix(line, "# go "); ok {
-			return v
-		}
-	}
-	return ""
-}
-
-func printDiff(old, new string) {
-	om := map[string]bool{}
-	for _, l := range strings.Split(old, "\n") {
-		om[l] = true
-	}
-	nm := map[string]bool{}
-	for _, l := range strings.Split(new, "\n") {
-		nm[l] = true
-	}
-	for _, l := range strings.Split(old, "\n") {
-		if !nm[l] {
-			fmt.Fprintln(os.Stderr, "- "+l)
-		}
-	}
-	for _, l := range strings.Split(new, "\n") {
-		if !om[l] {
-			fmt.Fprintln(os.Stderr, "+ "+l)
-		}
+		os.Exit(1)
 	}
 }
 
-// annotation is one abft:noescape or abft:bce claim on a function.
-type annotation struct {
-	file      string // repo-relative path
-	fn        string // function (or Type.Method) name
-	startLine int
-	endLine   int
-	noescape  bool
-	bce       bool
-	bceChecks int
-	cold      lineSet // cold lines within [startLine, endLine]
+// fn is one annotated function.
+type fn struct {
+	file string // module-relative path
+	name string // Name or Type.Method
+	decl *ast.FuncDecl
+	info *types.Info
+	hot  bool
+	bce  int // declared bounds checks; -1 without abft:bce
 }
 
-type lineSet map[int]bool
-
-// buildReport parses the hot packages, gathers annotations, replays
-// the compiler and renders the verdict report.
-func buildReport(root string) (string, int, error) {
-	var anns []*annotation
-	for _, pkg := range packages {
-		a, err := parsePackage(filepath.Join(root, pkg), pkg)
-		if err != nil {
-			return "", 0, err
-		}
-		anns = append(anns, a...)
-	}
-	escapes, checks, err := compileDiagnostics(root)
-	if err != nil {
-		return "", 0, err
-	}
-
-	sort.Slice(anns, func(i, j int) bool {
-		if anns[i].file != anns[j].file {
-			return anns[i].file < anns[j].file
-		}
-		return anns[i].startLine < anns[j].startLine
-	})
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "# escapecheck report — compiler-proven hot-path annotations\n")
-	fmt.Fprintf(&b, "# go %s\n", runtime.Version())
-	fmt.Fprintf(&b, "# packages: %s\n\n", strings.Join(packages, " "))
-	nfail := 0
-	for _, a := range anns {
-		if a.noescape {
-			var bad []string
-			for _, e := range escapes[a.file] {
-				if e.line >= a.startLine && e.line <= a.endLine && !a.cold[e.line] {
-					bad = append(bad, fmt.Sprintf("%s:%d: %s", a.file, e.line, e.msg))
-				}
-			}
-			if len(bad) == 0 {
-				fmt.Fprintf(&b, "PASS %s:%s noescape\n", a.file, a.fn)
-			} else {
-				nfail++
-				fmt.Fprintf(&b, "FAIL %s:%s noescape — %d escape(s) on hot lines\n", a.file, a.fn, len(bad))
-				sort.Strings(bad)
-				for _, m := range bad {
-					fmt.Fprintf(&b, "  %s\n", m)
-				}
-			}
-		}
-		if a.bce {
-			got := 0
-			for _, c := range checks[a.file] {
-				if c >= a.startLine && c <= a.endLine && !a.cold[c] {
-					got++
-				}
-			}
-			if got == a.bceChecks {
-				fmt.Fprintf(&b, "PASS %s:%s bce checks=%d\n", a.file, a.fn, got)
-			} else {
-				nfail++
-				fmt.Fprintf(&b, "FAIL %s:%s bce declared checks=%d, compiler emitted %d\n", a.file, a.fn, a.bceChecks, got)
-			}
-		}
-	}
-	fmt.Fprintf(&b, "\n# %d annotation claim(s), %d FAIL\n", countClaims(anns), nfail)
-	return b.String(), nfail, nil
+// checker holds what the verdicts need: the annotated functions, the
+// callees a hot function may call without inlining, and the
+// compiler's diagnostics.
+type checker struct {
+	root   string
+	fset   *token.FileSet
+	fns    []*fn
+	hot    map[string]bool // FullName of every abft:hotpath function
+	asm    map[string]bool // FullName of every bodiless function
+	scope  map[string]bool // import paths whose calls may be inlined
+	diags  map[string][]diag
+	folded map[string]bool // "file:line:col:name" of every inlined or intrinsified call
 }
 
-func countClaims(anns []*annotation) int {
-	n := 0
-	for _, a := range anns {
-		if a.noescape {
-			n++
-		}
-		if a.bce {
-			n++
-		}
-	}
-	return n
+// diag is one escape or bounds-check diagnostic.
+type diag struct {
+	line int
+	msg  string // empty for a bounds check
 }
 
 var bceRe = regexp.MustCompile(`^abft:bce\s+checks=(\d+)$`)
 
-// parsePackage walks a package directory's non-test Go files and
-// collects annotated functions.
-func parsePackage(dir, rel string) ([]*annotation, error) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
+// check loads, compiles and judges the packages (paths relative to
+// root, which must be the module root) and renders the report.
+func check(root string, pkgs []string) (string, int, error) {
+	root, err := filepath.Abs(root)
 	if err != nil {
-		return nil, fmt.Errorf("parse %s: %w", dir, err)
+		return "", 0, err
 	}
-	var anns []*annotation
+	l, err := analysis.NewLoader(root)
+	if err != nil {
+		return "", 0, err
+	}
+	c := &checker{root: root, fset: l.Fset(), hot: map[string]bool{}, asm: map[string]bool{},
+		scope: map[string]bool{"math": true}, diags: map[string][]diag{}, folded: map[string]bool{}}
 	for _, pkg := range pkgs {
-		for name, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Doc == nil || fd.Body == nil {
-					continue
+		units, err := l.Load("./" + pkg)
+		if err != nil {
+			return "", 0, err
+		}
+		u := units[0] // the library unit, with in-package tests
+		if len(u.Errors) > 0 {
+			return "", 0, fmt.Errorf("type-check %s: %v", pkg, u.Errors[0])
+		}
+		c.scope[u.ImportPath] = true
+		c.collect(u)
+		if err := c.compile(u.ImportPath, pkg); err != nil {
+			return "", 0, err
+		}
+	}
+
+	var b strings.Builder
+	claims, nfail := 0, 0
+	verdict := func(f *fn, claim string, bad []string) {
+		claims++
+		if len(bad) == 0 {
+			fmt.Fprintf(&b, "PASS %s:%s %s\n", f.file, f.name, claim)
+			return
+		}
+		nfail++
+		fmt.Fprintf(&b, "FAIL %s:%s %s\n", f.file, f.name, claim)
+		for _, v := range bad {
+			fmt.Fprintf(&b, "  %s\n", v)
+		}
+	}
+	for _, f := range c.fns {
+		cold := coldLines(c.fset, f.info, f.decl)
+		if f.hot {
+			verdict(f, "hotpath", c.hotViolations(f, cold))
+		}
+		if f.bce >= 0 {
+			got := 0
+			for _, d := range c.span(f) {
+				if d.msg == "" && !cold[d.line] {
+					got++
 				}
-				a := &annotation{
-					file:      filepath.Join(rel, filepath.Base(name)),
-					fn:        funcName(fd),
-					startLine: fset.Position(fd.Pos()).Line,
-					endLine:   fset.Position(fd.End()).Line,
-				}
-				for _, c := range fd.Doc.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					if text == "abft:noescape" {
-						a.noescape = true
+			}
+			var bad []string
+			if got != f.bce {
+				bad = append(bad, fmt.Sprintf("%s:%d: abft:bce declares checks=%d, the compiler emitted %d",
+					f.file, c.line(f.decl.Pos()), f.bce, got))
+			}
+			verdict(f, fmt.Sprintf("bce checks=%d", f.bce), bad)
+		}
+	}
+	fmt.Fprintf(&b, "# %d claim(s), %d FAIL\n", claims, nfail)
+	return b.String(), nfail, nil
+}
+
+// collect records the annotated functions of one package, and every
+// hot or bodiless function for the call rule.
+func (c *checker) collect(u *analysis.Package) {
+	for _, file := range u.Files {
+		path := c.rel(file.Pos())
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		for _, d := range file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			obj, _ := u.TypesInfo.Defs[fd.Name].(*types.Func)
+			if obj == nil {
+				continue
+			}
+			if fd.Body == nil {
+				c.asm[obj.FullName()] = true
+				continue
+			}
+			f := &fn{file: path, name: funcName(fd), decl: fd, info: u.TypesInfo, bce: -1}
+			if fd.Doc != nil {
+				for _, cm := range fd.Doc.List {
+					text := strings.TrimSpace(strings.TrimPrefix(cm.Text, "//"))
+					if text == "abft:hotpath" {
+						f.hot = true
 					}
 					if m := bceRe.FindStringSubmatch(text); m != nil {
-						a.bce = true
-						a.bceChecks, _ = strconv.Atoi(m[1])
+						f.bce, _ = strconv.Atoi(m[1])
 					}
 				}
-				if !a.noescape && !a.bce {
-					continue
-				}
-				a.cold = coldLines(fset, fd.Body)
-				anns = append(anns, a)
+			}
+			if f.hot {
+				c.hot[obj.FullName()] = true
+			}
+			if f.hot || f.bce >= 0 {
+				c.fns = append(c.fns, f)
 			}
 		}
 	}
-	return anns, nil
+}
+
+var diagRe = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.*)$`)
+
+// compile rebuilds one package with gcflags and files its
+// diagnostics. The go build cache replays them on repeated identical
+// invocations, so this is cheap after the first run.
+func (c *checker) compile(importPath, dir string) error {
+	cmd := exec.Command("go", "build", "-gcflags="+importPath+"="+gcflags, "./"+dir)
+	cmd.Dir = c.root
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		return fmt.Errorf("go build %s: %v\n%s", dir, err, out)
+	}
+	seen := map[string]bool{} // -m -m repeats each escape as "…escapes to heap:" before its flow
+	for _, line := range strings.Split(string(out), "\n") {
+		m := diagRe.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		file := filepath.ToSlash(m[1])
+		n, _ := strconv.Atoi(m[2])
+		msg := m[4]
+		switch {
+		case msg == "Found IsInBounds" || msg == "Found IsSliceInBounds":
+			c.diags[file] = append(c.diags[file], diag{line: n})
+		case strings.Contains(msg, "escapes to heap") || strings.Contains(msg, "moved to heap"):
+			msg = strings.TrimSuffix(msg, ":")
+			if key := file + ":" + m[2] + ":" + msg; !seen[key] {
+				seen[key] = true
+				c.diags[file] = append(c.diags[file], diag{line: n, msg: msg})
+			}
+		default:
+			if name, ok := foldedCallee(msg); ok {
+				c.folded[file+":"+m[2]+":"+m[3]+":"+name] = true
+			}
+		}
+	}
+	return nil
+}
+
+// foldedCallee returns the bare name of the callee of a call the
+// compiler inlined ("inlining call to mat.(*Matrix).Col") or replaced
+// with an intrinsic ("intrinsic substitution for FMA with …").
+func foldedCallee(msg string) (string, bool) {
+	name, ok := strings.CutPrefix(msg, "inlining call to ")
+	if !ok {
+		if name, ok = strings.CutPrefix(msg, "intrinsic substitution for "); !ok {
+			return "", false
+		}
+		name, _, _ = strings.Cut(name, " ")
+	}
+	if strings.HasSuffix(name, "]") { // a generic instance
+		name = name[:strings.Index(name, "[")]
+	}
+	return name[strings.LastIndex(name, ".")+1:], true
+}
+
+// hotViolations lists what breaks f's abft:hotpath claim on hot lines.
+func (c *checker) hotViolations(f *fn, cold lineSet) []string {
+	var bad []string
+	for _, d := range c.span(f) {
+		if d.msg != "" && !cold[d.line] {
+			bad = append(bad, fmt.Sprintf("%s:%d: %s", f.file, d.line, d.msg))
+		}
+	}
+	var loops []*ast.BlockStmt
+	ast.Inspect(f.decl.Body, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.ForStmt:
+			loops = append(loops, s.Body)
+		case *ast.RangeStmt:
+			loops = append(loops, s.Body)
+		}
+		return true
+	})
+	inLoop := func(p token.Pos) bool {
+		for _, b := range loops {
+			if b.Pos() <= p && p < b.End() {
+				return true
+			}
+		}
+		return false
+	}
+	ast.Inspect(f.decl.Body, func(n ast.Node) bool {
+		if n == nil || cold[c.line(n.Pos())] {
+			return true
+		}
+		why := ""
+		switch n := n.(type) {
+		case *ast.DeferStmt:
+			why = "defer"
+		case *ast.GoStmt:
+			why = "go statement"
+		case *ast.SelectStmt:
+			why = "select"
+		case *ast.SendStmt:
+			why = "channel send"
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				why = "channel receive"
+			}
+		case *ast.RangeStmt:
+			switch f.info.TypeOf(n.X).Underlying().(type) {
+			case *types.Map:
+				why = "map range"
+			case *types.Chan:
+				why = "channel receive (range over a channel)"
+			}
+		case *ast.CallExpr:
+			why = c.callViolation(f.info, n, inLoop(n.Pos()))
+		}
+		if why != "" {
+			bad = append(bad, fmt.Sprintf("%s:%d: %s", f.file, c.line(n.Pos()), why))
+		}
+		return true
+	})
+	return bad
+}
+
+// callViolation says why call may not appear on a hot line, or returns
+// "" when it may.
+func (c *checker) callViolation(info *types.Info, call *ast.CallExpr, inLoop bool) string {
+	if tv, ok := info.Types[call.Fun]; ok && (tv.IsType() || tv.IsBuiltin()) {
+		return ""
+	}
+	callee := analysis.CalleeOf(info, call)
+	if callee == nil {
+		return "dynamic call through a func value"
+	}
+	if recv := callee.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+		return "dynamic call of interface method " + callee.Name()
+	}
+	callee = callee.Origin()
+	name := callee.FullName()
+	if c.hot[name] || c.asm[name] {
+		return ""
+	}
+	if name == "(*sync.Pool).Get" || name == "(*sync.Pool).Put" {
+		if inLoop {
+			return "sync.Pool " + callee.Name() + " inside a loop"
+		}
+		return ""
+	}
+	p := c.fset.Position(call.Lparen)
+	if c.scope[callee.Pkg().Path()] && c.folded[fmt.Sprintf("%s:%d:%d:%s", c.rel(call.Lparen), p.Line, p.Column, callee.Name())] {
+		return ""
+	}
+	return "call to " + name + " is neither inlined from a checked package or math, nor abft:hotpath, nor an assembly leaf"
+}
+
+// span returns the diagnostics on f's lines.
+func (c *checker) span(f *fn) []diag {
+	lo, hi := c.line(f.decl.Pos()), c.line(f.decl.End())
+	var out []diag
+	for _, d := range c.diags[f.file] {
+		if d.line >= lo && d.line <= hi {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+func (c *checker) line(p token.Pos) int { return c.fset.Position(p).Line }
+
+// rel is p's file relative to the module root, as the compiler prints
+// it when run from there.
+func (c *checker) rel(p token.Pos) string {
+	name := c.fset.Position(p).Filename
+	if r, err := filepath.Rel(c.root, name); err == nil {
+		name = r
+	}
+	return filepath.ToSlash(name)
 }
 
 func funcName(fd *ast.FuncDecl) string {
@@ -312,104 +414,72 @@ func funcName(fd *ast.FuncDecl) string {
 	return fd.Name.Name
 }
 
-// coldLines computes the syntactic cold spans of a function body: any
-// panic(...) statement, and the body of any if whose last statement is
-// a return or a panic. These are the error-guard and fail-stop paths;
-// allocations there (fmt.Sprintf arguments, error values) are the
-// point of the path, not a hot-loop leak.
-func coldLines(fset *token.FileSet, body *ast.BlockStmt) lineSet {
+type lineSet map[int]bool
+
+// coldLines returns the lines of fd's body that only fail-stop paths
+// run: every line of a panic(...) call, and every line of an if-body
+// whose last statement is a panic or a return of a non-nil error. A
+// function literal's returns are judged by its own signature.
+func coldLines(fset *token.FileSet, info *types.Info, fd *ast.FuncDecl) lineSet {
 	cold := lineSet{}
-	mark := func(n ast.Node) {
-		for l := fset.Position(n.Pos()).Line; l <= fset.Position(n.End()).Line; l++ {
+	mark := func(lo, hi token.Pos) {
+		for l := fset.Position(lo).Line; l <= fset.Position(hi).Line; l++ {
 			cold[l] = true
 		}
 	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.ExprStmt:
-			if call, ok := s.X.(*ast.CallExpr); ok && isPanic(call) {
-				mark(s)
-			}
-		case *ast.IfStmt:
-			if len(s.Body.List) == 0 {
-				return true
-			}
-			switch last := s.Body.List[len(s.Body.List)-1].(type) {
-			case *ast.ReturnStmt:
-				mark(s.Body)
-			case *ast.ExprStmt:
-				if call, ok := last.X.(*ast.CallExpr); ok && isPanic(call) {
-					mark(s.Body)
+	var walk func(body *ast.BlockStmt, errResult bool)
+	walk = func(body *ast.BlockStmt, errResult bool) {
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				walk(n.Body, returnsError(info, n.Type))
+				return false
+			case *ast.CallExpr:
+				if isPanic(info, n) {
+					mark(n.Pos(), n.End())
+				}
+			case *ast.IfStmt:
+				list := n.Body.List
+				if len(list) > 0 && endsCold(info, list[len(list)-1], errResult) {
+					mark(list[0].Pos(), list[len(list)-1].End())
 				}
 			}
-		}
-		return true
-	})
+			return true
+		})
+	}
+	walk(fd.Body, returnsError(info, fd.Type))
 	return cold
 }
 
-func isPanic(call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	return ok && id.Name == "panic"
+// endsCold reports whether s panics or returns a non-nil error.
+func endsCold(info *types.Info, s ast.Stmt, errResult bool) bool {
+	switch s := s.(type) {
+	case *ast.ExprStmt:
+		call, ok := s.X.(*ast.CallExpr)
+		return ok && isPanic(info, call)
+	case *ast.ReturnStmt:
+		if !errResult || len(s.Results) == 0 {
+			return false
+		}
+		id, ok := ast.Unparen(s.Results[len(s.Results)-1]).(*ast.Ident)
+		return !ok || id.Name != "nil"
+	}
+	return false
 }
 
-// diag is one compiler diagnostic pinned to a line.
-type diag struct {
-	line int
-	msg  string
+func isPanic(info *types.Info, call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != "panic" {
+		return false
+	}
+	_, builtin := info.Uses[id].(*types.Builtin)
+	return builtin
 }
 
-var (
-	escapeRe = regexp.MustCompile(`^(.+\.go):(\d+):\d+: (.*(?:escapes to heap|moved to heap).*)$`)
-	checkRe  = regexp.MustCompile(`^(.+\.go):(\d+):\d+: Found Is(?:Slice)?InBounds$`)
-)
-
-// compileDiagnostics rebuilds the hot packages with escape-analysis
-// and BCE debugging enabled and collects the diagnostics per file.
-// Diagnostics land on stderr; the go build cache replays them on
-// repeated identical invocations, so this is cheap after the first
-// run.
-func compileDiagnostics(root string) (escapes map[string][]diag, checks map[string][]int, err error) {
-	escapes = map[string][]diag{}
-	checks = map[string][]int{}
-	module, err := modulePath(root)
-	if err != nil {
-		return nil, nil, err
+func returnsError(info *types.Info, ft *ast.FuncType) bool {
+	if ft.Results == nil || len(ft.Results.List) == 0 {
+		return false
 	}
-	for _, pkg := range packages {
-		spec := fmt.Sprintf("%s/%s=-m -m -d=ssa/check_bce", module, pkg)
-		cmd := exec.Command("go", "build", "-gcflags="+spec, "./"+pkg)
-		cmd.Dir = root
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			return nil, nil, fmt.Errorf("go build %s: %v\n%s", pkg, err, out)
-		}
-		for _, line := range strings.Split(string(out), "\n") {
-			if m := checkRe.FindStringSubmatch(line); m != nil {
-				file := filepath.ToSlash(m[1])
-				n, _ := strconv.Atoi(m[2])
-				checks[file] = append(checks[file], n)
-				continue
-			}
-			if m := escapeRe.FindStringSubmatch(line); m != nil {
-				file := filepath.ToSlash(m[1])
-				n, _ := strconv.Atoi(m[2])
-				escapes[file] = append(escapes[file], diag{line: n, msg: m[3]})
-			}
-		}
-	}
-	return escapes, checks, nil
-}
-
-func modulePath(root string) (string, error) {
-	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if v, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.TrimSpace(v), nil
-		}
-	}
-	return "", fmt.Errorf("no module line in go.mod")
+	t := info.TypeOf(ft.Results.List[len(ft.Results.List)-1].Type)
+	return t != nil && types.Identical(t, types.Universe.Lookup("error").Type())
 }

@@ -1,9 +1,14 @@
 package main
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -28,97 +33,134 @@ func repoRoot(t *testing.T) string {
 	}
 }
 
-// TestGoldenReport proves the committed escape/BCE report still
-// matches what the compiler says about the annotated kernels. On the
-// exact toolchain the golden was generated with, the report must be
-// byte-identical (any drift means an annotation or a kernel changed
-// without regenerating). On other toolchains, diagnostic positions may
-// move, but every annotation must still PASS.
-func TestGoldenReport(t *testing.T) {
+// TestRepositoryAnnotations requires every abft:hotpath and abft:bce
+// claim in the hot packages to hold under the running toolchain.
+func TestRepositoryAnnotations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("escapecheck rebuilds packages with -m; skipped in -short")
+	}
+	report, nfail, err := check(repoRoot(t), packages)
+	if err != nil {
+		t.Fatalf("check: %v", err)
+	}
+	if nfail > 0 {
+		t.Fatalf("%d claim(s) fail; run `go run ./tools/escapecheck`:\n%s", nfail, report)
+	}
+}
+
+const fixture = "tools/escapecheck/testdata/hot"
+
+var wantRe = regexp.MustCompile(`// want "((?:[^"\\]|\\.)*)"`)
+
+// TestFixture runs the checker over testdata/hot, compiled with the
+// same gcflags, and requires exactly the reports its `// want` comments
+// mark: a failing and a passing case for every rule.
+func TestFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("escapecheck rebuilds packages with -m; skipped in -short")
 	}
 	root := repoRoot(t)
-	report, nfail, err := buildReport(root)
+	report, _, err := check(root, []string{fixture})
 	if err != nil {
-		t.Fatalf("buildReport: %v", err)
+		t.Fatalf("check: %v", err)
 	}
-	if nfail > 0 {
-		for _, line := range strings.Split(report, "\n") {
-			if strings.HasPrefix(line, "FAIL") || strings.HasPrefix(line, "  ") {
-				t.Error(line)
+	t.Logf("report:\n%s", report)
+
+	src := filepath.Join(fixture, "hot.go")
+	data, err := os.ReadFile(filepath.Join(root, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wants := map[string]*regexp.Regexp{} // "file:line" → the reports it admits
+	for i, line := range strings.Split(string(data), "\n") {
+		if m := wantRe.FindStringSubmatch(line); m != nil {
+			wants[src+":"+strconv.Itoa(i+1)] = regexp.MustCompile(strings.ReplaceAll(m[1], `\\`, `\`))
+		}
+	}
+	got := map[string]bool{}
+	for _, line := range strings.Split(report, "\n") {
+		v, ok := strings.CutPrefix(line, "  ")
+		if !ok {
+			continue
+		}
+		file, rest, _ := strings.Cut(v, ": ")
+		got[file] = true
+		if re := wants[file]; re == nil || !re.MatchString(rest) {
+			t.Errorf("unexpected report %s", v)
+		}
+	}
+	for at, re := range wants {
+		if !got[at] {
+			t.Errorf("%s: no report matching %q", at, re)
+		}
+	}
+
+	// Every annotated case must have been judged.
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(root, src), data, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Doc != nil && strings.Contains(fd.Doc.Text(), "abft:") {
+			if !strings.Contains(report, src+":"+fd.Name.Name+" ") {
+				t.Errorf("annotated case %s missing from the report", fd.Name.Name)
 			}
 		}
-		t.Fatalf("%d annotation(s) fail under %s", nfail, runtime.Version())
-	}
-	golden, err := os.ReadFile(filepath.Join(root, goldenPath))
-	if err != nil {
-		t.Fatalf("missing golden report: %v (run `go run ./tools/escapecheck -write`)", err)
-	}
-	if goldenVersion(string(golden)) != runtime.Version() {
-		t.Logf("golden is for %s, running %s; byte comparison skipped, all annotations PASS",
-			goldenVersion(string(golden)), runtime.Version())
-		return
-	}
-	if string(golden) != report {
-		t.Fatalf("report drifted from %s; run `go run ./tools/escapecheck -write`\n--- golden ---\n%s\n--- fresh ---\n%s",
-			goldenPath, golden, report)
 	}
 }
 
-// TestColdLines pins the syntactic cold-span rules the verdicts rely
-// on: panic statements and guard bodies ending in return/panic are
-// exempt, straight-line code is not.
+// TestColdLines pins the cold-line rule: a panic and an if-body ending
+// in a non-nil error return are cold; an if-body ending in a nil or
+// bare return is hot, and a function literal's returns are judged by
+// its own signature.
 func TestColdLines(t *testing.T) {
 	src := `package p
 
-import "fmt"
+type bad struct{}
 
-func f(n int) error {
+func (bad) Error() string { return "bad" }
+
+func f(n int, x []int) error {
 	if n < 0 {
-		panic(fmt.Sprintf("bad %d", n))
+		panic(bad{})
 	}
 	if n == 0 {
-		return fmt.Errorf("zero")
+		x[0] = 0
+		return bad{}
 	}
-	x := make([]int, n)
-	_ = x
+	if n == 1 {
+		x[1] = 1
+		return nil
+	}
+	g := func() {
+		if n == 2 {
+			x[2] = 2
+			return
+		}
+	}
+	g()
 	return nil
 }
 `
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	anns, err := parsePackage(dir, "p")
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "p.go", src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(anns) != 0 {
-		t.Fatalf("unannotated function produced %d annotations", len(anns))
+	info := &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
-	// Re-parse with annotations to reach coldLines through the public path.
-	src = strings.Replace(src, "func f", "// abft:noescape\nfunc f", 1)
-	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
+	if _, err := (&types.Config{}).Check("p", fset, []*ast.File{file}, info); err != nil {
 		t.Fatal(err)
 	}
-	anns, err = parsePackage(dir, "p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(anns) != 1 {
-		t.Fatalf("got %d annotations, want 1", len(anns))
-	}
-	a := anns[0]
-	// With the marker comment the function starts at line 6; the panic
-	// guard body is lines 7-8, the error guard body lines 10-11, and
-	// the make sits on line 13 (hot).
-	for _, cold := range []int{8, 11} {
-		if !a.cold[cold] {
-			t.Errorf("line %d should be cold; cold set: %v", cold, a.cold)
+	fd := file.Decls[2].(*ast.FuncDecl)
+	cold := coldLines(fset, info, fd)
+	want := lineSet{9: true, 12: true, 13: true}
+	for l := 7; l <= 27; l++ {
+		if cold[l] != want[l] {
+			t.Errorf("line %d: cold = %v, want %v", l, cold[l], want[l])
 		}
-	}
-	if a.cold[13] {
-		t.Errorf("line 13 (make) must not be cold; cold set: %v", a.cold)
 	}
 }

@@ -11,8 +11,8 @@
 //	                      (campaign.DocSample)
 //
 // Each target is wired to a `go generate` line in the package that
-// owns its content, and that package's drift test asserts the
-// embedding, so a stale doc fails `go test` rather than rotting
+// owns its content, and TestDocsCurrent fails on any doc that differs
+// from its rewrite, so a stale doc fails `go test` rather than rotting
 // silently. Paths are resolved from the module root, so the command
 // runs from any directory inside the module.
 package main
@@ -96,26 +96,36 @@ func main() {
 }
 
 func rewrite(t target) error {
-	root, err := moduleRoot()
+	path, _, want, err := render(t)
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(root, t.doc)
+	return os.WriteFile(path, []byte(want), 0o644)
+}
+
+// render returns the path of t's document, its bytes on disk, and its
+// bytes with every generated section re-rendered from the live code.
+func render(t target) (path, have, want string, err error) {
+	root, err := moduleRoot()
+	if err != nil {
+		return "", "", "", err
+	}
+	path = filepath.Join(root, t.doc)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return "", "", "", err
 	}
 	secs, err := t.sections()
 	if err != nil {
-		return err
+		return "", "", "", err
 	}
-	src := string(data)
+	have, want = string(data), string(data)
 	for _, sec := range secs {
-		if src, err = replaceSection(src, sec); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
+		if want, err = replaceSection(want, sec); err != nil {
+			return "", "", "", fmt.Errorf("%s: %w", path, err)
 		}
 	}
-	return os.WriteFile(path, []byte(src), 0o644)
+	return path, have, want, nil
 }
 
 // replaceSection swaps the body between one pair of marker comments.

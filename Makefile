@@ -26,7 +26,7 @@ race:
 # `./...` pattern covers internal/, cmd/, and tools/, so the analyzers
 # lint their own implementation too). The -nolint-report pass audits
 # every //nolint escape and fails on missing justifications.
-# escapecheck rebuilds internal/blas, checksum and mat with the
+# escapecheck rebuilds internal/blas, checksum, mat and fault with the
 # compiler's escape, inlining and bounds-check diagnostics and fails on
 # any abft:hotpath or abft:bce claim they contradict.
 lint:

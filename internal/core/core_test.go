@@ -510,3 +510,57 @@ func TestErrUncorrectableMessage(t *testing.T) {
 		t.Fatalf("message %q", e.Error())
 	}
 }
+
+// TestRunRejectsInvalidScenarios: a fault the factorization cannot
+// host is an options error on both planes. Unchecked, the real plane
+// panicked on these (at n=128, b=32: "mat: view (288,0)+32x32 out of
+// range 128x128", "mat: index (40,1) out of range 32x32", "fault: bit
+// out of range") and the model plane "corrected" elements that do not
+// exist.
+func TestRunRejectsInvalidScenarios(t *testing.T) {
+	const n = 128 // b=32: a 4x4 block grid
+	valid := fault.DefaultStorage(2)
+	bad := map[string]func(*fault.Scenario){
+		"block below the grid": func(s *fault.Scenario) { s.BI, s.BJ = 9, 0 },
+		"upper-triangle block": func(s *fault.Scenario) { s.BI, s.BJ = 1, 2 },
+		"row past the block":   func(s *fault.Scenario) { s.Row = 40 },
+		"negative column":      func(s *fault.Scenario) { s.Col = -1 },
+		"bit past 63":          func(s *fault.Scenario) { s.Bit = 64 },
+		"negative bit":         func(s *fault.Scenario) { s.Bit = -1 },
+		"propagated kind":      func(s *fault.Scenario) { s.Kind = fault.Propagated },
+		"unknown kind":         func(s *fault.Scenario) { s.Kind = 7 },
+	}
+	for name, mutate := range bad {
+		for _, real := range []bool{false, true} {
+			o := laptopOpts(n, SchemeEnhanced)
+			if !real {
+				o.Data = nil
+			}
+			sc := valid
+			mutate(&sc)
+			o.Scenarios = []fault.Scenario{valid, sc}
+			_, err := Run(o)
+			if err == nil || !strings.Contains(err.Error(), "Scenarios[1]") {
+				t.Errorf("%s (real=%v): err = %v, want a Scenarios[1] validation error", name, real, err)
+			}
+		}
+	}
+	// The edges of every rule still run: one default index, the last
+	// row and column, bit 63, an out-of-range bit an additive delta
+	// ignores, and the last diagonal block.
+	ok := []fault.Scenario{
+		{Kind: fault.Storage, Iter: 2, BI: -1, BJ: 3, Row: 31, Col: 31, Bit: 63},
+		{Kind: fault.Computation, Iter: 1, Op: fault.OpGEMM, BI: 3, BJ: 1, Delta: 1e3, Bit: 99},
+		{Kind: fault.Computation, Iter: 3, Op: fault.OpPOTF2, BI: 3, BJ: 3, Delta: 1e3},
+	}
+	for _, real := range []bool{false, true} {
+		o := laptopOpts(n, SchemeEnhanced)
+		if !real {
+			o.Data = nil
+		}
+		o.Scenarios = ok
+		if _, err := Run(o); err != nil && strings.Contains(err.Error(), "Scenarios[") {
+			t.Errorf("real=%v: valid edge scenarios rejected: %v", real, err)
+		}
+	}
+}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"abftchol/internal/fault"
-)
+import "fmt"
 
 // Run executes one (possibly fault-injected) Cholesky factorization
 // under the configured scheme and returns its simulated timing and
@@ -67,13 +63,8 @@ func Run(o Options) (Result, error) {
 	if t > 0 {
 		res.GFLOPS = choleskyFlops(o.N) / t / 1e9
 	}
-	for _, in := range e.led.History() {
-		if in.Kind == fault.Propagated {
-			res.PropagationEvents++
-		} else {
-			res.Injections = append(res.Injections, in)
-		}
-	}
+	res.Injections = e.led.History()
+	res.PropagationEvents = e.led.Propagations()
 	if e.a != nil && runErr == nil {
 		// The working copy is the run's own and nothing reads it after
 		// this point, so it becomes the factor without another copy.
@@ -133,13 +124,13 @@ func (e *exec) runOnce() error {
 		}
 		if online && j > 0 {
 			// Post-update verification of the block SYRK wrote.
-			if err := e.verifyBlocks([][2]int{{j, j}}); err != nil {
+			if err := e.verifyBlocks(e.diagBlock(j)); err != nil {
 				return err
 			}
 		}
 		if sch == SchemeEnhanced {
 			// Verify A' before POTF2 reads it (Table I, POTF2 row).
-			if err := e.verifyBlocks([][2]int{{j, j}}); err != nil {
+			if err := e.verifyBlocks(e.diagBlock(j)); err != nil {
 				return err
 			}
 		}
@@ -157,7 +148,7 @@ func (e *exec) runOnce() error {
 				e.updGEMM(j)
 			}
 			if online {
-				if err := e.verifyBlocks(e.panelBlocks(j)); err != nil {
+				if err := e.verifyBlocks(e.panelBlocks(e.blocks[:0], j)); err != nil {
 					return err
 				}
 			}
@@ -172,7 +163,7 @@ func (e *exec) runOnce() error {
 		}
 		e.xferDiagH2D(j)
 		if online {
-			if err := e.verifyBlocks([][2]int{{j, j}}); err != nil {
+			if err := e.verifyBlocks(e.diagBlock(j)); err != nil {
 				return err
 			}
 		}
@@ -180,9 +171,9 @@ func (e *exec) runOnce() error {
 		// --- panel solve (TRSM) ---
 		if m > 0 {
 			if sch == SchemeEnhanced {
-				blocks := [][2]int{{j, j}}
+				blocks := e.diagBlock(j)
 				if gate {
-					blocks = append(blocks, e.panelBlocks(j)...)
+					blocks = e.panelBlocks(blocks, j)
 				}
 				if err := e.verifyBlocks(blocks); err != nil {
 					return err
@@ -193,7 +184,7 @@ func (e *exec) runOnce() error {
 				e.updTRSM(j)
 			}
 			if online {
-				if err := e.verifyBlocks(e.panelBlocks(j)); err != nil {
+				if err := e.verifyBlocks(e.panelBlocks(e.blocks[:0], j)); err != nil {
 					return err
 				}
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"abftchol/internal/checksum"
 	"abftchol/internal/fault"
@@ -14,7 +15,7 @@ import (
 // fault bookkeeping. One exec serves all schemes; the driver decides
 // which steps to invoke.
 type exec struct {
-	opts      *Options
+	opts      Options
 	plat      *hetsim.Platform
 	n, b, nb  int
 	m         int // checksum vectors per block (2 in the paper)
@@ -44,6 +45,12 @@ type exec struct {
 
 	trace *hetsim.Trace
 
+	// Reused per-call storage: the verification block list (see
+	// listed) and the model-plane verifyOne's row tallies.
+	blocks    [][2]int
+	smearRows []int
+	singles   [][2]int // distinct (col, row) of single-element damage
+
 	verified      int
 	verifyBatches int
 	corrected     int
@@ -61,7 +68,7 @@ func newExec(o *Options, nb int) *exec {
 	}
 	plat := hetsim.NewPlatform(prof)
 	e := &exec{
-		opts: o,
+		opts: *o,
 		plat: plat,
 		n:    o.N,
 		b:    o.BlockSize,
@@ -325,47 +332,48 @@ func (e *exec) verifyOne(bi, bj int) error {
 	// The per-column load is the number of distinct damaged *rows* a
 	// column sees: smears cover every column in their rows, singles
 	// only their own column, and damage sharing a row stacks into the
-	// same element (still one error per column).
-	var keep []fault.Injection
-	smearRows := make(map[int]bool)
-	unknownRows := 0
-	colRows := make(map[int]map[int]bool)
-	detected := 0
+	// same element (still one error per column). Checksum-invisible
+	// damage stays pending: keep filters pend in place.
+	keep := pend[:0]
+	smearRows, singles := e.smearRows[:0], e.singles[:0]
+	unknownRows, detected := 0, 0
 	for _, in := range pend {
 		if !in.Detectable() {
-			keep = append(keep, in) // checksum-invisible; stays
+			keep = append(keep, in)
 			continue
 		}
 		detected++
 		switch {
 		case in.Kind == fault.Propagated && in.EffectiveWidth() == 1 && in.Row >= 0:
-			smearRows[in.Row] = true
+			if !slices.Contains(smearRows, in.Row) {
+				smearRows = append(smearRows, in.Row)
+			}
 		case in.Kind == fault.Propagated:
 			unknownRows += in.EffectiveWidth()
 		default:
-			if colRows[in.Col] == nil {
-				colRows[in.Col] = make(map[int]bool)
+			if p := [2]int{in.Col, in.Row}; !slices.Contains(singles, p) {
+				singles = append(singles, p)
 			}
-			colRows[in.Col][in.Row] = true
 		}
 	}
+	e.smearRows, e.singles = smearRows, singles
+	e.led.SetPending(bi, bj, keep)
 	if detected == 0 {
-		e.led.SetPending(bi, bj, keep)
 		return nil
 	}
 	worst := len(smearRows) + unknownRows
-	for _, rows := range colRows {
+	for i, p := range singles {
+		if slices.ContainsFunc(singles[:i], func(q [2]int) bool { return q[0] == p[0] }) {
+			continue // column already tallied
+		}
 		load := len(smearRows) + unknownRows
-		for r := range rows {
-			if !smearRows[r] {
+		for _, q := range singles[i:] {
+			if q[0] == p[0] && !slices.Contains(smearRows, q[1]) {
 				load++
 			}
 		}
-		if load > worst {
-			worst = load
-		}
+		worst = max(worst, load)
 	}
-	e.led.SetPending(bi, bj, keep)
 	if worst > e.m/2 {
 		return &errUncorrectable{BI: bi, BJ: bj,
 			Cause: fmt.Errorf("%d errors in one block column exceed the %d-vector code", worst, e.m)}
@@ -378,10 +386,7 @@ func (e *exec) verifyOne(bi, bj int) error {
 // pending set after a real-plane verification handled them.
 func (e *exec) clearDetectable(bi, bj int) {
 	pend := e.led.Pending(bi, bj)
-	if len(pend) == 0 {
-		return
-	}
-	var keep []fault.Injection
+	keep := pend[:0]
 	for _, in := range pend {
 		if !in.Detectable() {
 			keep = append(keep, in)

@@ -208,7 +208,34 @@ func (o *Options) normalize() (nb int, err error) {
 	if o.Data != nil && (o.Data.Rows != o.N || o.Data.Cols != o.N) {
 		return 0, fmt.Errorf("core: Data is %dx%d, want %dx%d", o.Data.Rows, o.Data.Cols, o.N, o.N)
 	}
-	return o.N / o.BlockSize, nil
+	nb = o.N / o.BlockSize
+	for i, sc := range o.Scenarios {
+		if err := checkScenario(sc, nb, o.BlockSize); err != nil {
+			return 0, fmt.Errorf("core: Scenarios[%d]: %w", i, err)
+		}
+	}
+	return nb, nil
+}
+
+// checkScenario rejects a fault the factorization cannot host: a
+// block outside the lower block triangle, an element outside the
+// block, a bit outside the float64, or a kind the injector never
+// fires. Left unchecked, the real plane panics on such input and the
+// model plane "corrects" elements that do not exist.
+func checkScenario(sc fault.Scenario, nb, b int) error {
+	if sc.Kind != fault.Storage && sc.Kind != fault.Computation {
+		return fmt.Errorf("kind %v, want storage or computation", sc.Kind)
+	}
+	if sc.BI >= 0 && sc.BJ >= 0 && (sc.BJ > sc.BI || sc.BI >= nb) {
+		return fmt.Errorf("block (%d,%d) outside the lower triangle of %dx%d blocks", sc.BI, sc.BJ, nb, nb)
+	}
+	if sc.Row < 0 || sc.Row >= b || sc.Col < 0 || sc.Col >= b {
+		return fmt.Errorf("element (%d,%d) outside a %dx%d block", sc.Row, sc.Col, b, b)
+	}
+	if sc.Delta == 0 && (sc.Bit < 0 || sc.Bit > 63) {
+		return fmt.Errorf("bit %d outside a float64's 0..63", sc.Bit)
+	}
+	return nil
 }
 
 // Result reports one factorization run.

@@ -65,7 +65,8 @@ func (e *exec) syrk(j int) {
 		}
 	}
 	e.plat.GPU.Launch(e.sc, hetsim.Kernel{
-		Name:  fmt.Sprintf("syrk[%d]", j),
+		Name:  "syrk",
+		Index: []int{j},
 		Class: hetsim.ClassSYRK,
 		Flops: syrkFlops(e.b, k),
 		Slots: e.bigSlots,
@@ -95,7 +96,8 @@ func (e *exec) gemm(j int) {
 		}
 	}
 	e.plat.GPU.Launch(e.sc, hetsim.Kernel{
-		Name:  fmt.Sprintf("gemm[%d]", j),
+		Name:  "gemm",
+		Index: []int{j},
 		Class: hetsim.ClassGEMM,
 		Flops: gemmFlops(rows, e.b, k),
 		Slots: e.bigSlots,
@@ -137,19 +139,18 @@ func (e *exec) potf2(j int) error {
 			}
 			diag.LowerFromFull()
 		}
-	} else if pend := e.led.Pending(j, j); len(pend) > 0 {
-		widened := make([]fault.Injection, len(pend))
-		for i, in := range pend {
-			if in.Detectable() && in.EffectiveWidth() < 2 {
+	} else {
+		pend := e.led.Pending(j, j)
+		for i := range pend {
+			if in := &pend[i]; in.Detectable() && in.EffectiveWidth() < 2 {
 				in.Width = 2
 				in.Row = -1 // row mixing: positions no longer known
 			}
-			widened[i] = in
 		}
-		e.led.SetPending(j, j, widened)
 	}
 	e.plat.CPU.Launch(e.scpu, hetsim.Kernel{
-		Name:  fmt.Sprintf("potf2[%d]", j),
+		Name:  "potf2",
+		Index: []int{j},
 		Class: hetsim.ClassPOTF2,
 		Flops: potf2Flops(e.b),
 		Slots: 1,
@@ -197,7 +198,8 @@ func (e *exec) trsm(j int) {
 		}
 	}
 	e.plat.GPU.Launch(e.sc, hetsim.Kernel{
-		Name:  fmt.Sprintf("trsm[%d]", j),
+		Name:  "trsm",
+		Index: []int{j},
 		Class: hetsim.ClassTRSM,
 		Flops: trsmFlops(rows, e.b),
 		Slots: e.bigSlots,
@@ -245,7 +247,8 @@ func (e *exec) updSYRK(j int) {
 		}
 	}
 	e.updDevice().Launch(e.supd, hetsim.Kernel{
-		Name:  fmt.Sprintf("chkupd-syrk[%d]", j),
+		Name:  "chkupd-syrk",
+		Index: []int{j},
 		Class: hetsim.ClassChkUpdate,
 		Flops: chkUpdateRankKFlops(e.m, e.b, k),
 		Slots: 1,
@@ -271,7 +274,8 @@ func (e *exec) updGEMM(j int) {
 		}
 	}
 	e.updDevice().Launch(e.supd, hetsim.Kernel{
-		Name:  fmt.Sprintf("chkupd-gemm[%d]", j),
+		Name:  "chkupd-gemm",
+		Index: []int{j},
 		Class: hetsim.ClassChkUpdate,
 		Flops: chkUpdateRankKFlops(e.m*m, e.b, k),
 		Slots: 1,
@@ -289,7 +293,8 @@ func (e *exec) updPOTF2(j int) {
 		}
 	}
 	e.plat.CPU.Launch(e.scpu, hetsim.Kernel{
-		Name:  fmt.Sprintf("chkupd-potf2[%d]", j),
+		Name:  "chkupd-potf2",
+		Index: []int{j},
 		Class: hetsim.ClassChkUpdate,
 		Flops: chkUpdatePotf2Flops(e.m, e.b),
 		Slots: 1,
@@ -311,7 +316,8 @@ func (e *exec) updTRSM(j int) {
 		}
 	}
 	e.updDevice().Launch(e.supd, hetsim.Kernel{
-		Name:  fmt.Sprintf("chkupd-trsm[%d]", j),
+		Name:  "chkupd-trsm",
+		Index: []int{j},
 		Class: hetsim.ClassChkUpdate,
 		Flops: chkUpdateTrsmFlops(e.m*m, e.b),
 		Slots: 1,
@@ -320,65 +326,77 @@ func (e *exec) updTRSM(j int) {
 }
 
 // ---- block-set helpers for the verification batches ----------------
+//
+// Verification lists are built in e.blocks, one buffer the exec
+// reuses: each helper starts a list there (panelBlocks and
+// trailingBlocks extend the one they are given), and the driver hands
+// it to verifyBlocks before it builds the next.
+
+// listed keeps a finished list's storage for the next one.
+func (e *exec) listed(out [][2]int) [][2]int {
+	e.blocks = out
+	return out
+}
+
+// diagBlock lists the diagonal block (j, j) alone.
+func (e *exec) diagBlock(j int) [][2]int {
+	return e.listed(append(e.blocks[:0], [2]int{j, j}))
+}
 
 // rowPanelAndDiag lists the SYRK inputs at iteration j: the factored
 // row panel LC = (j, 0..j-1) and the diagonal block (j, j).
 func (e *exec) rowPanelAndDiag(j int) [][2]int {
-	out := make([][2]int, 0, j+1)
+	out := e.blocks[:0]
 	for k := 0; k < j; k++ {
 		out = append(out, [2]int{j, k})
 	}
-	return append(out, [2]int{j, j})
+	return e.listed(append(out, [2]int{j, j}))
 }
 
 // trailingAndPanel lists the GEMM inputs at iteration j beyond the row
 // panel: the trailing slab LD = (i, 0..j-1) for i > j and the panel
 // blocks B = (i, j).
 func (e *exec) trailingAndPanel(j int) [][2]int {
-	var out [][2]int
+	out := e.blocks[:0]
 	for i := j + 1; i < e.nb; i++ {
 		for k := 0; k < j; k++ {
 			out = append(out, [2]int{i, k})
 		}
 		out = append(out, [2]int{i, j})
 	}
-	return out
+	return e.listed(out)
 }
 
-// panelBlocks lists the blocks of panel column j below the diagonal.
-func (e *exec) panelBlocks(j int) [][2]int {
-	out := make([][2]int, 0, e.nb-j-1)
+// panelBlocks appends the blocks of panel column j below the diagonal
+// to out (e.blocks[:0] for a list of its own).
+func (e *exec) panelBlocks(out [][2]int, j int) [][2]int {
 	for i := j + 1; i < e.nb; i++ {
 		out = append(out, [2]int{i, j})
 	}
-	return out
+	return e.listed(out)
 }
 
 // liveBlocks lists every block a scrub at iteration j must cover: the
 // factored region that will still be read (blocks (i, k), k < j <= i)
 // plus the untouched trailing region (i, k), j <= k <= i.
 func (e *exec) liveBlocks(j int) [][2]int {
-	var out [][2]int
+	out := e.blocks[:0]
 	for k := 0; k < e.nb; k++ {
-		lo := j
-		if k > lo {
-			lo = k
-		}
-		for i := lo; i < e.nb; i++ {
+		for i := max(j, k); i < e.nb; i++ {
 			out = append(out, [2]int{i, k})
 		}
 	}
-	return out
+	return e.listed(out)
 }
 
 // allLowerBlocks lists every block of the lower triangle (the
 // Offline-ABFT end-of-run verification set).
 func (e *exec) allLowerBlocks() [][2]int {
-	var out [][2]int
+	out := e.blocks[:0]
 	for j := 0; j < e.nb; j++ {
 		for i := j; i < e.nb; i++ {
 			out = append(out, [2]int{i, j})
 		}
 	}
-	return out
+	return e.listed(out)
 }

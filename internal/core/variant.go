@@ -67,7 +67,7 @@ func (e *exec) runOnceRight() error {
 
 		// --- single-block factorization (POTF2) ---
 		if sch == SchemeEnhanced {
-			if err := e.verifyBlocks([][2]int{{j, j}}); err != nil {
+			if err := e.verifyBlocks(e.diagBlock(j)); err != nil {
 				return err
 			}
 		}
@@ -80,7 +80,7 @@ func (e *exec) runOnceRight() error {
 		}
 		e.xferDiagH2D(j)
 		if sch == SchemeOnline {
-			if err := e.verifyBlocks([][2]int{{j, j}}); err != nil {
+			if err := e.verifyBlocks(e.diagBlock(j)); err != nil {
 				return err
 			}
 		}
@@ -91,9 +91,9 @@ func (e *exec) runOnceRight() error {
 
 		// --- panel solve (TRSM) ---
 		if sch == SchemeEnhanced {
-			blocks := [][2]int{{j, j}}
+			blocks := e.diagBlock(j)
 			if gate {
-				blocks = append(blocks, e.panelBlocks(j)...)
+				blocks = e.panelBlocks(blocks, j)
 			}
 			if err := e.verifyBlocks(blocks); err != nil {
 				return err
@@ -106,7 +106,7 @@ func (e *exec) runOnceRight() error {
 		}
 		evPanelSolved := e.sc.Record()
 		if sch == SchemeOnline {
-			if err := e.verifyBlocks(e.panelBlocks(j)); err != nil {
+			if err := e.verifyBlocks(e.panelBlocks(e.blocks[:0], j)); err != nil {
 				return err
 			}
 		}
@@ -117,9 +117,9 @@ func (e *exec) runOnceRight() error {
 			// and reads the freshly solved panel: verify all of it
 			// (panel ungated — its errors would propagate consistently
 			// like SYRK's inputs in the left-looking form).
-			blocks := e.panelBlocks(j)
+			blocks := e.panelBlocks(e.blocks[:0], j)
 			if gate {
-				blocks = append(blocks, e.trailingBlocks(j)...)
+				blocks = e.trailingBlocks(blocks, j)
 			}
 			if err := e.verifyBlocks(blocks); err != nil {
 				return err
@@ -138,7 +138,7 @@ func (e *exec) runOnceRight() error {
 			e.updTrailing(j)
 		}
 		if sch == SchemeOnline {
-			if err := e.verifyBlocks(e.trailingBlocks(j)); err != nil {
+			if err := e.verifyBlocks(e.trailingBlocks(e.blocks[:0], j)); err != nil {
 				return err
 			}
 		}
@@ -146,16 +146,15 @@ func (e *exec) runOnceRight() error {
 	return nil
 }
 
-// trailingBlocks lists the lower blocks of the trailing submatrix
-// A[j+1:, j+1:].
-func (e *exec) trailingBlocks(j int) [][2]int {
-	var out [][2]int
+// trailingBlocks appends the lower blocks of the trailing submatrix
+// A[j+1:, j+1:] to out (e.blocks[:0] for a list of its own).
+func (e *exec) trailingBlocks(out [][2]int, j int) [][2]int {
 	for k := j + 1; k < e.nb; k++ {
 		for i := k; i < e.nb; i++ {
 			out = append(out, [2]int{i, k})
 		}
 	}
-	return out
+	return e.listed(out)
 }
 
 // trailingUpdate performs A[j+1:, j+1:] -= P·Pᵀ with P the factored
@@ -182,7 +181,8 @@ func (e *exec) trailingUpdate(j int) {
 		}
 	}
 	e.plat.GPU.Launch(e.sc, hetsim.Kernel{
-		Name:  fmt.Sprintf("trailing[%d]", j),
+		Name:  "trailing",
+		Index: []int{j},
 		Class: hetsim.ClassSYRK,
 		Flops: float64(rows) * float64(rows) * float64(e.b),
 		Slots: e.bigSlots,
@@ -240,7 +240,8 @@ func (e *exec) updTrailing(j int) {
 			}
 		}
 		e.updDevice().Launch(e.supd, hetsim.Kernel{
-			Name:  fmt.Sprintf("chkupd-trailing[%d,%d]", j, k),
+			Name:  "chkupd-trailing",
+			Index: []int{j, k},
 			Class: hetsim.ClassChkUpdate,
 			Flops: chkUpdateRankKFlops(e.m*rows, e.b, e.b),
 			Slots: 1,

@@ -1,6 +1,11 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"abftchol/internal/core"
@@ -118,5 +123,143 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 	if _, ok := cache.Load("deadbeef"); ok {
 		t.Error("unknown fingerprint loaded")
+	}
+}
+
+// fingerprintBases are the points FuzzFingerprint mutates: the
+// default point of each stock profile, and a trial of every cell of
+// the default reliability campaign (laptop, n=512, K=2, one attempt,
+// Optimization 1 on; magma, online and enhanced × every fault class at
+// the default rate, delta and burst size), each the first trial seed
+// that draws a fault.
+func fingerprintBases() []core.Options {
+	var bases []core.Options
+	for _, p := range []hetsim.Profile{hetsim.Tardis(), hetsim.Bulldozer64(), hetsim.Laptop()} {
+		bases = append(bases, core.Options{Profile: p, N: 8 * p.BlockSize, Scheme: core.SchemeEnhanced})
+	}
+	const n = 512
+	prof := hetsim.Laptop()
+	for _, sch := range []core.Scheme{core.SchemeNone, core.SchemeOnline, core.SchemeEnhanced} {
+		for _, cl := range fault.Classes() {
+			cfg := fault.CampaignConfig{Blocks: n / prof.BlockSize, BlockSize: prof.BlockSize, RatePerIteration: 0.05, Class: cl}
+			var scns []fault.Scenario
+			for seed := int64(1); len(scns) == 0; seed++ {
+				cfg.Seed = seed
+				scns = fault.Campaign(cfg)
+			}
+			bases = append(bases, core.Options{Profile: prof, N: n, K: 2, Scheme: sch,
+				MaxAttempts: 1, ConcurrentRecalc: true, Scenarios: scns})
+		}
+	}
+	return bases
+}
+
+// leaves returns the settable float64 and integer fields of a point,
+// Profile and Scenarios included (Data and Metrics are pointers and
+// not walked).
+func leaves(v reflect.Value) (floats, ints []reflect.Value) {
+	switch v.Kind() {
+	case reflect.Float64:
+		floats = append(floats, v)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		ints = append(ints, v)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				f, n := leaves(v.Field(i))
+				floats, ints = append(floats, f...), append(ints, n...)
+			}
+		}
+	case reflect.Array, reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			f, n := leaves(v.Index(i))
+			floats, ints = append(floats, f...), append(ints, n...)
+		}
+	}
+	return floats, ints
+}
+
+// FuzzFingerprint pins the fingerprint's hand-written canonical form
+// to json.Marshal(pointKey) byte for byte: a point is a base (above)
+// with its names, data hash, one float field and one integer field
+// replaced (field 0 leaves them); hash stands in for a real-plane
+// data hash. NaN and ±Inf must fail both
+// encoders with the same error.
+func FuzzFingerprint(f *testing.F) {
+	bases := fingerprintBases()
+	for i := range bases {
+		f.Add(uint8(i), "", "", uint16(0), 0.0, uint16(0), int64(0))
+	}
+	for _, s := range []string{"<b>&amp;</b>", "line\u2028para\u2029end", "bad\xff\xfeutf8", "ctl\x00\x01\x7f\b\f\t\n\r\"\\", "\u00b5s\u2014ok"} {
+		f.Add(uint8(0), s, s, uint16(0), 0.0, uint16(0), int64(0))
+	}
+	// Scenario deltas at encoding/json's format edges: the exponent
+	// cutoffs, negative zero, the smallest subnormal, the largest
+	// finite value, and the unencodable ones.
+	withFault := slices.IndexFunc(bases, func(o core.Options) bool { return len(o.Scenarios) > 0 })
+	o := bases[withFault]
+	floats, _ := leaves(reflect.ValueOf(&o).Elem())
+	delta := 1 + uint16(slices.IndexFunc(floats, func(v reflect.Value) bool {
+		return v.Addr().Interface() == &o.Scenarios[0].Delta
+	}))
+	if delta == 0 {
+		f.Fatal("no scenario Delta among the point's float fields")
+	}
+	for _, d := range []float64{1e-7, 1e-6, 1e21, 123456789e13, math.Copysign(0, -1), 5e-324, math.MaxFloat64, -1.5e-300, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f.Add(uint8(withFault), "", "", delta, d, uint16(0), int64(0))
+		f.Add(uint8(0), "", "", uint16(3), d, uint16(2), int64(-1<<40))
+	}
+	// Negative zero where the stock profile holds zero: == equates
+	// them but they encode differently, so the profile cache must not.
+	floats, _ = leaves(reflect.ValueOf(&bases[0]).Elem())
+	for i, v := range floats {
+		if v.Float() == 0 {
+			f.Add(uint8(0), "", "", uint16(i+1), math.Copysign(0, -1), uint16(0), int64(0))
+		}
+	}
+	f.Fuzz(func(t *testing.T, base uint8, name, hash string, field uint16, val float64, ifield uint16, ival int64) {
+		o := bases[int(base)%len(bases)]
+		o.Scenarios = slices.Clone(o.Scenarios)
+		if name != "" {
+			o.Profile.Name, o.Profile.GPU.Name = name, name+"/gpu"
+		}
+		floats, ints := leaves(reflect.ValueOf(&o).Elem())
+		if field > 0 {
+			floats[int(field-1)%len(floats)].SetFloat(val)
+		}
+		if ifield > 0 {
+			ints[int(ifield-1)%len(ints)].SetInt(ival)
+		}
+		k := keyOf(o)
+		if hash != "" {
+			k.DataHash = hash
+		}
+		got, gotErr := k.appendJSON(nil)
+		want, wantErr := json.Marshal(k)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("appender error %v, json.Marshal error %v", gotErr, wantErr)
+		}
+		if wantErr != nil {
+			if gotErr.Error() != wantErr.Error() {
+				t.Fatalf("appender fails with %q, json.Marshal with %q", gotErr, wantErr)
+			}
+			return
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("canonical forms differ:\nappender: %s\njson:     %s", got, want)
+		}
+	})
+}
+
+// TestFingerprintPinned pins one point's fingerprint as recorded by
+// the json.Marshal encoder: journals, caches and SERVICE.md store
+// fingerprints, so the value itself must never move.
+func TestFingerprintPinned(t *testing.T) {
+	o := core.Options{Profile: hetsim.Laptop(), N: 512, BlockSize: 32, Scheme: core.SchemeEnhanced, K: 2,
+		Scenarios: []fault.Scenario{fault.DefaultStorage(3),
+			{Kind: fault.Computation, Iter: 5, Op: fault.OpTRSM, BI: 9, BJ: 5, Row: 7, Col: 1, Delta: 1e-7}}}
+	const want = "e297dfcebdb2de4bef58e4d3d01d55577bbe6e234531932783353366001506ee"
+	if got := Fingerprint(o); got != want {
+		t.Fatalf("fingerprint = %s, want %s", got, want)
 	}
 }

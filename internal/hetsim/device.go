@@ -1,6 +1,9 @@
 package hetsim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // DeviceSpec is the static performance description of one compute
 // device (a GPU or the host CPU complex).
@@ -111,7 +114,9 @@ func (d *Device) Duration(k Kernel) float64 {
 
 // Launch enqueues k on stream s (which must belong to this device) and
 // returns the kernel's completion time. If k carries a Body it runs
-// now, in issue order.
+// now, in issue order. The span handed to the trace and the observer
+// is named ("syrk[3]") only when a trace is attached: an observer
+// alone gets an unnamed span, so an untraced launch formats nothing.
 func (d *Device) Launch(s *Stream, k Kernel) float64 {
 	if s.dev != d {
 		panic(fmt.Sprintf("hetsim: stream of device %q launched on %q", s.dev.Spec.Name, d.Spec.Name))
@@ -158,7 +163,11 @@ func (d *Device) Launch(s *Stream, k Kernel) float64 {
 		if res == "" {
 			res = "dev"
 		}
-		sp := Span{Name: k.Name, Class: k.Class, Resource: res, Stream: s.id,
+		var name string
+		if d.trace != nil {
+			name = k.spanName()
+		}
+		sp := Span{Name: name, Class: k.Class, Resource: res, Stream: s.id,
 			Start: start, End: end, Slots: units, Flops: k.Flops, Bytes: k.Bytes}
 		if d.trace != nil {
 			d.trace.add(sp)
@@ -168,6 +177,26 @@ func (d *Device) Launch(s *Stream, k Kernel) float64 {
 		}
 	}
 	return end
+}
+
+// spanName formats the kernel's name with its iteration indices. It
+// always builds a new string: a span that shared k.Name's storage
+// would make every Kernel passed to Launch escape to the heap, Body
+// closure included.
+func (k *Kernel) spanName() string {
+	b := make([]byte, 0, len(k.Name)+24)
+	b = append(b, k.Name...)
+	for i, v := range k.Index {
+		sep := byte(',')
+		if i == 0 {
+			sep = '['
+		}
+		b = strconv.AppendInt(append(b, sep), int64(v), 10)
+	}
+	if len(k.Index) > 0 {
+		b = append(b, ']')
+	}
+	return string(b)
 }
 
 // Busy returns the completion time of the last work on any slot.

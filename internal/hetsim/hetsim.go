@@ -66,7 +66,12 @@ func (c Class) String() string {
 
 // Kernel describes one unit of device work.
 type Kernel struct {
+	// Name is the kernel's static name ("syrk", "chkupd-trailing")
+	// and Index its iteration indices, if any: the span is named
+	// "syrk[3]" or "chkupd-trailing[3,1]", formatted only when a trace
+	// is attached.
 	Name  string
+	Index []int
 	Class Class
 	// Flops is the floating-point operation count; Bytes the memory
 	// traffic. Duration is max(flops/effective-rate, bytes/bandwidth)

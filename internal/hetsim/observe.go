@@ -13,6 +13,7 @@ package hetsim
 type Observer interface {
 	// KernelLaunched reports one device kernel with its final
 	// placement: resource, stream, slot occupancy, and start/end times.
+	// sp.Name is set only when a trace is attached too.
 	KernelLaunched(sp Span)
 	// TransferDone reports one link transfer; sp.Resource is "h2d" or
 	// "d2h" and sp.Bytes the transfer size.

@@ -16,6 +16,7 @@ import (
 
 	"abftchol/internal/core"
 	"abftchol/internal/experiments"
+	"abftchol/internal/fault"
 	"abftchol/internal/mat"
 	"abftchol/internal/obs"
 )
@@ -430,6 +431,34 @@ func TestErrorEnvelopes(t *testing.T) {
 	}
 	if _, err := c.Trace(info.ID); !errorAs(err, &apiErr) || apiErr.Err.Code != "no_trace" {
 		t.Fatalf("trace of untraced: %v", err)
+	}
+}
+
+// TestInvalidScenariosFailTheJob: raw scenarios a client sends that
+// the factorization cannot host (a block outside the grid, an element
+// outside the block, a bit outside the float64) fail their job with
+// core's validation error; the worker survives to run the next job.
+func TestInvalidScenariosFailTheJob(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	for _, sc := range []fault.Scenario{
+		{Kind: fault.Storage, Iter: 2, BI: 99, BJ: 0, Row: 1, Col: 2},
+		{Kind: fault.Computation, Iter: 2, BI: -1, BJ: -1, Row: 40, Col: 1},
+		{Kind: fault.Storage, Iter: 2, BI: -1, BJ: -1, Row: 1, Col: 2, Bit: 64},
+	} {
+		req := smallReq()
+		req.Scenarios = []fault.Scenario{sc}
+		info := mustSubmit(t, c, req)
+		done, err := c.Wait(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done.State != StateFailed || !strings.Contains(done.Error, "Scenarios[0]") {
+			t.Fatalf("scenario %+v: job ended %s with error %q, want failed with a Scenarios[0] validation error", sc, done.State, done.Error)
+		}
+	}
+	info := mustSubmit(t, c, smallReq())
+	if done, err := c.Wait(info.ID); err != nil || done.State != StateDone {
+		t.Fatalf("valid job after the rejected ones: %+v, %v", done, err)
 	}
 }
 

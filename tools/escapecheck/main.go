@@ -1,6 +1,6 @@
 // Command escapecheck proves the repository's hot-path annotations
 // against the compiler rather than against a model of it. It rebuilds
-// internal/blas, internal/checksum and internal/mat with
+// internal/blas, internal/checksum, internal/mat and internal/fault with
 // `-gcflags='-m -m -d=ssa/check_bce,ssa/intrinsics/debug=1'` (escape
 // analysis, inlining decisions, bounds checks and intrinsic
 // substitutions) and checks two markers in function doc comments:
@@ -61,6 +61,7 @@ var packages = []string{
 	"internal/blas",
 	"internal/checksum",
 	"internal/mat",
+	"internal/fault",
 }
 
 const gcflags = "-m -m -d=ssa/check_bce,ssa/intrinsics/debug=1"

@@ -117,12 +117,11 @@ func findingLess(a, b *jsonFinding) bool {
 // module carrying seeded bugs — an unguarded write to a guarded field
 // (lockcheck), a leaked worker goroutine (goleak), a map-range streamed
 // into a JSON encoder and a wall-clock read in the numeric core
-// (determinism), a driver whose TRSM checksum update went missing and
-// one that never verifies its TRSM's output under the post-write
-// discipline (abftprotocol), a %v wrap severing a sentinel chain
-// (errflow), and a handler minting context.Background() instead of
-// inheriting the request context (ctxcheck) — and asserts the end-to-end pipeline (loader, suite,
-// driver formatting, exit code) reports every one of them.
+// (determinism), a %v wrap severing a sentinel chain (errflow), and a
+// handler minting context.Background() instead of inheriting the
+// request context (ctxcheck) — and asserts the end-to-end pipeline
+// (loader, suite, driver formatting, exit code) reports every one of
+// them.
 func TestDriverOnSeededBugs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the fixture module")
@@ -149,8 +148,6 @@ func TestDriverOnSeededBugs(t *testing.T) {
 		"[goleak] goroutine has no join point",
 		"[determinism] emit inside a range over a map",
 		"[determinism] time.Now reads the wall clock",
-		"[abftprotocol] TRSM panel solve can reach the next verification point without checksum.UpdateTRSM",
-		"[abftprotocol] on the SchemeOnline path, trsm can reach the function exit without a subsequent verifyBlocks",
 		"[errflow] fmt.Errorf without %w severs a classified error chain",
 		"[ctxcheck] context.Background() in request-scoped code",
 	} {

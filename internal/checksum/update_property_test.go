@@ -9,13 +9,13 @@ import (
 	"abftchol/internal/mat"
 )
 
-// The dynamic twin of the static abftprotocol proof, which proves every
-// tile mutation is *paired* with its checksum update, and these
-// properties prove each update's *arithmetic* actually restores the
-// m-vector encode invariant chk(block) = W·block the pairing relies
-// on — for every supported vector count, on random inputs. Together
-// they close the loop: the analyzer guarantees the update runs, the
-// property guarantees running it suffices.
+// internal/core's step tables pair every kernel with its checksum
+// update (TestStepTablesMatchTableI checks that each compute step has
+// one), and these properties prove each update's *arithmetic* actually
+// restores the m-vector encode invariant chk(block) = W·block the
+// pairing relies on — for every supported vector count, on random
+// inputs. Together they close the loop: the table guarantees the
+// update runs, the property guarantees running it suffices.
 
 // multiTol bounds the accumulated rounding noise of an m-vector
 // checksum comparison: weights grow as b^(m-1), and the update chains

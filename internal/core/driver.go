@@ -23,11 +23,7 @@ func Run(o Options) (Result, error) {
 	attempts := 0
 	for attempts < o.MaxAttempts {
 		attempts++
-		if o.Variant == RightLooking {
-			runErr = e.runOnceRight()
-		} else {
-			runErr = e.runOnce()
-		}
+		runErr = e.runOnce(o.Variant.plan())
 		if runErr == nil {
 			runErr = e.finalCheck()
 		}
@@ -78,117 +74,89 @@ func Run(o Options) (Result, error) {
 	return res, nil
 }
 
-// runOnce performs one full pass of Algorithm 1 with the scheme's
-// verification discipline woven in:
+// runOnce performs one full pass of the variant's factorization, one
+// table step at a time, with the scheme's verification discipline
+// placed around each step by exec.step:
 //
-//	Offline:  encode; update checksums; verify nothing until the end.
-//	Online:   encode; update; verify every block right after updating.
-//	Enhanced: encode; update; verify every block right before reading
-//	          (GEMM/TRSM inputs only every K-th iteration, Opt 3).
-//
-// abft:protocol driver steps=syrk,gemm,potf2,trsm
-func (e *exec) runOnce() error {
-	sch := e.opts.Scheme
-	ft := sch.FaultTolerant()
-	online := sch == SchemeOnline || sch == SchemeOnlineScrub
-	if ft {
+//	Offline:     encode; update checksums; verify nothing until the end.
+//	Online:      encode; update; verify the blocks each step wrote right
+//	             after it.
+//	OnlineScrub: Online, plus a re-check of every live block on the K
+//	             gate, catching storage errors that struck since the
+//	             last scrub.
+//	Enhanced:    encode; update; verify the blocks each step reads right
+//	             before it (the K-gated ones only on the gate, Opt 3).
+func (e *exec) runOnce(p *plan) error {
+	if e.opts.Scheme.FaultTolerant() {
 		e.encode()
 	}
 	for j := 0; j < e.nb; j++ {
 		e.markIteration(j)
 		e.inj.StorageTick(j)
-		evPanelReady := e.sc.Record()
+		e.evPanelReady = e.sc.Record()
 		m := e.nb - j - 1
 		gate := j%e.opts.K == 0 // Optimization 3
-
-		// Periodic scrub (SchemeOnlineScrub): re-verify every block
-		// that will still be read, catching storage errors that struck
-		// since the last scrub.
-		if sch == SchemeOnlineScrub && gate && j > 0 {
-			if err := e.verifyBlocks(e.liveBlocks(j)); err != nil {
+		if e.opts.Scheme == SchemeOnlineScrub && gate && j > 0 {
+			e.blocks = p.live(e, e.blocks[:0], j)
+			if err := e.verifyBlocks(e.blocks); err != nil {
 				return err
 			}
 		}
-
-		// --- diagonal update (SYRK) ---
-		if sch == SchemeEnhanced {
-			// Verify A and the LC row before SYRK reads them (Table I).
-			if err := e.verifyBlocks(e.rowPanelAndDiag(j)); err != nil {
-				return err
-			}
-		}
-		e.syrk(j)
-		if ft {
-			e.stageUpdates(j, evPanelReady)
-			e.updSYRK(j)
-		}
-		if online && j > 0 {
-			// Post-update verification of the block SYRK wrote.
-			if err := e.verifyBlocks(e.diagBlock(j)); err != nil {
-				return err
-			}
-		}
-		if sch == SchemeEnhanced {
-			// Verify A' before POTF2 reads it (Table I, POTF2 row).
-			if err := e.verifyBlocks(e.diagBlock(j)); err != nil {
-				return err
-			}
-		}
-		e.xferDiagD2H(j)
-
-		// --- trailing panel update (GEMM), overlapped with POTF2 ---
-		if m > 0 && j > 0 {
-			if sch == SchemeEnhanced && gate {
-				if err := e.verifyBlocks(e.trailingAndPanel(j)); err != nil {
-					return err
-				}
-			}
-			e.gemm(j)
-			if ft {
-				e.updGEMM(j)
-			}
-			if online {
-				if err := e.verifyBlocks(e.panelBlocks(e.blocks[:0], j)); err != nil {
+		for i := range p.steps {
+			if s := &p.steps[i]; s.guard == nil || s.guard(j, m) {
+				if err := e.step(s, j, gate); err != nil {
 					return err
 				}
 			}
 		}
+	}
+	return nil
+}
 
-		// --- single-block factorization on the host (POTF2) ---
-		if err := e.potf2(j); err != nil {
+// step runs one table step of iteration j under the scheme's rules:
+// Enhanced checks the step's reads before it; the step runs and the
+// injector may strike each block it wrote; FT schemes update those
+// blocks' checksums; Online and OnlineScrub then check the writes.
+func (e *exec) step(s *step, j int, gate bool) error {
+	sch := e.opts.Scheme
+	if sch == SchemeEnhanced {
+		e.blocks = e.blocks[:0]
+		if s.pre != nil {
+			e.blocks = s.pre(e, e.blocks, j)
+		}
+		if gate && s.gated != nil {
+			e.blocks = s.gated(e, e.blocks, j)
+		}
+		if err := e.verifyBlocks(e.blocks); err != nil {
 			return err
 		}
-		if ft {
-			e.updPOTF2(j)
-		}
-		e.xferDiagH2D(j)
-		if online {
-			if err := e.verifyBlocks(e.diagBlock(j)); err != nil {
-				return err
+	}
+	err := s.run(e, j)
+	var written [][2]int
+	if s.writes != nil {
+		e.blocks = s.writes(e, e.blocks[:0], j)
+		written = e.blocks
+	}
+	if s.op != opNone {
+		for idx, blk := range written {
+			op := s.tickOp(blk)
+			e.inj.KernelTick(op, j, blk[0], blk[1])
+			if e.tap != nil {
+				e.tap(op, written[idx:idx+1])
 			}
 		}
-
-		// --- panel solve (TRSM) ---
-		if m > 0 {
-			if sch == SchemeEnhanced {
-				blocks := e.diagBlock(j)
-				if gate {
-					blocks = e.panelBlocks(blocks, j)
-				}
-				if err := e.verifyBlocks(blocks); err != nil {
-					return err
-				}
-			}
-			e.trsm(j)
-			if ft {
-				e.updTRSM(j)
-			}
-			if online {
-				if err := e.verifyBlocks(e.panelBlocks(e.blocks[:0], j)); err != nil {
-					return err
-				}
-			}
-		}
+	}
+	if err != nil {
+		return err
+	}
+	if sch.FaultTolerant() && s.update != nil {
+		s.update(e, j)
+	}
+	if s.then != nil {
+		s.then(e, j)
+	}
+	if sch == SchemeOnline || sch == SchemeOnlineScrub {
+		return e.verifyBlocks(written)
 	}
 	return nil
 }
@@ -203,7 +171,8 @@ func (e *exec) runOnce() error {
 func (e *exec) finalCheck() error {
 	sch := e.opts.Scheme
 	if sch == SchemeOffline {
-		if err := e.verifyBlocks(e.allLowerBlocks()); err != nil {
+		e.blocks = e.lowerFrom(e.blocks[:0], 0)
+		if err := e.verifyBlocks(e.blocks); err != nil {
 			return err
 		}
 	}

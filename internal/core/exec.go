@@ -45,8 +45,18 @@ type exec struct {
 
 	trace *hetsim.Trace
 
-	// Reused per-call storage: the verification block list (see
-	// listed) and the model-plane verifyOne's row tallies.
+	// The iteration's stream events: evPanelReady is the compute
+	// stream at the top of the iteration (the previous panel is
+	// solved), evPanelSolved the right-looking TRSM's finished panel.
+	evPanelReady, evPanelSolved hetsim.Event
+
+	// tap, when set, sees each kernel tick (one block) and each
+	// verification batch (op opNone) in issue order; the step-table
+	// tests record through it.
+	tap func(op fault.Op, blocks [][2]int)
+
+	// Reused per-call storage: the block list the interpreter builds
+	// and the model-plane verifyOne's row tallies.
 	blocks    [][2]int
 	smearRows []int
 	singles   [][2]int // distinct (col, row) of single-element damage
@@ -251,6 +261,9 @@ func (e *exec) verifyBlocks(blocks [][2]int) error {
 		return nil
 	}
 	e.verifyBatches++
+	if e.tap != nil {
+		e.tap(opNone, blocks)
+	}
 	if e.opts.Metrics != nil {
 		e.opts.Metrics.Observe("verify.batch_blocks", float64(len(blocks)))
 	}

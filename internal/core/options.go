@@ -43,42 +43,27 @@ import (
 // Scheme selects the fault-tolerance variant.
 type Scheme int
 
-// Each scheme declares its verification discipline to the static
-// analyzer (abftprotocol) with an `abft:protocol scheme`
-// annotation; docs/LINTING.md documents the convention.
+// Each scheme is a verification discipline: the interpreter
+// (exec.step in driver.go) places its checks around the steps of the
+// variant's table (variant.go).
 const (
 	// SchemeNone is plain MAGMA Algorithm 1: no checksums at all.
-	//
-	// abft:protocol scheme SchemeNone verify=none
 	SchemeNone Scheme = iota
 	// SchemeCULA is the vendor-library baseline of Figs 16-17: the
 	// same hybrid algorithm executed at CULA R18's lower efficiency.
-	//
-	// abft:protocol scheme SchemeCULA verify=none
 	SchemeCULA
 	// SchemeOffline verifies checksums once, after the factorization.
-	//
-	// abft:protocol scheme SchemeOffline ft verify=final
 	SchemeOffline
 	// SchemeOnline verifies each block immediately after updating it.
-	//
-	// abft:protocol scheme SchemeOnline ft verify=post-write
 	SchemeOnline
 	// SchemeEnhanced verifies each block immediately before reading it
 	// (the paper's contribution).
-	//
-	// abft:protocol scheme SchemeEnhanced ft verify=pre-read
 	SchemeEnhanced
 	// SchemeOnlineScrub is Online-ABFT plus a periodic memory scrub:
 	// every K iterations, every still-live block is re-verified. It is
 	// the natural alternative the paper's reference [28] suggests for
 	// catching storage errors without pre-read verification; the
 	// ext-scrub experiment compares it against the enhanced scheme.
-	// Only the left-looking driver implements the scrub, so its
-	// post-write ordering is enforced dynamically by the ext-scrub
-	// experiment rather than statically here.
-	//
-	// abft:protocol scheme SchemeOnlineScrub ft verify=scrubbed
 	SchemeOnlineScrub
 )
 

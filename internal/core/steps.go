@@ -11,10 +11,12 @@ import (
 )
 
 // This file launches every kernel and transfer of Algorithm 1 and its
-// checksum bookkeeping. Each step method (a) records propagation of
-// any pending corruption, (b) launches the simulated kernel (running
-// the real arithmetic body on the real plane), and (c) gives the
-// injector its chance to fire.
+// checksum bookkeeping. Each kernel method records propagation of any
+// pending corruption, then launches the simulated kernel (running the
+// real arithmetic body on the real plane). The step tables (variant.go)
+// name these methods; the interpreter (driver.go) places the
+// verifications around them and gives the injector its chance to fire
+// on the blocks each one writes.
 
 // errFailStop marks a POTF2 positive-definiteness failure: the paper's
 // fail-stop outcome of an uncorrected error reaching the unblocked
@@ -48,10 +50,10 @@ func (e *exec) encode() {
 // syrk updates the diagonal block: A[j,j] -= LC·LCᵀ. The real body
 // applies the full symmetric update (not just the lower triangle) so
 // the block stays consistent with its column checksums.
-func (e *exec) syrk(j int) {
+func (e *exec) syrk(j int) error {
 	k := j * e.b
 	if k == 0 {
-		return
+		return nil
 	}
 	e.markPropagation(fault.OpSYRK, j)
 	var body func()
@@ -72,17 +74,15 @@ func (e *exec) syrk(j int) {
 		Slots: e.bigSlots,
 		Body:  body,
 	})
-	e.inj.KernelTick(fault.OpSYRK, j, j, j)
+	return nil
 }
 
 // gemm updates the panel below the diagonal:
-// A[j+1:, j] -= A[j+1:, 0:k]·A[j, 0:k]ᵀ.
-func (e *exec) gemm(j int) {
+// A[j+1:, j] -= A[j+1:, 0:k]·A[j, 0:k]ᵀ. Its step runs only when
+// both the panel and the factored columns left of it are non-empty.
+func (e *exec) gemm(j int) error {
 	k := j * e.b
 	m := e.nb - j - 1
-	if k == 0 || m == 0 {
-		return
-	}
 	rows := m * e.b
 	e.markPropagation(fault.OpGEMM, j)
 	var body func()
@@ -103,14 +103,12 @@ func (e *exec) gemm(j int) {
 		Slots: e.bigSlots,
 		Body:  body,
 	})
-	for i := j + 1; i < e.nb; i++ {
-		e.inj.KernelTick(fault.OpGEMM, j, i, j)
-	}
+	return nil
 }
 
 // xferDiagD2H ships the updated diagonal block (plus its checksum row
 // for FT schemes) to the host for POTF2.
-func (e *exec) xferDiagD2H(j int) {
+func (e *exec) xferDiagD2H(j int) error {
 	bytes := blockBytes(e.b)
 	if e.opts.Scheme.FaultTolerant() {
 		bytes += 8 * float64(e.m) * float64(e.b)
@@ -118,6 +116,7 @@ func (e *exec) xferDiagD2H(j int) {
 	e.sx.Wait(e.sc.Record())
 	e.plat.Link.Transfer(e.sx, hetsim.DeviceToHost, bytes)
 	e.scpu.Wait(e.sx.Record())
+	return nil
 }
 
 // potf2 factors the diagonal block on the host. On the real plane it
@@ -156,7 +155,6 @@ func (e *exec) potf2(j int) error {
 		Slots: 1,
 		Body:  body,
 	})
-	e.inj.KernelTick(fault.OpPOTF2, j, j, j)
 	if failed != nil {
 		e.failstop++
 	}
@@ -179,12 +177,10 @@ func (e *exec) xferDiagH2D(j int) {
 	}
 }
 
-// trsm solves the panel: A[j+1:, j] = A[j+1:, j]·L[j,j]⁻ᵀ.
-func (e *exec) trsm(j int) {
+// trsm solves the panel: A[j+1:, j] = A[j+1:, j]·L[j,j]⁻ᵀ. Its step
+// runs only when the panel is non-empty.
+func (e *exec) trsm(j int) error {
 	m := e.nb - j - 1
-	if m == 0 {
-		return
-	}
 	rows := m * e.b
 	e.markPropagation(fault.OpTRSM, j)
 	var body func()
@@ -205,9 +201,7 @@ func (e *exec) trsm(j int) {
 		Slots: e.bigSlots,
 		Body:  body,
 	})
-	for i := j + 1; i < e.nb; i++ {
-		e.inj.KernelTick(fault.OpTRSM, j, i, j)
-	}
+	return nil
 }
 
 // ---- checksum updating (§IV-B), placed per Optimization 2 ----------
@@ -220,25 +214,21 @@ func (e *exec) updDevice() *hetsim.Device {
 	return e.plat.GPU
 }
 
-// stageUpdates prepares iteration j's checksum updates: the update
-// stream must see the factored panel (ready since the previous
-// iteration's TRSM), and with CPU placement the panel data crosses the
-// link first (§VI-6b: n²/2 elements over the run).
-func (e *exec) stageUpdates(j int, evPanelReady hetsim.Event) {
-	e.supd.Wait(evPanelReady)
-	k := j * e.b
-	if e.placement == PlaceCPU && k > 0 {
-		e.sx.Wait(evPanelReady)
-		e.plat.Link.Transfer(e.sx, hetsim.DeviceToHost, 8*float64(e.b)*float64(k))
-		e.supd.Wait(e.sx.Record())
-	}
-}
-
-// updSYRK maintains chk(A[j,j]) -= chk(LC)·LCᵀ (Fig. 4).
+// updSYRK maintains chk(A[j,j]) -= chk(LC)·LCᵀ (Fig. 4). It first
+// stages the iteration's checksum updates: the update stream must see
+// the factored panel (ready since the previous iteration's TRSM), and
+// with CPU placement the panel data crosses the link first (§VI-6b:
+// n²/2 elements over the run).
 func (e *exec) updSYRK(j int) {
+	e.supd.Wait(e.evPanelReady)
 	k := j * e.b
 	if k == 0 {
 		return
+	}
+	if e.placement == PlaceCPU {
+		e.sx.Wait(e.evPanelReady)
+		e.plat.Link.Transfer(e.sx, hetsim.DeviceToHost, 8*float64(e.b)*float64(k))
+		e.supd.Wait(e.sx.Record())
 	}
 	var body func()
 	if e.a != nil {
@@ -261,9 +251,6 @@ func (e *exec) updSYRK(j int) {
 func (e *exec) updGEMM(j int) {
 	k := j * e.b
 	m := e.nb - j - 1
-	if k == 0 || m == 0 {
-		return
-	}
 	var body func()
 	if e.a != nil {
 		body = func() {
@@ -306,9 +293,6 @@ func (e *exec) updPOTF2(j int) {
 // (Fig. 7).
 func (e *exec) updTRSM(j int) {
 	m := e.nb - j - 1
-	if m == 0 {
-		return
-	}
 	var body func()
 	if e.a != nil {
 		body = func() {
@@ -325,78 +309,83 @@ func (e *exec) updTRSM(j int) {
 	})
 }
 
-// ---- block-set helpers for the verification batches ----------------
+// ---- block sets -------------------------------------------------
 //
-// Verification lists are built in e.blocks, one buffer the exec
-// reuses: each helper starts a list there (panelBlocks and
-// trailingBlocks extend the one they are given), and the driver hands
-// it to verifyBlocks before it builds the next.
+// The step tables name a step's read and write sets as these methods.
+// Each appends the blocks of its set at iteration j to out, so the
+// interpreter builds every list in one buffer the exec reuses.
 
-// listed keeps a finished list's storage for the next one.
-func (e *exec) listed(out [][2]int) [][2]int {
-	e.blocks = out
-	return out
+// diagBlock lists the diagonal block (j, j).
+func (e *exec) diagBlock(out [][2]int, j int) [][2]int {
+	return append(out, [2]int{j, j})
 }
 
-// diagBlock lists the diagonal block (j, j) alone.
-func (e *exec) diagBlock(j int) [][2]int {
-	return e.listed(append(e.blocks[:0], [2]int{j, j}))
+// updatedDiag lists the diagonal block the left-looking SYRK writes:
+// (j, j), or nothing at j = 0, where there is no LC row to apply.
+func (e *exec) updatedDiag(out [][2]int, j int) [][2]int {
+	if j == 0 {
+		return out
+	}
+	return append(out, [2]int{j, j})
 }
 
 // rowPanelAndDiag lists the SYRK inputs at iteration j: the factored
 // row panel LC = (j, 0..j-1) and the diagonal block (j, j).
-func (e *exec) rowPanelAndDiag(j int) [][2]int {
-	out := e.blocks[:0]
+func (e *exec) rowPanelAndDiag(out [][2]int, j int) [][2]int {
 	for k := 0; k < j; k++ {
 		out = append(out, [2]int{j, k})
 	}
-	return e.listed(append(out, [2]int{j, j}))
+	return append(out, [2]int{j, j})
 }
 
 // trailingAndPanel lists the GEMM inputs at iteration j beyond the row
 // panel: the trailing slab LD = (i, 0..j-1) for i > j and the panel
 // blocks B = (i, j).
-func (e *exec) trailingAndPanel(j int) [][2]int {
-	out := e.blocks[:0]
+func (e *exec) trailingAndPanel(out [][2]int, j int) [][2]int {
 	for i := j + 1; i < e.nb; i++ {
 		for k := 0; k < j; k++ {
 			out = append(out, [2]int{i, k})
 		}
 		out = append(out, [2]int{i, j})
 	}
-	return e.listed(out)
+	return out
 }
 
-// panelBlocks appends the blocks of panel column j below the diagonal
-// to out (e.blocks[:0] for a list of its own).
+// panelBlocks lists the blocks of panel column j below the diagonal.
 func (e *exec) panelBlocks(out [][2]int, j int) [][2]int {
 	for i := j + 1; i < e.nb; i++ {
 		out = append(out, [2]int{i, j})
 	}
-	return e.listed(out)
+	return out
 }
 
-// liveBlocks lists every block a scrub at iteration j must cover: the
-// factored region that will still be read (blocks (i, k), k < j <= i)
-// plus the untouched trailing region (i, k), j <= k <= i.
-func (e *exec) liveBlocks(j int) [][2]int {
-	out := e.blocks[:0]
+// lowerFrom lists the lower triangle of A[j:, j:] column by column,
+// diagonal block first: the whole lower triangle at j = 0, and the
+// right-looking trailing submatrix as lowerFrom(j+1).
+func (e *exec) lowerFrom(out [][2]int, j int) [][2]int {
+	for k := j; k < e.nb; k++ {
+		for i := k; i < e.nb; i++ {
+			out = append(out, [2]int{i, k})
+		}
+	}
+	return out
+}
+
+// trailingBlocks lists the lower blocks of the trailing submatrix
+// A[j+1:, j+1:].
+func (e *exec) trailingBlocks(out [][2]int, j int) [][2]int {
+	return e.lowerFrom(out, j+1)
+}
+
+// liveBlocks lists every block a left-looking scrub at iteration j
+// must cover: the factored region that will still be read (blocks
+// (i, k), k < j <= i) plus the untouched trailing region (i, k),
+// j <= k <= i.
+func (e *exec) liveBlocks(out [][2]int, j int) [][2]int {
 	for k := 0; k < e.nb; k++ {
 		for i := max(j, k); i < e.nb; i++ {
 			out = append(out, [2]int{i, k})
 		}
 	}
-	return e.listed(out)
-}
-
-// allLowerBlocks lists every block of the lower triangle (the
-// Offline-ABFT end-of-run verification set).
-func (e *exec) allLowerBlocks() [][2]int {
-	out := e.blocks[:0]
-	for j := 0; j < e.nb; j++ {
-		for i := j; i < e.nb; i++ {
-			out = append(out, [2]int{i, j})
-		}
-	}
-	return e.listed(out)
+	return out
 }

@@ -38,123 +38,114 @@ func (v Variant) String() string {
 	return fmt.Sprintf("Variant(%d)", int(v))
 }
 
-// runOnceRight is the right-looking counterpart of runOnce. Per
-// iteration j:
-//
-//	POTF2(j,j) on the host; TRSM of panel column j on the GPU;
-//	trailing update A[j+1:, j+1:] -= L[j+1:, j]·L[j+1:, j]ᵀ on the GPU.
-//
-// The verification disciplines translate as: Online verifies each
-// block right after it is written (diagonal after POTF2, panel after
-// TRSM, the whole trailing submatrix after the update); Enhanced
-// verifies right before reads (diagonal before POTF2, panel and L
-// before TRSM, panel plus the whole trailing submatrix before the
-// update, gated by K where §V-C allows).
-//
-// abft:protocol driver steps=potf2,trsm,trailingUpdate
-func (e *exec) runOnceRight() error {
-	sch := e.opts.Scheme
-	ft := sch.FaultTolerant()
-	if ft {
-		e.encode()
-	}
-	for j := 0; j < e.nb; j++ {
-		e.markIteration(j)
-		e.inj.StorageTick(j)
-		evPanelReady := e.sc.Record()
-		m := e.nb - j - 1
-		gate := j%e.opts.K == 0
-
-		// --- single-block factorization (POTF2) ---
-		if sch == SchemeEnhanced {
-			if err := e.verifyBlocks(e.diagBlock(j)); err != nil {
-				return err
-			}
-		}
-		e.xferDiagD2H(j)
-		if err := e.potf2(j); err != nil {
-			return err
-		}
-		if ft {
-			e.updPOTF2(j)
-		}
-		e.xferDiagH2D(j)
-		if sch == SchemeOnline {
-			if err := e.verifyBlocks(e.diagBlock(j)); err != nil {
-				return err
-			}
-		}
-
-		if m == 0 {
-			break
-		}
-
-		// --- panel solve (TRSM) ---
-		if sch == SchemeEnhanced {
-			blocks := e.diagBlock(j)
-			if gate {
-				blocks = e.panelBlocks(blocks, j)
-			}
-			if err := e.verifyBlocks(blocks); err != nil {
-				return err
-			}
-		}
-		e.trsm(j)
-		if ft {
-			e.supd.Wait(evPanelReady)
-			e.updTRSM(j)
-		}
-		evPanelSolved := e.sc.Record()
-		if sch == SchemeOnline {
-			if err := e.verifyBlocks(e.panelBlocks(e.blocks[:0], j)); err != nil {
-				return err
-			}
-		}
-
-		// --- trailing update (SYRK over the whole remainder) ---
-		if sch == SchemeEnhanced {
-			// The update both reads and writes every trailing block
-			// and reads the freshly solved panel: verify all of it
-			// (panel ungated — its errors would propagate consistently
-			// like SYRK's inputs in the left-looking form).
-			blocks := e.panelBlocks(e.blocks[:0], j)
-			if gate {
-				blocks = e.trailingBlocks(blocks, j)
-			}
-			if err := e.verifyBlocks(blocks); err != nil {
-				return err
-			}
-		}
-		e.trailingUpdate(j)
-		if ft {
-			// The checksum updates read the solved panel's data; with
-			// CPU placement it crosses the link first.
-			e.supd.Wait(evPanelSolved)
-			if e.placement == PlaceCPU {
-				e.sx.Wait(evPanelSolved)
-				e.plat.Link.Transfer(e.sx, hetsim.DeviceToHost, 8*float64(m)*float64(e.b)*float64(e.b))
-				e.supd.Wait(e.sx.Record())
-			}
-			e.updTrailing(j)
-		}
-		if sch == SchemeOnline {
-			if err := e.verifyBlocks(e.trailingBlocks(e.blocks[:0], j)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// step is one row of a variant's table: the work one kernel or
+// transfer does in iteration j, and what the verification disciplines
+// need to know about it. The paper's Table I is these tables plus the
+// interpreter's rules (exec.step).
+type step struct {
+	name string
+	// run is the kernel or transfer itself.
+	run func(e *exec, j int) error
+	// op is the kernel's fault.Op, which the interpreter ticks the
+	// injector with for each block in writes (see tickOp); opNone for
+	// a transfer.
+	op fault.Op
+	// guard, when set, says whether the step has work at iteration j
+	// with m blocks below the diagonal.
+	guard func(j, m int) bool
+	// pre and gated are the blocks Enhanced checks right before run
+	// reads them: pre every iteration, gated only on the K gate
+	// (Optimization 3).
+	pre, gated blockSet
+	// writes is the set of blocks run writes: each is ticked, and
+	// Online checks them right after the step.
+	writes blockSet
+	// update keeps the checksums of writes current (FT schemes only).
+	update func(e *exec, j int)
+	// then is a transfer that follows the update and precedes the
+	// post-write check (POTF2's factored block returning to the GPU).
+	then func(e *exec, j int)
 }
 
-// trailingBlocks appends the lower blocks of the trailing submatrix
-// A[j+1:, j+1:] to out (e.blocks[:0] for a list of its own).
-func (e *exec) trailingBlocks(out [][2]int, j int) [][2]int {
-	for k := j + 1; k < e.nb; k++ {
-		for i := k; i < e.nb; i++ {
-			out = append(out, [2]int{i, k})
-		}
+// tickOp is the fault.Op the step ticks block blk with: its own,
+// except that a SYRK kernel's off-diagonal writes (the right-looking
+// trailing update's) are GEMM work.
+func (s *step) tickOp(blk [2]int) fault.Op {
+	if s.op == fault.OpSYRK && blk[0] != blk[1] {
+		return fault.OpGEMM
 	}
-	return e.listed(out)
+	return s.op
+}
+
+// blockSet appends a set of blocks at iteration j to out.
+type blockSet func(e *exec, out [][2]int, j int) [][2]int
+
+// opNone marks a transfer step: it computes nothing, so the injector
+// has nothing to tick.
+const opNone fault.Op = -1
+
+// plan is a variant's step table: the steps of iteration j in issue
+// order, and the blocks still live at iteration j, which OnlineScrub
+// re-checks on the K gate.
+type plan struct {
+	steps []step
+	live  blockSet
+}
+
+// belowDiag guards a step that works on the panel below the diagonal.
+func belowDiag(j, m int) bool { return m > 0 }
+
+// belowDiagPastFirst guards the left-looking GEMM, which also needs
+// factored columns left of the panel.
+func belowDiagPastFirst(j, m int) bool { return m > 0 && j > 0 }
+
+// leftLooking is MAGMA's Algorithm 1: SYRK updates the diagonal block,
+// GEMM updates the panel below it while POTF2 factors the diagonal
+// block on the host, and TRSM solves the panel. SYRK has no guard: at
+// j = 0 it writes nothing, but its update still stages the
+// iteration's checksum updates.
+var leftLooking = plan{
+	steps: []step{
+		{name: "syrk", run: (*exec).syrk, op: fault.OpSYRK,
+			pre: (*exec).rowPanelAndDiag, writes: (*exec).updatedDiag, update: (*exec).updSYRK},
+		{name: "d2h", run: (*exec).xferDiagD2H, op: opNone, pre: (*exec).diagBlock},
+		{name: "gemm", run: (*exec).gemm, op: fault.OpGEMM, guard: belowDiagPastFirst,
+			gated: (*exec).trailingAndPanel, writes: (*exec).panelBlocks, update: (*exec).updGEMM},
+		{name: "potf2", run: (*exec).potf2, op: fault.OpPOTF2,
+			writes: (*exec).diagBlock, update: (*exec).updPOTF2, then: (*exec).xferDiagH2D},
+		{name: "trsm", run: (*exec).trsm, op: fault.OpTRSM, guard: belowDiag,
+			pre: (*exec).diagBlock, gated: (*exec).panelBlocks, writes: (*exec).panelBlocks, update: (*exec).updTRSM},
+	},
+	live: (*exec).liveBlocks,
+}
+
+// rightLooking is the outer-product form: POTF2 factors the diagonal
+// block on the host, TRSM solves the panel, and one update applies
+// the panel to the whole trailing submatrix. Enhanced checks the
+// solved panel before every trailing update (its errors would
+// propagate consistently, like SYRK's inputs in the left-looking
+// form) and the trailing blocks only on the K gate (§V-C). A block is
+// final once its column is factored, so the live set is the lower
+// triangle of A[j:, j:].
+var rightLooking = plan{
+	steps: []step{
+		{name: "d2h", run: (*exec).xferDiagD2H, op: opNone, pre: (*exec).diagBlock},
+		{name: "potf2", run: (*exec).potf2, op: fault.OpPOTF2,
+			writes: (*exec).diagBlock, update: (*exec).updPOTF2, then: (*exec).xferDiagH2D},
+		{name: "trsm", run: (*exec).trsm, op: fault.OpTRSM, guard: belowDiag,
+			pre: (*exec).diagBlock, gated: (*exec).panelBlocks, writes: (*exec).panelBlocks, update: (*exec).updTRSMRight},
+		{name: "trailing", run: (*exec).trailingUpdate, op: fault.OpSYRK, guard: belowDiag,
+			pre: (*exec).panelBlocks, gated: (*exec).trailingBlocks, writes: (*exec).trailingBlocks, update: (*exec).updTrailing},
+	},
+	live: (*exec).lowerFrom,
+}
+
+// plan returns the variant's step table.
+func (v Variant) plan() *plan {
+	if v == RightLooking {
+		return &rightLooking
+	}
+	return &leftLooking
 }
 
 // trailingUpdate performs A[j+1:, j+1:] -= P·Pᵀ with P the factored
@@ -162,11 +153,8 @@ func (e *exec) trailingBlocks(out [][2]int, j int) [][2]int {
 // diagonal blocks stay consistent with their column checksums; the
 // kernel is charged at SYRK rates (hardware only computes the lower
 // half).
-func (e *exec) trailingUpdate(j int) {
+func (e *exec) trailingUpdate(j int) error {
 	m := e.nb - j - 1
-	if m == 0 {
-		return
-	}
 	rows := m * e.b
 	e.markPropagationTrailing(j)
 	var body func()
@@ -188,12 +176,7 @@ func (e *exec) trailingUpdate(j int) {
 		Slots: e.bigSlots,
 		Body:  body,
 	})
-	for k := j + 1; k < e.nb; k++ {
-		e.inj.KernelTick(fault.OpSYRK, j, k, k)
-		for i := k + 1; i < e.nb; i++ {
-			e.inj.KernelTick(fault.OpGEMM, j, i, k)
-		}
-	}
+	return nil
 }
 
 // markPropagationTrailing: the trailing update reads panel blocks
@@ -219,13 +202,26 @@ func (e *exec) markPropagationTrailing(j int) {
 	}
 }
 
+// updTRSMRight is the right-looking TRSM's checksum update: it waits
+// for the panel the previous iteration left ready, and records when
+// the solved panel is ready for the trailing update's checksums.
+func (e *exec) updTRSMRight(j int) {
+	e.supd.Wait(e.evPanelReady)
+	e.updTRSM(j)
+	e.evPanelSolved = e.sc.Record()
+}
+
 // updTrailing maintains the trailing blocks' checksums:
 // chk(A[i,k]) -= chk(L[i,j])·L[k,j]ᵀ, one slab GEMM per trailing block
-// column.
+// column. The updates read the solved panel's data; with CPU placement
+// it crosses the link first.
 func (e *exec) updTrailing(j int) {
 	m := e.nb - j - 1
-	if m == 0 {
-		return
+	e.supd.Wait(e.evPanelSolved)
+	if e.placement == PlaceCPU {
+		e.sx.Wait(e.evPanelSolved)
+		e.plat.Link.Transfer(e.sx, hetsim.DeviceToHost, 8*float64(m)*float64(e.b)*float64(e.b))
+		e.supd.Wait(e.sx.Record())
 	}
 	for k := j + 1; k < e.nb; k++ {
 		rows := e.nb - k

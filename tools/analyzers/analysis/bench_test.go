@@ -51,8 +51,8 @@ func BenchmarkSuite(b *testing.B) {
 }
 
 // BenchmarkSummaries isolates the summary-construction phase the
-// interprocedural analyzers (abftprotocol) pay on top of the per-function
-// passes: building every package's call graph, condensing its SCCs,
+// interprocedural analyzers (errflow, ctxcheck) pay on top of the
+// per-function passes: building every package's call graph, condensing its SCCs,
 // and propagating May/Must facts bottom-up with a representative
 // classifier. Reported separately in docs/LINTING.md so a regression
 // here is not smeared across the whole-suite number.

@@ -77,31 +77,3 @@ func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 
 // Decl returns the declaration of fn in this package, or nil.
 func (cg *CallGraph) Decl(fn *types.Func) *ast.FuncDecl { return cg.decls[fn] }
-
-// Closure returns every package function that satisfies pred directly
-// or calls (transitively, through package-local edges) a function that
-// does. pred is evaluated once per declaration.
-func (cg *CallGraph) Closure(pred func(*ast.FuncDecl) bool) map[*types.Func]bool {
-	set := map[*types.Func]bool{}
-	for fn, decl := range cg.decls {
-		if pred(decl) {
-			set[fn] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for fn, callees := range cg.callees {
-			if set[fn] {
-				continue
-			}
-			for callee := range callees {
-				if set[callee] {
-					set[fn] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return set
-}

@@ -64,34 +64,6 @@ func declByName(t *testing.T, pass *Pass, cg *CallGraph, name string) *types.Fun
 	return nil
 }
 
-// callsTick reports whether a declaration contains a direct .tick()
-// call.
-func callsTick(fd *ast.FuncDecl) bool {
-	found := false
-	ast.Inspect(fd, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "tick" {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-func TestCallGraphClosure(t *testing.T) {
-	pass := typecheckPass(t, cgSrc)
-	cg := BuildCallGraph(pass)
-	closure := cg.Closure(callsTick)
-
-	for _, name := range []string{"leaf", "mid", "top", "closures"} {
-		if !closure[declByName(t, pass, cg, name)] {
-			t.Errorf("%s should be in the tick closure", name)
-		}
-	}
-	if closure[declByName(t, pass, cg, "other")] {
-		t.Error("other must not be in the tick closure")
-	}
-}
-
 func TestCallGraphDecl(t *testing.T) {
 	pass := typecheckPass(t, cgSrc)
 	cg := BuildCallGraph(pass)

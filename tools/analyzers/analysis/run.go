@@ -107,8 +107,8 @@ func RunAllTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, map[string]
 		if a.Analyzer.Name != b.Analyzer.Name {
 			return a.Analyzer.Name < b.Analyzer.Name
 		}
-		// One analyzer may report twice at a position (abftprotocol's
-		// ordering and pairing halves); the message settles the order.
+		// One analyzer may report twice at a position; the message
+		// settles the order.
 		return a.Message < b.Message
 	})
 	return findings, elapsed, nil

@@ -1,13 +1,11 @@
 package analysis
 
-// Interprocedural function summaries over the package call graph. The
-// checksum-coverage analyzer needs a stronger primitive than
-// CallGraph.Closure's boolean "eventually does X": it asks, per
-// function, *which* protected-tile mutations and checksum updates the
-// function can perform (May) and which it performs on every execution
-// (Must). Facts are analyzer-defined bits; the framework only knows
-// how to propagate them bottom-up through strongly connected
-// components of the call graph.
+// Interprocedural function summaries over the package call graph: per
+// function, which facts (analyzer-defined bits: a sentinel error use,
+// a blocking operation) it can establish (May) and which it
+// establishes on every execution (Must). The framework only knows how
+// to propagate them bottom-up through strongly connected components
+// of the call graph; errflow and ctxcheck are its clients.
 //
 // May facts union the function's own syntactic facts (closures
 // included — kernel bodies are folded into their launcher, matching
@@ -47,8 +45,7 @@ type Summary struct {
 
 // Summarize computes May/Must summaries for every declared function.
 // local classifies one AST node with the facts its own syntax
-// establishes (a call to checksum.UpdateTRSM, a kernel launch of a
-// given class); it is invoked for every node of every declaration,
+// establishes (a sentinel error, a channel send); it is invoked for every node of every declaration,
 // closures included, and must not recurse itself. Summaries are
 // propagated callee-to-caller in reverse topological order of the
 // call graph's SCCs; mutually recursive functions share one May set
@@ -103,7 +100,7 @@ func (cg *CallGraph) mustFacts(fn *types.Func, info *types.Info, sums map[*types
 		return 0
 	}
 	g := BuildCFG(fd.Body)
-	nf := NodeFacts(g, info, sums, false, local)
+	nf := nodeFacts(g, info, sums, local)
 	var all Facts
 	for _, f := range nf {
 		all |= f
@@ -123,15 +120,12 @@ func (cg *CallGraph) mustFacts(fn *types.Func, info *types.Info, sums map[*types
 	return must
 }
 
-// NodeFacts annotates each CFG node with the facts its statement (or
+// nodeFacts annotates each CFG node with the facts its statement (or
 // branch condition) establishes when executed: the node's own
 // syntactic facts — function literals excluded, since a closure built
 // here runs elsewhere — plus, for every direct package-local call, the
-// callee's summary facts (May when may is true, Must otherwise). May
-// is the right choice when the caller mirrors the callee's internal
-// guards and wants credit for conditionally-established facts; Must is
-// the conservative default used by Summarize itself.
-func NodeFacts(g *CFG, info *types.Info, sums map[*types.Func]*Summary, may bool, local func(ast.Node) Facts) map[*Node]Facts {
+// callee's Must facts.
+func nodeFacts(g *CFG, info *types.Info, sums map[*types.Func]*Summary, local func(ast.Node) Facts) map[*Node]Facts {
 	nf := make(map[*Node]Facts, len(g.Nodes))
 	for _, n := range g.Nodes {
 		var root ast.Node
@@ -152,11 +146,7 @@ func NodeFacts(g *CFG, info *types.Info, sums map[*types.Func]*Summary, may bool
 			if call, ok := x.(*ast.CallExpr); ok {
 				if callee := CalleeOf(info, call); callee != nil {
 					if s := sums[callee]; s != nil {
-						if may {
-							f |= s.May
-						} else {
-							f |= s.Must
-						}
+						f |= s.Must
 					}
 				}
 			}

@@ -125,34 +125,6 @@ func TestSummarizeMust(t *testing.T) {
 	}
 }
 
-func TestNodeFactsMayVsMust(t *testing.T) {
-	pass, cg, _ := summarizeSrc(t)
-	sums := cg.Summarize(pass.TypesInfo, markClassifier)
-
-	var fd *ast.FuncDecl
-	for _, d := range pass.Files[0].Decls {
-		if f, ok := d.(*ast.FuncDecl); ok && f.Name.Name == "viaMaybe" {
-			fd = f
-		}
-	}
-	g := BuildCFG(fd.Body)
-
-	hasFact := func(nf map[*Node]Facts) bool {
-		for _, f := range nf {
-			if f.Has(factMark) {
-				return true
-			}
-		}
-		return false
-	}
-	if !hasFact(NodeFacts(g, pass.TypesInfo, sums, true, markClassifier)) {
-		t.Error("May-mode node facts should credit the maybe(b) call site")
-	}
-	if hasFact(NodeFacts(g, pass.TypesInfo, sums, false, markClassifier)) {
-		t.Error("Must-mode node facts must not credit a conditional callee")
-	}
-}
-
 func TestSCCsCalleesFirst(t *testing.T) {
 	pass := typecheckPass(t, sumSrc)
 	cg := BuildCallGraph(pass)

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-bench perfbench-check ci fmt bench trace-demo serve-smoke campaign-smoke
+.PHONY: build test race fuzz lint lint-bench perfbench-check ci fmt bench trace-demo serve-smoke campaign-smoke
 
 # The arm64 vet pass type-checks the tree without the amd64 assembly,
 # so the portable micro-kernel (internal/blas/kern_other.go) keeps
@@ -20,6 +20,18 @@ test:
 # property tests under the detector); it is still part of `make ci`.
 race:
 	$(GO) test -race ./...
+
+# Native fuzzing of the trust boundaries and the checksum verifier,
+# 10 s per target (`go test -fuzz` takes one package and one target per
+# run). `go test ./...` already replays every seed and every
+# committed testdata/fuzz regression input; this searches for new ones.
+# A failure leaves the crashing input under the package's
+# testdata/fuzz/<target>/, which is where its regression seed belongs.
+fuzz:
+	$(GO) test ./internal/checksum -run '^$$' -fuzz '^FuzzVerifyAndCorrect$$' -fuzztime 10s
+	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzCampaignInvariants$$' -fuzztime 10s
+	$(GO) test ./internal/reliability/campaign -run '^$$' -fuzz '^FuzzJournalLoad$$' -fuzztime 10s
+	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s
 
 # lint = formatting + go vet + the repository's own analyzer suite
 # (cmd/abftlint — see docs/LINTING.md for the current roster; the
@@ -118,4 +130,4 @@ trace-demo:
 		-metrics-out artifacts/fig8-metrics.json > artifacts/fig8.txt
 	@echo "wrote artifacts/fig8-trace.json artifacts/fig8-metrics.json artifacts/fig8.txt"
 
-ci: build lint perfbench-check race
+ci: build lint perfbench-check race fuzz

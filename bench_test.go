@@ -270,31 +270,29 @@ func BenchmarkChecksumVerifyClean256(b *testing.B) {
 }
 
 func BenchmarkMultiCodeVerifyM4(b *testing.B) {
-	code := checksum.NewMultiCode(4, 256)
 	blk := mat.RandGeneral(256, 256, 7)
 	chk := mat.New(4, 256)
-	code.EncodeInto(blk, chk)
+	checksum.EncodeBlockInto(blk, chk)
 	scratch := mat.New(4, 256)
 	b.SetBytes(8 * 256 * 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := code.VerifyAndCorrect(blk, chk, scratch); err != nil {
+		if _, err := checksum.VerifyAndCorrect(blk, chk, scratch); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkMultiCodeDoubleCorrect(b *testing.B) {
-	code := checksum.NewMultiCode(4, 256)
 	blk := mat.RandGeneral(256, 256, 8)
 	chk := mat.New(4, 256)
-	code.EncodeInto(blk, chk)
+	checksum.EncodeBlockInto(blk, chk)
 	scratch := mat.New(4, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		blk.Add(10, 50, 3)
 		blk.Add(200, 50, -4)
-		if _, err := code.VerifyAndCorrect(blk, chk, scratch); err != nil {
+		if _, err := checksum.VerifyAndCorrect(blk, chk, scratch); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,9 +14,9 @@ import (
 // instrumentation would distort — hence the !race build tag.
 //
 // The packed GEMM (gemmPacked) takes its fixed-size packing buffers from
-// panelPool and keeps edge tiles in a stack array; MultiCode.EncodeInto
-// uses a stack accumulator. Both are allocation-free in steady state,
-// which is why each kernel runs once before it is measured.
+// panelPool and keeps edge tiles in a stack array. It is
+// allocation-free in steady state, which is why each kernel runs once
+// before it is measured.
 
 func TestKernelsDoNotAllocate(t *testing.T) {
 	const n, k = 96, 64

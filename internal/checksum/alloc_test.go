@@ -9,10 +9,9 @@ import (
 )
 
 // Runtime pin of the // abft:hotpath contract for the checksum layer:
-// encoding and the three update routines allocate nothing per call.
-// MultiCode.EncodeInto is not abft:hotpath, since codes of more than
-// eight vectors allocate their accumulator, so this test is what pins
-// it at zero for m=4.
+// encoding, for m = 2 (blas.ColChecksums), m = 4 and m = 9 (the scalar
+// loop, whose stack accumulator takes eight vectors per pass), and the
+// three update routines allocate nothing per call.
 
 func TestChecksumHotPathDoesNotAllocate(t *testing.T) {
 	const b = 32
@@ -24,7 +23,7 @@ func TestChecksumHotPathDoesNotAllocate(t *testing.T) {
 	}
 	chk2 := mat.New(2, b)
 	chk4 := mat.New(4, b)
-	code := NewMultiCode(4, b)
+	chk9 := mat.New(9, b)
 	la := mat.New(b, b)
 	for j := 0; j < b; j++ {
 		la.Set(j, j, 2)
@@ -40,7 +39,8 @@ func TestChecksumHotPathDoesNotAllocate(t *testing.T) {
 		fn   func()
 	}{
 		{"EncodeBlockInto", func() { EncodeBlockInto(blk, chk2) }},
-		{"MultiCode.EncodeInto", func() { code.EncodeInto(blk, chk4) }},
+		{"EncodeBlockInto/m=4", func() { EncodeBlockInto(blk, chk4) }},
+		{"EncodeBlockInto/m=9", func() { EncodeBlockInto(blk, chk9) }},
 		{"UpdateRankK", func() { UpdateRankK(chk2, chk2, panel) }},
 		{"UpdateTRSM", func() { UpdateTRSM(chk2, la) }},
 		{"UpdatePOTF2", func() { UpdatePOTF2(chk2, la) }},

@@ -1,18 +1,22 @@
-// Package checksum implements the two-vector column-checksum code the
-// paper builds its ABFT schemes on (§IV).
+// Package checksum implements the column-checksum code the paper
+// builds its ABFT schemes on (§IV), for any number m >= 2 of weight
+// vectors.
 //
-// Every B x B block A of the input matrix is encoded with two column
-// checksums computed from the weight vectors v1 = (1, 1, ..., 1) and
-// v2 = (1, 2, ..., B):
+// Every B x B block A of the input matrix is encoded with m column
+// checksums, one per weight vector
 //
-//	chk1 = v1ᵀ A   (1 x B)
-//	chk2 = v2ᵀ A   (1 x B)
+//	w_s = (1^s, 2^s, ..., B^s),   chk_s = w_sᵀ A   (1 x B),   s = 0 .. m-1.
 //
-// The pair detects and corrects one wrong element per block column:
-// a mismatch δ1 in column c gives the error magnitude, and the ratio
-// δ2/δ1 gives its (1-based) row. All checksums of a matrix live in a
-// single 2N x n checksum matrix (N = n/B block rows) so they can be
-// updated with one BLAS call per factorization step.
+// m = 2 is the code of the paper's implementation: v1 = (1, 1, ..., 1)
+// and v2 = (1, 2, ..., B). A column corrupted by errors e_j in rows r_j
+// (1-based) leaves the syndromes δ_s = Σ_j e_j·r_j^s. One error is
+// located in closed form: δ_0 is its magnitude and δ_1/δ_0 its row.
+// t errors need 2t syndromes and are located by Prony's method, so m
+// vectors correct ⌊m/2⌋ errors per column (§IV's "m+1 checksums
+// correct m" counts only locating errors of known magnitude). All
+// checksums of a matrix live in a single m·N x n checksum matrix
+// (N = n/B block rows) so they can be updated with one BLAS call per
+// factorization step.
 //
 // The code uses column, not row, checksums, as the paper does after
 // FT-ScaLAPACK: every Cholesky update multiplies blocks from the right
@@ -30,68 +34,88 @@ import (
 	"abftchol/internal/mat"
 )
 
-// EncodeBlockInto writes the 2 x C checksum of block (R x C) into chk.
-// Row 0 of chk is the plain column sum, row 1 the weighted sum. It
-// returns block.NormMax(), taken in the same pass, so verification
-// reads each block once. The sums run on blas.ColChecksums.
+// EncodeBlockInto writes the m x C checksum of block (R x C) into chk,
+// m = chk.Rows >= 2: row s of chk is w_sᵀ·block. It returns
+// block.NormMax(), taken in the same pass, so verification reads each
+// block once. m = 2 runs on blas.ColChecksums.
 //
 // abft:hotpath
 // abft:bce checks=0
 func EncodeBlockInto(block, chk *mat.Matrix) float64 {
-	if chk.Rows != 2 || chk.Cols != block.Cols {
+	if chk.Rows < 2 || chk.Cols != block.Cols {
 		panic(fmt.Sprintf("checksum: chk %dx%d for block %dx%d", chk.Rows, chk.Cols, block.Rows, block.Cols))
+	}
+	if chk.Rows > 2 {
+		return encodeWeighted(block, chk)
 	}
 	return blas.ColChecksums(block.Rows, block.Cols, block.Data, block.Stride, chk.Data, chk.Stride)
 }
 
-// EncodeMatrix builds the full 2N x n checksum matrix for the lower
-// block triangle of the n x n matrix a with block size b. Block (i, j)
-// with i >= j gets its checksums at rows {2i, 2i+1}, columns
-// jB..(j+1)B. Upper blocks are never read by the factorization and
-// stay zero.
-func EncodeMatrix(a *mat.Matrix, b int) *mat.Matrix {
-	n := a.Rows
-	if a.Cols != n || n%b != 0 {
-		panic(fmt.Sprintf("checksum: matrix %dx%d not divisible into %d-blocks", a.Rows, a.Cols, b))
-	}
-	nb := n / b
-	chk := mat.New(2*nb, n)
-	for i := 0; i < nb; i++ {
-		for j := 0; j <= i; j++ {
-			EncodeBlockInto(a.View(i*b, j*b, b, b), chk.View(2*i, j*b, 2, b))
+// encodeWeighted is EncodeBlockInto's scalar loop for any m. A column's
+// sums accumulate in one pass, eight weights at a time in a stack
+// array; every pass builds w = x^s by the same chain of products, so
+// the chunking changes no bit. Each product is rounded before its add,
+// as in blas.ColChecksums, so no compiler fuses the two; for m = 2 the
+// two give the same bits.
+//
+// abft:hotpath
+// abft:bce checks=2
+func encodeWeighted(block, chk *mat.Matrix) float64 {
+	var sums [8]float64
+	m := chk.Rows
+	maxv := 0.0
+	for col := 0; col < block.Cols; col++ {
+		data := block.Col(col)
+		out := chk.Col(col)
+		for s0 := 0; s0 < m; s0 += len(sums) {
+			acc := sums[:min(len(sums), m-s0)]
+			clear(acc)
+			for i, v := range data {
+				if av := math.Abs(v); av > maxv {
+					maxv = av
+				}
+				x := float64(i + 1)
+				w := 1.0
+				for s := 0; s < s0; s++ {
+					w *= x
+				}
+				for s := range acc {
+					acc[s] += float64(w * v)
+					w *= x
+				}
+			}
+			copy(out[s0:], acc)
 		}
 	}
-	return chk
+	return maxv
 }
 
-// EncodeMatrixMulti is EncodeMatrix for an m-vector code: the checksum
-// matrix is m·N x n and block (i, j)'s checksums occupy rows
-// m·i .. m·i+m-1.
+// EncodeMatrixMulti builds the full m·N x n checksum matrix for the
+// lower block triangle of the n x n matrix a with block size b. Block
+// (i, j) with i >= j gets its checksums at rows m·i .. m·i+m-1,
+// columns jB..(j+1)B. Upper blocks are never read by the factorization
+// and stay zero.
 func EncodeMatrixMulti(a *mat.Matrix, b, m int) *mat.Matrix {
 	n := a.Rows
 	if a.Cols != n || n%b != 0 {
 		panic(fmt.Sprintf("checksum: matrix %dx%d not divisible into %d-blocks", a.Rows, a.Cols, b))
 	}
-	// For m = 2, MultiCode.EncodeInto gives EncodeBlockInto's bits,
-	// several times slower.
-	encode := EncodeBlockInto
-	if m != 2 {
-		encode = NewMultiCode(m, b).EncodeInto
-	}
 	nb := n / b
 	chk := mat.New(m*nb, n)
 	for i := 0; i < nb; i++ {
 		for j := 0; j <= i; j++ {
-			encode(a.View(i*b, j*b, b, b), chk.View(m*i, j*b, m, b))
+			EncodeBlockInto(a.View(i*b, j*b, b, b), chk.View(m*i, j*b, m, b))
 		}
 	}
 	return chk
 }
 
 // toleranceFor returns the rounding-error threshold for comparing
-// stored and recalculated checksums of a block of rows rows whose
-// largest absolute element is normMax: well above the accumulation
-// noise of O(n) updates, well below any bit flip that matters.
+// stored and recalculated plain checksums of a block of rows rows
+// whose largest absolute element is normMax: well above the
+// accumulation noise of O(n) updates, well below any bit flip that
+// matters. Checksum s compares against toleranceFor·B^s, since w_s's
+// entries, and its rounding noise, reach B^s.
 func toleranceFor(rows int, normMax float64) float64 {
 	scale := normMax
 	if scale < 1 {
@@ -100,100 +124,132 @@ func toleranceFor(rows int, normMax float64) float64 {
 	return 1e-9 * float64(rows) * scale
 }
 
-// Mismatch is a flagged block column: the recalculated checksums
-// disagree with the stored ones by (D1, D2).
-type Mismatch struct {
-	Col    int
-	D1, D2 float64
-}
-
-// Compare recomputes nothing: it diffs the stored and recalculated
-// 2 x C checksum panels and returns the columns whose plain checksum
-// deviates by more than tol.
-func Compare(stored, recalced *mat.Matrix, tol float64) []Mismatch {
-	if stored.Rows != 2 || recalced.Rows != 2 || stored.Cols != recalced.Cols {
-		panic("checksum: compare shape mismatch")
-	}
-	var out []Mismatch
-	tol2 := tol * weightScale(stored.Cols)
-	for c := 0; c < stored.Cols; c++ {
-		s := stored.Col(c)
-		r := recalced.Col(c)[:len(s)]
-		d1 := r[0] - s[0]
-		d2 := r[1] - s[1]
-		if math.Abs(d1) > tol || math.Abs(d2) > tol2 {
-			out = append(out, Mismatch{Col: c, D1: d1, D2: d2})
-		}
-	}
-	return out
-}
-
-// weightScale loosens the weighted-checksum threshold: v2 entries are
-// up to B, so its rounding noise is up to B times larger.
-func weightScale(b int) float64 { return float64(b) }
-
-// Correction is a located error: subtract Delta from element
-// (Row, Col) of the block. OK is false when the mismatch cannot be
-// explained by a single wrong element in that column (the ratio test
-// fails), i.e. the corruption has propagated beyond the code's reach.
+// Correction is an applied repair: Delta was subtracted from element
+// (Row, Col) of the block. An element rebuilt from a non-finite value
+// has Delta = old − new, itself non-finite.
 type Correction struct {
 	Row, Col int
 	Delta    float64
-	OK       bool
-}
-
-// Locate converts mismatches into corrections for a block with rows
-// rows. A mismatch locates as row = δ2/δ1 (1-based); the ratio must be
-// within locTol of an integer in [1, rows] to be trusted.
-func Locate(ms []Mismatch, rows int) []Correction {
-	out := make([]Correction, 0, len(ms))
-	for _, m := range ms {
-		c := Correction{Col: m.Col, Delta: m.D1}
-		if m.D1 != 0 {
-			ratio := m.D2 / m.D1
-			r := math.Round(ratio)
-			// A fixed 0.01 tolerance on the ratio. Both deltas carry
-			// rounding noise of similar absolute size, so the quotient
-			// is noisier for larger ratios, and this bound does not
-			// grow with the row index.
-			if math.Abs(ratio-r) < 0.01 && r >= 1 && r <= float64(rows) {
-				c.Row = int(r) - 1
-				c.OK = true
-			}
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
-// Apply subtracts each OK correction from the block. It returns an
-// error (and applies nothing further) at the first non-correctable
-// entry.
-func Apply(block *mat.Matrix, corrs []Correction) error {
-	for _, c := range corrs {
-		if !c.OK {
-			return fmt.Errorf("checksum: column %d corruption is not single-element correctable", c.Col)
-		}
-		block.Add(c.Row, c.Col, -c.Delta)
-	}
-	return nil
 }
 
 // VerifyAndCorrect is the full pre-read verification of one block:
-// recalculate, compare against the stored checksums, locate, and
-// repair in place. It returns the corrections applied. A non-nil error
-// means the block is corrupted beyond repair (caller must trigger the
-// scheme's recovery path). scratch must be a 2 x block.Cols matrix; it
-// is overwritten.
+// recalculate its m = stored.Rows checksums into scratch (m x
+// block.Cols, overwritten), compare them with stored, and repair up to
+// ⌊m/2⌋ wrong elements per column in place. It returns the corrections
+// applied. A non-nil error means some column's corruption is beyond
+// the code and the caller must trigger the scheme's recovery path; the
+// corrections returned with it are those applied to earlier columns.
 func VerifyAndCorrect(block, stored, scratch *mat.Matrix) ([]Correction, error) {
+	m, b := stored.Rows, block.Rows
+	if scratch.Rows != m || stored.Cols != block.Cols || scratch.Cols != block.Cols {
+		panic(fmt.Sprintf("checksum: verify shapes block %dx%d stored %dx%d scratch %dx%d",
+			block.Rows, block.Cols, stored.Rows, stored.Cols, scratch.Rows, scratch.Cols))
+	}
 	normMax := EncodeBlockInto(block, scratch)
-	ms := Compare(stored, scratch, toleranceFor(block.Rows, normMax))
-	if len(ms) == 0 {
-		return nil, nil
+	if math.IsInf(normMax, 1) {
+		normMax = finiteMax(block) // an Inf element must not blind the threshold
 	}
-	corrs := Locate(ms, block.Rows)
-	if err := Apply(block, corrs); err != nil {
-		return corrs, err
+	tol := toleranceFor(b, normMax)
+	var thrbuf [8]float64
+	thr := thrbuf[:0]
+	for s := 0; s < m; s++ {
+		thr = append(thr, tol*math.Pow(float64(b), float64(s)))
 	}
-	return corrs, nil
+	var out []Correction
+	for col := 0; col < block.Cols; col++ {
+		if !flagged(stored.Col(col), scratch.Col(col), thr) {
+			continue
+		}
+		var ok bool
+		if out, ok = correctColumn(block, stored, scratch, col, thr, out); !ok {
+			if m < 4 {
+				return out, fmt.Errorf("checksum: column %d corruption is not single-element correctable", col)
+			}
+			return out, fmt.Errorf("checksum: column %d corruption is not %d-element correctable", col, m/2)
+		}
+	}
+	return out, nil
+}
+
+// flagged reports whether any syndrome recalced[s] − stored[s] is not
+// within thr[s]. It is written so that a NaN syndrome is flagged.
+func flagged(stored, recalced, thr []float64) bool {
+	recalced = recalced[:len(stored)]
+	thr = thr[:len(stored)]
+	for s, st := range stored {
+		if !(math.Abs(recalced[s]-st) <= thr[s]) {
+			return true
+		}
+	}
+	return false
+}
+
+// correctColumn is the locator: it repairs flagged column col of block
+// and appends the repairs to out, or reports false when the column's
+// corruption is beyond the code. A finite plain syndrome goes to
+// locate. A non-finite one comes from a NaN or ±Inf element, which no
+// syndrome arithmetic can place; when it is the column's only
+// non-finite element it is rebuilt from the plain checksum, and the
+// rebuilt column must then verify.
+func correctColumn(block, stored, scratch *mat.Matrix, col int, thr []float64, out []Correction) ([]Correction, bool) {
+	st, re := stored.Col(col), scratch.Col(col)
+	data := block.Col(col)
+	syn := make([]float64, len(st))
+	for s := range syn {
+		syn[s] = re[s] - st[s]
+	}
+	if finite(syn[0]) {
+		rows, mags, ok := locate(syn, len(data), thr[0])
+		if !ok {
+			return out, false
+		}
+		for j, r := range rows {
+			if data[r] -= mags[j]; !finite(data[r]) {
+				return out, false
+			}
+			out = append(out, Correction{Row: r, Col: col, Delta: mags[j]})
+		}
+		return out, true
+	}
+	row, others := -1, 0.0
+	for i, v := range data {
+		switch {
+		case finite(v):
+			others += v
+		case row >= 0:
+			return out, false
+		default:
+			row = i
+		}
+	}
+	if row < 0 {
+		return out, false
+	}
+	rebuilt := st[0] - others
+	if !finite(rebuilt) {
+		return out, false
+	}
+	old := data[row]
+	data[row] = rebuilt
+	EncodeBlockInto(block.View(0, col, len(data), 1), scratch.View(0, col, len(st), 1))
+	if flagged(st, re, thr) {
+		return out, false
+	}
+	return append(out, Correction{Row: row, Col: col, Delta: old - rebuilt}), true
+}
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return math.Abs(x) <= math.MaxFloat64 }
+
+// finiteMax is max|v| over block's finite elements.
+func finiteMax(block *mat.Matrix) float64 {
+	maxv := 0.0
+	for j := 0; j < block.Cols; j++ {
+		for _, v := range block.Col(j) {
+			if av := math.Abs(v); av > maxv && finite(v) {
+				maxv = av
+			}
+		}
+	}
+	return maxv
 }

@@ -26,7 +26,7 @@ func TestEncodeBlockInto(t *testing.T) {
 func TestEncodeMatrixLayout(t *testing.T) {
 	n, b := 8, 4
 	a := mat.RandSPD(n, 3)
-	chk := EncodeMatrix(a, b)
+	chk := EncodeMatrixMulti(a, b, 2)
 	if chk.Rows != 4 || chk.Cols != 8 {
 		t.Fatalf("checksum matrix %dx%d", chk.Rows, chk.Cols)
 	}
@@ -52,7 +52,7 @@ func TestEncodeMatrixRejectsBadBlock(t *testing.T) {
 			t.Fatal("expected panic for indivisible block size")
 		}
 	}()
-	EncodeMatrix(mat.New(10, 10), 4)
+	EncodeMatrixMulti(mat.New(10, 10), 4, 2)
 }
 
 func TestVerifyCleanBlockNoCorrections(t *testing.T) {
@@ -362,13 +362,21 @@ func TestChainedUpdatesSurviveInjection(t *testing.T) {
 }
 
 func TestLocateRejectsOutOfRangeRow(t *testing.T) {
-	// δ2/δ1 pointing outside [1, rows] must be non-correctable.
-	corrs := Locate([]Mismatch{{Col: 0, D1: 1, D2: 100}}, 8)
-	if corrs[0].OK {
+	// δ2/δ1 pointing outside [1, rows] must be non-correctable, and
+	// the block must be left as it was.
+	if _, _, ok := locate([]float64{1, 100}, 8, 1e-9); ok {
 		t.Fatal("out-of-range ratio accepted")
 	}
-	if err := Apply(mat.New(8, 8), corrs); err == nil {
-		t.Fatal("Apply must reject non-OK corrections")
+	block := mat.New(8, 8)
+	stored := mat.New(2, 8)
+	stored.Set(0, 0, -1)
+	stored.Set(1, 0, -100)
+	corrs, err := VerifyAndCorrect(block, stored, mat.New(2, 8))
+	if err == nil || len(corrs) != 0 {
+		t.Fatalf("out-of-range ratio: corrections %v, err %v", corrs, err)
+	}
+	if block.NormMax() != 0 {
+		t.Fatal("rejected column was modified")
 	}
 }
 

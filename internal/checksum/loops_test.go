@@ -2,6 +2,7 @@ package checksum
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"abftchol/internal/blas"
@@ -31,13 +32,16 @@ func encodeBlockAt(block, chk *mat.Matrix) float64 {
 	return maxv
 }
 
-func compareAt(stored, recalced *mat.Matrix, tol float64) []Mismatch {
-	var out []Mismatch
+// compareAt lists the columns whose syndrome s is not within
+// tol·B^s, NaN included.
+func compareAt(stored, recalced *mat.Matrix, tol float64) []int {
+	var out []int
 	for c := 0; c < stored.Cols; c++ {
-		d1 := recalced.At(0, c) - stored.At(0, c)
-		d2 := recalced.At(1, c) - stored.At(1, c)
-		if math.Abs(d1) > tol || math.Abs(d2) > tol*weightScale(stored.Cols) {
-			out = append(out, Mismatch{Col: c, D1: d1, D2: d2})
+		for s := 0; s < stored.Rows; s++ {
+			if d := recalced.At(s, c) - stored.At(s, c); !(math.Abs(d) <= tol*math.Pow(float64(stored.Cols), float64(s))) {
+				out = append(out, c)
+				break
+			}
 		}
 	}
 	return out
@@ -120,14 +124,14 @@ func TestCompareMatchesAtLoop(t *testing.T) {
 	}
 	withSpecials(recalced.View(0, 40, 2, 10))
 	for _, tol := range []float64{0, 1e-9, 1e-6, 1e-4} {
-		got, want := Compare(stored, recalced, tol), compareAt(stored, recalced, tol)
-		if len(got) != len(want) {
-			t.Fatalf("tol %g: %d mismatches, the At loop finds %d", tol, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Col != want[i].Col || !sameBits(got[i].D1, want[i].D1) || !sameBits(got[i].D2, want[i].D2) {
-				t.Fatalf("tol %g: mismatch %d is %+v, the At loop gives %+v", tol, i, got[i], want[i])
+		var got []int
+		for c := 0; c < b; c++ {
+			if flagged(stored.Col(c), recalced.Col(c), []float64{tol, tol * b}) {
+				got = append(got, c)
 			}
+		}
+		if want := compareAt(stored, recalced, tol); !slices.Equal(got, want) {
+			t.Fatalf("tol %g: flagged columns %v, the At loop flags %v", tol, got, want)
 		}
 	}
 }

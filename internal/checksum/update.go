@@ -16,8 +16,8 @@ import (
 //
 //	chkOut ← chkOut − chkSrc · panelᵀ
 //
-// where chkOut is the (2m x B) checksum slab of the blocks being
-// updated, chkSrc the (2m x K) checksum slab of the blocks being
+// where chkOut is the (m·k x B) checksum slab of the k blocks being
+// updated, chkSrc the (m·k x K) checksum slab of the blocks being
 // multiplied, and panel the (B x K) factored row panel. This is the
 // paper's chk(A') = chk(A) − chk(LC)·LCᵀ (Fig. 4) and
 // chk(B') = chk(B) − chk(LD)·LCᵀ (Fig. 5) in slab form.
@@ -40,7 +40,7 @@ func UpdateRankK(chkOut, chkSrc, panel *mat.Matrix) {
 //
 //	chk ← chk · L⁻ᵀ
 //
-// matching LB = B'·(LAᵀ)⁻¹ (Fig. 7). chk is a (2m x B) slab and l the
+// matching LB = B'·(LAᵀ)⁻¹ (Fig. 7). chk is an (m·k x B) slab and l the
 // factored B x B lower-triangular diagonal block.
 //
 // abft:hotpath
@@ -52,7 +52,7 @@ func UpdateTRSM(chk, l *mat.Matrix) {
 	blas.Dtrsm(blas.Right, blas.Trans, chk.Rows, chk.Cols, 1, l.Data, l.Stride, chk.Data, chk.Stride)
 }
 
-// UpdatePOTF2 is Algorithm 2 of the paper: it transforms the 2 x B
+// UpdatePOTF2 is Algorithm 2 of the paper: it transforms the m x B
 // checksum of the diagonal block A' into the checksum of its Cholesky
 // factor LA by replaying the factorization's column operations:
 //

@@ -28,9 +28,9 @@ func multiTol(m, b int, norm float64) float64 {
 }
 
 // reencoded returns the freshly computed m-vector checksum of blk.
-func reencoded(c *MultiCode, blk *mat.Matrix) *mat.Matrix {
-	chk := mat.New(c.Vectors(), blk.Cols)
-	c.EncodeInto(blk, chk)
+func reencoded(m int, blk *mat.Matrix) *mat.Matrix {
+	chk := mat.New(m, blk.Cols)
+	EncodeBlockInto(blk, chk)
 	return chk
 }
 
@@ -40,16 +40,15 @@ func TestUpdateRankKPreservesMultiInvariant(t *testing.T) {
 		m := []int{2, 3, 4, 6}[rng.Intn(4)]
 		b := 4 + rng.Intn(9)
 		k := 1 + rng.Intn(2*b)
-		c := NewMultiCode(m, b)
 		blk := mat.RandGeneral(b, b, int64(3*trial+1))
 		src := mat.RandGeneral(b, k, int64(3*trial+2))
 		pan := mat.RandGeneral(b, k, int64(3*trial+3))
-		chkB := reencoded(c, blk)
-		chkS := reencoded(c, src)
+		chkB := reencoded(m, blk)
+		chkS := reencoded(m, src)
 		blas.Dgemm(blas.NoTrans, blas.Trans, b, b, k,
 			-1, src.Data, src.Stride, pan.Data, pan.Stride, 1, blk.Data, blk.Stride)
 		UpdateRankK(chkB, chkS, pan)
-		diff := mat.MaxAbsDiff(chkB, reencoded(c, blk))
+		diff := mat.MaxAbsDiff(chkB, reencoded(m, blk))
 		if tol := multiTol(m, b, float64(k)*blk.NormMax()); diff > tol {
 			t.Fatalf("trial %d (m=%d b=%d k=%d): rank-k invariant broken by %g (tol %g)", trial, m, b, k, diff, tol)
 		}
@@ -61,17 +60,16 @@ func TestUpdateTRSMPreservesMultiInvariant(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		m := []int{2, 3, 4, 6}[rng.Intn(4)]
 		b := 4 + rng.Intn(9)
-		c := NewMultiCode(m, b)
 		blk := mat.RandGeneral(b, b, int64(2*trial+1))
 		l := mat.RandSPD(b, int64(2*trial+2))
 		if err := blas.Dpotf2(b, l.Data, l.Stride); err != nil {
 			t.Fatal(err)
 		}
 		l.LowerFromFull()
-		chk := reencoded(c, blk)
+		chk := reencoded(m, blk)
 		blas.Dtrsm(blas.Right, blas.Trans, b, b, 1, l.Data, l.Stride, blk.Data, blk.Stride)
 		UpdateTRSM(chk, l)
-		diff := mat.MaxAbsDiff(chk, reencoded(c, blk))
+		diff := mat.MaxAbsDiff(chk, reencoded(m, blk))
 		if tol := multiTol(m, b, float64(b)*blk.NormMax()); diff > tol {
 			t.Fatalf("trial %d (m=%d b=%d): trsm invariant broken by %g (tol %g)", trial, m, b, diff, tol)
 		}
@@ -83,15 +81,14 @@ func TestUpdatePOTF2PreservesMultiInvariant(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		m := []int{2, 3, 4, 6}[rng.Intn(4)]
 		b := 4 + rng.Intn(13)
-		c := NewMultiCode(m, b)
 		a := mat.RandSPD(b, int64(trial+1))
-		chk := reencoded(c, a)
+		chk := reencoded(m, a)
 		if err := blas.Dpotf2(b, a.Data, a.Stride); err != nil {
 			t.Fatal(err)
 		}
 		a.LowerFromFull()
 		UpdatePOTF2(chk, a)
-		diff := mat.MaxAbsDiff(chk, reencoded(c, a))
+		diff := mat.MaxAbsDiff(chk, reencoded(m, a))
 		if tol := multiTol(m, b, float64(b)*a.NormMax()); diff > tol {
 			t.Fatalf("trial %d (m=%d b=%d): potf2 invariant broken by %g (tol %g)", trial, m, b, diff, tol)
 		}
@@ -108,7 +105,6 @@ func TestUpdateChainPreservesMultiInvariant(t *testing.T) {
 		m := []int{2, 3, 4, 6}[rng.Intn(4)]
 		b := 4 + rng.Intn(9)
 		k := 1 + rng.Intn(b)
-		c := NewMultiCode(m, b)
 		blk := mat.RandGeneral(b, b, int64(4*trial+1))
 		src := mat.RandGeneral(b, k, int64(4*trial+2))
 		pan := mat.RandGeneral(b, k, int64(4*trial+3))
@@ -117,8 +113,8 @@ func TestUpdateChainPreservesMultiInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		l.LowerFromFull()
-		chkB := reencoded(c, blk)
-		chkS := reencoded(c, src)
+		chkB := reencoded(m, blk)
+		chkS := reencoded(m, src)
 
 		blas.Dgemm(blas.NoTrans, blas.Trans, b, b, k,
 			-1, src.Data, src.Stride, pan.Data, pan.Stride, 1, blk.Data, blk.Stride)
@@ -126,7 +122,7 @@ func TestUpdateChainPreservesMultiInvariant(t *testing.T) {
 		blas.Dtrsm(blas.Right, blas.Trans, b, b, 1, l.Data, l.Stride, blk.Data, blk.Stride)
 		UpdateTRSM(chkB, l)
 
-		diff := mat.MaxAbsDiff(chkB, reencoded(c, blk))
+		diff := mat.MaxAbsDiff(chkB, reencoded(m, blk))
 		if tol := multiTol(m, b, float64(b+k)*blk.NormMax()); diff > tol {
 			t.Fatalf("trial %d (m=%d b=%d k=%d): chained invariant broken by %g (tol %g)", trial, m, b, k, diff, tol)
 		}

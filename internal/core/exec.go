@@ -21,14 +21,14 @@ type exec struct {
 	m         int // checksum vectors per block (2 in the paper)
 	bigSlots  int // slot occupancy of BLAS-3 kernels (leaves headroom for overlap)
 	placement Placement
-	code      *checksum.MultiCode // real-plane verifier for m > 2
 
 	inj *fault.Injector
 	led *fault.Ledger
 
 	// Real plane (nil in model plane): a is the working matrix ("GPU
 	// memory"), chk the m·nb x n checksum matrix, scratch an m x B
-	// recalculation buffer.
+	// recalculation buffer. checksum.VerifyAndCorrect reads m from the
+	// shapes of chk's views, so one verifier serves every m.
 	a       *mat.Matrix
 	chk     *mat.Matrix
 	scratch *mat.Matrix
@@ -127,9 +127,6 @@ func newExec(o *Options, nb int) *exec {
 	if o.Data != nil {
 		e.a = o.Data.Clone()
 		e.scratch = mat.New(e.m, e.b)
-		if e.m > 2 {
-			e.code = checksum.NewMultiCode(e.m, e.b)
-		}
 		e.inj.Applier = e
 	}
 	return e
@@ -237,7 +234,7 @@ func (e *exec) markPropagation(op fault.Op, j int) {
 // ---- verification -------------------------------------------------
 
 // errUncorrectable is returned when verification finds corruption the
-// two-checksum code cannot repair; the driver restarts.
+// m-vector checksum code cannot repair; the driver restarts.
 type errUncorrectable struct {
 	BI, BJ int
 	Cause  error
@@ -318,19 +315,15 @@ func (e *exec) verifyBlocks(blocks [][2]int) error {
 // model plane.
 func (e *exec) verifyOne(bi, bj int) error {
 	if e.a != nil {
-		var corrs []checksum.Correction
-		var err error
-		if e.code != nil {
-			corrs, err = e.code.VerifyAndCorrect(e.block(bi, bj), e.chkView(bi, bj), e.scratch)
-		} else {
-			corrs, err = checksum.VerifyAndCorrect(e.block(bi, bj), e.chkView(bi, bj), e.scratch)
-		}
-		e.corrected += len(corrs)
+		corrs, err := checksum.VerifyAndCorrect(e.block(bi, bj), e.chkView(bi, bj), e.scratch)
 		// Mirror into the ledger: detectable marks are now resolved.
 		e.clearDetectable(bi, bj)
 		if err != nil {
+			// A block that fails counts no corrections, as on the
+			// model plane: the restart redoes its work.
 			return &errUncorrectable{BI: bi, BJ: bj, Cause: err}
 		}
+		e.corrected += len(corrs)
 		return nil
 	}
 	// Model plane: resolve pending injections. m checksum vectors

@@ -44,8 +44,8 @@ func TestJSONOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks testdata packages")
 	}
-	// The streamsync testdata package contains true positives and one
-	// //nolint escape, but it only triggers when loaded in scope — the
+	// The analyzer testdata packages hold true positives and //nolint
+	// escapes, but they only trigger when loaded in scope. The
 	// repository run above proves the tree clean, so drive the JSON
 	// path through the repository too and assert shape, not content.
 	var sb strings.Builder

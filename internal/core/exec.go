@@ -288,19 +288,15 @@ func (e *exec) verifyBlocks(blocks [][2]int) error {
 			firstErr = err
 		}
 	}
-	// With CPU-resident checksums the recalculated rows cross the link
-	// for comparison: 2 x B doubles per block, batched per operation
+	// The compute stream joins every recalculation. With CPU-resident
+	// checksums the recalculated rows then cross the link for
+	// comparison: m x B doubles per block, batched per operation
 	// (§VI-6c: n³/(3KB²) elements over the whole run).
+	for _, s := range e.sver {
+		e.sc.Wait(s.Record())
+	}
 	if e.placement == PlaceCPU {
-		for _, s := range e.sver {
-			e.sx.Wait(s.Record())
-		}
-		e.plat.Link.Transfer(e.sx, hetsim.DeviceToHost, 8*float64(e.m)*float64(e.b)*float64(len(blocks)))
-		e.sc.Wait(e.sx.Record())
-	} else {
-		for _, s := range e.sver {
-			e.sc.Wait(s.Record())
-		}
+		e.ship(hetsim.DeviceToHost, 8*float64(e.m)*float64(e.b)*float64(len(blocks)), e.sc.Record(), e.sc)
 	}
 	// The host must see the comparison outcome before it may issue the
 	// guarded operation: one device round trip per batch. This is the

@@ -23,6 +23,18 @@ import (
 // factorization.
 var errFailStop = errors.New("core: POTF2 failed (matrix block not positive definite)")
 
+// ship copies bytes over the link on the transfer stream once after
+// (the producer's event) has fired, and makes every consumer stream
+// wait for the copy to land. It is the only caller of Link.Transfer,
+// so every transfer names the work it follows and the streams it
+// releases.
+func (e *exec) ship(dir hetsim.Direction, bytes float64, after hetsim.Event, to ...*hetsim.Stream) {
+	done := e.plat.Link.Transfer(e.sx, after, dir, bytes)
+	for _, s := range to {
+		s.Wait(done)
+	}
+}
+
 // encode performs the one-time checksum encoding of the input matrix
 // (real encode on the real plane, cost-only otherwise); with CPU
 // placement the checksum matrix then crosses the link to the host
@@ -41,9 +53,7 @@ func (e *exec) encode() {
 		Body:  body,
 	})
 	if e.placement == PlaceCPU {
-		e.sx.Wait(e.sc.Record())
-		e.plat.Link.Transfer(e.sx, hetsim.DeviceToHost, 8*float64(e.m)*float64(e.n)*float64(e.n)/float64(e.b))
-		e.supd.Wait(e.sx.Record())
+		e.ship(hetsim.DeviceToHost, 8*float64(e.m)*float64(e.n)*float64(e.n)/float64(e.b), e.sc.Record(), e.supd)
 	}
 }
 
@@ -113,9 +123,7 @@ func (e *exec) xferDiagD2H(j int) error {
 	if e.opts.Scheme.FaultTolerant() {
 		bytes += 8 * float64(e.m) * float64(e.b)
 	}
-	e.sx.Wait(e.sc.Record())
-	e.plat.Link.Transfer(e.sx, hetsim.DeviceToHost, bytes)
-	e.scpu.Wait(e.sx.Record())
+	e.ship(hetsim.DeviceToHost, bytes, e.sc.Record(), e.scpu)
 	return nil
 }
 
@@ -162,19 +170,14 @@ func (e *exec) potf2(j int) error {
 }
 
 // xferDiagH2D returns the factored block (and checksum row) to the GPU
-// and releases the TRSM and its checksum update.
+// and releases the TRSM and its checksum update (the same stream when
+// updates run inline or the scheme keeps no checksums).
 func (e *exec) xferDiagH2D(j int) {
 	bytes := blockBytes(e.b)
-	ft := e.opts.Scheme.FaultTolerant()
-	if ft {
+	if e.opts.Scheme.FaultTolerant() {
 		bytes += 8 * float64(e.m) * float64(e.b)
 	}
-	e.sx.Wait(e.scpu.Record())
-	e.plat.Link.Transfer(e.sx, hetsim.HostToDevice, bytes)
-	e.sc.Wait(e.sx.Record())
-	if ft && e.supd != e.sc {
-		e.supd.Wait(e.sx.Record())
-	}
+	e.ship(hetsim.HostToDevice, bytes, e.scpu.Record(), e.sc, e.supd)
 }
 
 // trsm solves the panel: A[j+1:, j] = A[j+1:, j]·L[j,j]⁻ᵀ. Its step
@@ -226,9 +229,7 @@ func (e *exec) updSYRK(j int) {
 		return
 	}
 	if e.placement == PlaceCPU {
-		e.sx.Wait(e.evPanelReady)
-		e.plat.Link.Transfer(e.sx, hetsim.DeviceToHost, 8*float64(e.b)*float64(k))
-		e.supd.Wait(e.sx.Record())
+		e.ship(hetsim.DeviceToHost, 8*float64(e.b)*float64(k), e.evPanelReady, e.supd)
 	}
 	var body func()
 	if e.a != nil {

@@ -219,9 +219,7 @@ func (e *exec) updTrailing(j int) {
 	m := e.nb - j - 1
 	e.supd.Wait(e.evPanelSolved)
 	if e.placement == PlaceCPU {
-		e.sx.Wait(e.evPanelSolved)
-		e.plat.Link.Transfer(e.sx, hetsim.DeviceToHost, 8*float64(m)*float64(e.b)*float64(e.b))
-		e.supd.Wait(e.sx.Record())
+		e.ship(hetsim.DeviceToHost, 8*float64(m)*float64(e.b)*float64(e.b), e.evPanelSolved, e.supd)
 	}
 	for k := j + 1; k < e.nb; k++ {
 		rows := e.nb - k

@@ -86,10 +86,12 @@ type Kernel struct {
 	Body func()
 }
 
-// Event is a point on the simulated timeline recorded from a stream;
-// other streams can wait on it.
+// Event is a point on the simulated timeline that streams can wait
+// on. Its time is unexported, so outside this package an event comes
+// only from Stream.Record or Link.Transfer and always names the work it
+// follows. The zero Event fired at time 0: it orders nothing.
 type Event struct {
-	T float64
+	t float64
 }
 
 // Stream is an in-order execution queue bound to one device.
@@ -103,12 +105,12 @@ type Stream struct {
 func (s *Stream) Done() float64 { return s.t }
 
 // Record captures the stream's current completion time as an Event.
-func (s *Stream) Record() Event { return Event{T: s.t} }
+func (s *Stream) Record() Event { return Event{t: s.t} }
 
 // Wait delays subsequent work on the stream until ev has fired.
 func (s *Stream) Wait(ev Event) {
-	if ev.T > s.t {
-		s.t = ev.T
+	if ev.t > s.t {
+		s.t = ev.t
 	}
 }
 

@@ -131,12 +131,12 @@ func TestEventOrdering(t *testing.T) {
 	ev := s1.Record()
 	s2.Wait(ev)
 	e2 := d.Launch(s2, Kernel{Class: ClassChkRecalc, Flops: 1, Slots: 1})
-	if e2 <= ev.T {
+	if e2 <= ev.t {
 		t.Fatal("dependent kernel ran before event")
 	}
 	// Waiting on an already-passed event is a no-op.
 	before := s2.Done()
-	s2.Wait(Event{T: before - 1})
+	s2.Wait(Event{t: before - 1})
 	if s2.Done() != before {
 		t.Fatal("stale event moved the stream backwards or forwards")
 	}
@@ -169,14 +169,14 @@ func TestLinkDirectionsOverlapButSameDirectionSerializes(t *testing.T) {
 	l := &Link{Spec: LinkSpec{BandwidthGBs: 1, Latency: 0}}
 	d := NewDevice(testSpec(1))
 	sa, sb, sc := d.Stream(), d.Stream(), d.Stream()
-	e1 := l.Transfer(sa, HostToDevice, 1e9) // 1 s
-	e2 := l.Transfer(sb, DeviceToHost, 1e9) // opposite direction: overlaps
-	if math.Abs(e1-1) > 1e-12 || math.Abs(e2-1) > 1e-12 {
-		t.Fatalf("transfers = %g, %g; want 1, 1", e1, e2)
+	e1 := l.Transfer(sa, Event{}, HostToDevice, 1e9) // 1 s
+	e2 := l.Transfer(sb, Event{}, DeviceToHost, 1e9) // opposite direction: overlaps
+	if math.Abs(e1.t-1) > 1e-12 || math.Abs(e2.t-1) > 1e-12 {
+		t.Fatalf("transfers = %g, %g; want 1, 1", e1.t, e2.t)
 	}
-	e3 := l.Transfer(sc, HostToDevice, 1e9) // same direction as e1: queues
-	if math.Abs(e3-2) > 1e-12 {
-		t.Fatalf("same-direction transfer = %g, want 2", e3)
+	e3 := l.Transfer(sc, Event{}, HostToDevice, 1e9) // same direction as e1: queues
+	if math.Abs(e3.t-2) > 1e-12 {
+		t.Fatalf("same-direction transfer = %g, want 2", e3.t)
 	}
 	n, bytes, busy := l.TransferStats()
 	if n != 3 || bytes != 3e9 || math.Abs(busy-3) > 1e-12 {
@@ -188,8 +188,43 @@ func TestLinkLatency(t *testing.T) {
 	l := &Link{Spec: LinkSpec{BandwidthGBs: 1, Latency: 0.5}}
 	d := NewDevice(testSpec(1))
 	s := d.Stream()
-	if e := l.Transfer(s, HostToDevice, 0); math.Abs(e-0.5) > 1e-12 {
-		t.Fatalf("latency-only transfer = %g", e)
+	if e := l.Transfer(s, Event{}, HostToDevice, 0); math.Abs(e.t-0.5) > 1e-12 {
+		t.Fatalf("latency-only transfer = %g", e.t)
+	}
+}
+
+func TestTransferStartsAfterEventStreamAndEngine(t *testing.T) {
+	// A copy starts at the latest of its producer's event, its
+	// stream's previous work and its engine's previous copy, and the
+	// event it returns is its end. Each case makes a different one of
+	// the three the latest.
+	d := NewDevice(testSpec(1))
+	for _, tc := range []struct {
+		name                  string
+		after, stream, engine float64
+	}{
+		{"producer latest", 3, 1, 2},
+		{"stream latest", 1, 3, 2},
+		{"engine latest", 1, 2, 3},
+		{"all idle", 0, 0, 0},
+	} {
+		l := &Link{Spec: LinkSpec{BandwidthGBs: 1, Latency: 0.25}, d2h: tc.engine}
+		s := d.Stream()
+		s.WaitTime(tc.stream)
+		l.trace = &Trace{}
+		done := l.Transfer(s, Event{t: tc.after}, DeviceToHost, 1e9)
+		start := math.Max(tc.after, math.Max(tc.stream, tc.engine))
+		sp := l.trace.Spans[0]
+		if sp.Start != start || math.Abs(sp.End-(start+1.25)) > 1e-12 {
+			t.Errorf("%s: span [%g, %g], want [%g, %g]", tc.name, sp.Start, sp.End, start, start+1.25)
+		}
+		if done.t != sp.End || s.Done() != sp.End || l.d2h != sp.End {
+			t.Errorf("%s: returned %g, stream at %g, engine at %g; want all at the copy's end %g",
+				tc.name, done.t, s.Done(), l.d2h, sp.End)
+		}
+		if l.h2d != 0 {
+			t.Errorf("%s: a device-to-host copy moved the host-to-device engine to %g", tc.name, l.h2d)
+		}
 	}
 }
 
@@ -205,8 +240,8 @@ func TestPlatformSyncCoversStreamsAndLink(t *testing.T) {
 	}
 	// A dangling transfer also holds up Sync.
 	s2 := p.GPUStream()
-	end := p.Link.Transfer(s2, DeviceToHost, 1e9)
-	if p.Sync() < end {
+	end := p.Link.Transfer(s2, Event{}, DeviceToHost, 1e9)
+	if p.Sync() < end.t {
 		t.Fatal("Sync ignored link traffic")
 	}
 }

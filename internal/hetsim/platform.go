@@ -35,15 +35,20 @@ const (
 	DeviceToHost
 )
 
-// Transfer enqueues a copy of the given size on stream s and returns
-// its completion time. The stream serializes the transfer against its
-// other work; the link serializes it against same-direction traffic.
-func (l *Link) Transfer(s *Stream, dir Direction, bytes float64) float64 {
+// Transfer enqueues a copy of the given size on stream s once after
+// has fired, and returns the copy's completion: the event its
+// consumers wait on. The copy starts at the latest of after, the
+// stream's previous work and the previous same-direction copy (one
+// DMA engine per direction, so opposite directions overlap).
+func (l *Link) Transfer(s *Stream, after Event, dir Direction, bytes float64) Event {
 	engine := &l.h2d
 	if dir == DeviceToHost {
 		engine = &l.d2h
 	}
 	start := s.t
+	if after.t > start {
+		start = after.t
+	}
 	if *engine > start {
 		start = *engine
 	}
@@ -71,7 +76,7 @@ func (l *Link) Transfer(s *Stream, dir Direction, bytes float64) float64 {
 			l.obs.TransferDone(sp, dir)
 		}
 	}
-	return end
+	return Event{t: end}
 }
 
 // TransferStats reports cumulative link usage.

@@ -13,7 +13,7 @@ func TestTraceRecordsKernelsAndTransfers(t *testing.T) {
 	cs := p.CPUStream()
 	p.GPU.Launch(gs, Kernel{Name: "gemm[0]", Class: ClassGEMM, Flops: 1e8})
 	p.CPU.Launch(cs, Kernel{Name: "potf2[0]", Class: ClassPOTF2, Flops: 1e6})
-	p.Link.Transfer(gs, DeviceToHost, 1e6)
+	p.Link.Transfer(gs, Event{}, DeviceToHost, 1e6)
 	if len(tr.Spans) != 3 {
 		t.Fatalf("spans = %d", len(tr.Spans))
 	}

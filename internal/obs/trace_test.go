@@ -25,14 +25,14 @@ func demoTrace() *hetsim.Trace {
 	scpu := p.CPUStream()
 
 	tr.Mark("iter[0]", 0)
-	p.Link.Transfer(sc, hetsim.HostToDevice, 1<<20)
+	p.Link.Transfer(sc, hetsim.Event{}, hetsim.HostToDevice, 1<<20)
 	p.GPU.Launch(sc, hetsim.Kernel{Name: "gemm[0]", Class: hetsim.ClassGEMM, Flops: 2e9})
 	p.GPU.Launch(sv, hetsim.Kernel{Name: "chk-recalc[0,0]", Class: hetsim.ClassChkRecalc, Flops: 1e6, Slots: 1})
 	p.GPU.Launch(sv, hetsim.Kernel{Name: "chk-recalc[1,0]", Class: hetsim.ClassChkRecalc, Flops: 1e6, Slots: 1})
 	scpu.Wait(sc.Record())
 	p.CPU.Launch(scpu, hetsim.Kernel{Name: "potf2[0]", Class: hetsim.ClassPOTF2, Flops: 3e7})
 	tr.Mark("iter[1]", scpu.Done())
-	p.Link.Transfer(scpu, hetsim.DeviceToHost, 1<<18)
+	p.Link.Transfer(scpu, hetsim.Event{}, hetsim.DeviceToHost, 1<<18)
 	p.GPU.Launch(sc, hetsim.Kernel{Name: "trsm[0]", Class: hetsim.ClassTRSM, Flops: 5e8})
 	return tr
 }

@@ -1,10 +1,10 @@
 package analysis
 
-// Reaching-definition support for the protocol analyzers. The
-// functions they inspect are short and assign sync objects (recorded
-// stream events) exactly once, so a flow-insensitive definition
-// collection is precise enough in practice: an analyzer that needs
-// "which expressions can this identifier hold" unions every
+// Reaching-definition support for the flow-aware analyzers. The
+// functions they inspect are short and assign the objects they track
+// (mutexes, in lockcheck) once or a few times, so a flow-insensitive
+// definition collection is precise enough in practice: an analyzer
+// that needs "which expressions can this identifier hold" unions every
 // assignment, and path-sensitive questions go through CFG.Reachable.
 
 import (
@@ -18,20 +18,15 @@ type DefUse struct {
 	// (from :=, =, and var declarations with initializers). A variable
 	// declared without an initializer has an entry with a nil slice.
 	Defs map[types.Object][]ast.Expr
-	// Uses counts reads of each object (identifier occurrences that
-	// are not definitions or assignment targets).
-	Uses map[types.Object]int
 	// Params holds the function's parameters (and receiver), which are
 	// definitions whose value comes from the caller.
 	Params map[types.Object]bool
 }
 
-// CollectDefUse scans fn's body, including nested function literals
-// (a closure reading a variable is a real use).
+// CollectDefUse scans fn's body, including nested function literals.
 func CollectDefUse(fn *ast.FuncDecl, info *types.Info) *DefUse {
 	du := &DefUse{
 		Defs:   map[types.Object][]ast.Expr{},
-		Uses:   map[types.Object]int{},
 		Params: map[types.Object]bool{},
 	}
 	addParams := func(fl *ast.FieldList) {
@@ -55,14 +50,12 @@ func CollectDefUse(fn *ast.FuncDecl, info *types.Info) *DefUse {
 		return du
 	}
 
-	assigned := map[*ast.Ident]bool{}
 	record := func(lhs []ast.Expr, rhs []ast.Expr) {
 		for i, l := range lhs {
 			id, ok := l.(*ast.Ident)
 			if !ok {
 				continue // field or index assignment: not a local def
 			}
-			assigned[id] = true
 			obj := info.Defs[id]
 			if obj == nil {
 				obj = info.Uses[id]
@@ -103,16 +96,6 @@ func CollectDefUse(fn *ast.FuncDecl, info *types.Info) *DefUse {
 				lhs = append(lhs, name)
 			}
 			record(lhs, n.Values)
-		}
-		return true
-	})
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || assigned[id] {
-			return true
-		}
-		if obj := info.Uses[id]; obj != nil {
-			du.Uses[obj]++
 		}
 		return true
 	})

@@ -17,14 +17,13 @@ import (
 	"abftchol/tools/analyzers/goleak"
 	"abftchol/tools/analyzers/lockcheck"
 	"abftchol/tools/analyzers/matindex"
-	"abftchol/tools/analyzers/streamsync"
 )
 
 // Version identifies the suite revision in machine-readable output
 // (abftlint -json emits it in the header line). Bump it whenever the
 // analyzer set, a diagnostic format, or the JSON wire format changes,
 // so CI artifact consumers can detect incomparable runs.
-const Version = "0.13.0"
+const Version = "0.14.0"
 
 // Suite lists every analyzer the abftlint driver runs. The order is
 // load-bearing — it fixes the sequence of findings in -json output and
@@ -39,7 +38,6 @@ var Suite = []*analysis.Analyzer{
 	goleak.Analyzer,
 	lockcheck.Analyzer,
 	matindex.Analyzer,
-	streamsync.Analyzer,
 }
 
 func init() {

@@ -27,7 +27,7 @@ func committed(t *testing.T) *Report {
   ],
   "exact": {
     "campaign": {"total_trials": 3000, "cells": [{"cell": "laptop/magma/storage-offset", "struck": 103}]},
-    "analyzers": ["streamsync", "goleak"],
+    "analyzers": ["matindex", "goleak"],
     "points_executed_warm": 0
   }
 }`), &r)
@@ -54,9 +54,9 @@ func TestCompare(t *testing.T) {
 		{"campaign byte", func(r *Report) {
 			r.Exact["campaign"] = json.RawMessage(`{"total_trials":3000,"cells":[{"cell":"laptop/magma/storage-offset","struck":104}]}`)
 		}, "exact campaign"},
-		{"analyzer roster", func(r *Report) { r.Exact["analyzers"] = json.RawMessage(`["streamsync"]`) }, "exact analyzers"},
+		{"analyzer roster", func(r *Report) { r.Exact["analyzers"] = json.RawMessage(`["matindex"]`) }, "exact analyzers"},
 		{"sweep counter", func(r *Report) { r.Exact["points_executed_warm"] = json.RawMessage(`3`) }, "exact points_executed_warm"},
-		{"exact value missing", func(r *Report) { delete(r.Exact, "analyzers") }, "exact analyzers: committed [\"streamsync\",\"goleak\"], measured absent"},
+		{"exact value missing", func(r *Report) { delete(r.Exact, "analyzers") }, "exact analyzers: committed [\"matindex\",\"goleak\"], measured absent"},
 		{"exact value added", func(r *Report) { r.Exact["n"] = json.RawMessage(`256`) }, "exact n: committed absent"},
 		{"entry missing", func(r *Report) { r.Entries = r.Entries[1:] }, "entry serial: committed but not measured"},
 		{"entry added", func(r *Report) { r.Entries = append(r.Entries, Entry{Name: "warm", MedianMS: 1}) }, "entry warm: measured but not committed"},

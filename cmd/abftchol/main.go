@@ -298,11 +298,12 @@ func runExperiments(id string, csv, quick, plot, jsonOut bool, oc obsCfg, sched 
 }
 
 // The flag spellings are the service API's spellings: the parsers
-// live in internal/server (shared by daemon and CLI), aliased here so
-// a JobRequest over HTTP and a flag set on the command line can never
+// live in internal/core (schemes) and internal/server (placements and
+// injections), shared by daemon and CLI and aliased here so a
+// JobRequest over HTTP and a flag set on the command line can never
 // drift apart.
 var (
-	parseScheme     = server.ParseScheme
+	parseScheme     = core.ParseScheme
 	parsePlacement  = server.ParsePlacement
 	parseInjections = server.ParseInjections
 )

@@ -48,8 +48,6 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 			Dtrsm(Right, Trans, n, k, 1, c, n, b, n)
 		}},
 		{"Dtrsv", func() { Dtrsv(NoTrans, k, c, n, x) }},
-		{"Daxpy", func() { Daxpy(n, 0.5, a[:n], c[:n]) }},
-		{"Ddot", func() { _ = Ddot(n, a[:n], b[:n]) }},
 		{"Dscal", func() { Dscal(n, 1.0001, c[:n]) }},
 	}
 	for _, kn := range kernels {

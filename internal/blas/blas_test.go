@@ -42,32 +42,6 @@ func naiveGemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64
 	}
 }
 
-func TestDaxpy(t *testing.T) {
-	x := []float64{1, 2, 3}
-	y := []float64{4, 5, 6}
-	Daxpy(3, 2, x, y)
-	want := []float64{6, 9, 12}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("y = %v, want %v", y, want)
-		}
-	}
-}
-
-func TestDaxpyAlphaZeroNoop(t *testing.T) {
-	y := []float64{1, 2}
-	Daxpy(2, 0, []float64{9, 9}, y)
-	if y[0] != 1 || y[1] != 2 {
-		t.Fatal("alpha=0 modified y")
-	}
-}
-
-func TestDdot(t *testing.T) {
-	if got := Ddot(3, []float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Fatalf("Ddot = %g, want 32", got)
-	}
-}
-
 func TestDscal(t *testing.T) {
 	x := []float64{1, -2, 3}
 	Dscal(3, -2, x)
@@ -83,27 +57,6 @@ func TestDnrm2(t *testing.T) {
 	// Overflow guard: huge values must not produce +Inf.
 	if got := Dnrm2(2, []float64{1e200, 1e200}); math.IsInf(got, 0) {
 		t.Fatal("Dnrm2 overflowed")
-	}
-}
-
-func TestIdamax(t *testing.T) {
-	if got := Idamax(4, []float64{1, -7, 3, 6}); got != 1 {
-		t.Fatalf("Idamax = %d, want 1", got)
-	}
-	if got := Idamax(0, nil); got != -1 {
-		t.Fatalf("Idamax(0) = %d, want -1", got)
-	}
-}
-
-func TestDasumDcopy(t *testing.T) {
-	x := []float64{1, -2, 3}
-	if got := Dasum(3, x); got != 6 {
-		t.Fatalf("Dasum = %g", got)
-	}
-	y := make([]float64, 3)
-	Dcopy(3, x, y)
-	if y[1] != -2 {
-		t.Fatal("Dcopy failed")
 	}
 }
 
@@ -132,15 +85,6 @@ func TestDgemvBeta(t *testing.T) {
 	Dgemv(NoTrans, 2, 2, 1, a, 2, []float64{1, 1}, 0.5, y)
 	if y[0] != 2 || y[1] != 3 {
 		t.Fatalf("Dgemv beta = %v", y)
-	}
-}
-
-func TestDger(t *testing.T) {
-	a := make([]float64, 4)
-	Dger(2, 2, 2, []float64{1, 2}, []float64{3, 4}, a, 2)
-	// A += 2 * x yᵀ = [[6,8],[12,16]]
-	if a[0] != 6 || a[1] != 12 || a[2] != 8 || a[3] != 16 {
-		t.Fatalf("Dger = %v", a)
 	}
 }
 
@@ -179,25 +123,6 @@ func TestDtrsvRoundTrip(t *testing.T) {
 	for i := range x {
 		if math.Abs(bt[i]-x[i]) > 1e-12 {
 			t.Fatalf("Dtrsv Trans: bt[%d]=%g want %g", i, bt[i], x[i])
-		}
-	}
-}
-
-func TestDsyr(t *testing.T) {
-	n := 4
-	a := make([]float64, n*n)
-	x := []float64{1, 2, 3, 4}
-	Dsyr(n, 1, x, a, n)
-	for j := 0; j < n; j++ {
-		for i := j; i < n; i++ {
-			if a[i+j*n] != x[i]*x[j] {
-				t.Fatalf("Dsyr lower (%d,%d) = %g", i, j, a[i+j*n])
-			}
-		}
-		for i := 0; i < j; i++ {
-			if a[i+j*n] != 0 {
-				t.Fatal("Dsyr touched upper triangle")
-			}
 		}
 	}
 }

@@ -11,35 +11,6 @@ package blas
 
 import "math"
 
-// Daxpy computes y ← alpha*x + y over n elements with unit stride.
-//
-// abft:hotpath
-// abft:bce checks=2
-func Daxpy(n int, alpha float64, x, y []float64) {
-	if alpha == 0 || n == 0 {
-		return
-	}
-	x = x[:n]
-	y = y[:n]
-	for i, xv := range x {
-		y[i] += alpha * xv
-	}
-}
-
-// Ddot returns xᵀy over n elements with unit stride.
-//
-// abft:hotpath
-// abft:bce checks=2
-func Ddot(n int, x, y []float64) float64 {
-	s := 0.0
-	x = x[:n]
-	y = y[:n]
-	for i, xv := range x {
-		s += xv * y[i]
-	}
-	return s
-}
-
 // Dscal computes x ← alpha*x over n elements with unit stride.
 //
 // abft:hotpath
@@ -70,36 +41,4 @@ func Dnrm2(n int, x []float64) float64 {
 		}
 	}
 	return scale * math.Sqrt(ssq)
-}
-
-// Idamax returns the index of the element with the largest absolute
-// value, or -1 when n == 0.
-func Idamax(n int, x []float64) int {
-	if n == 0 {
-		return -1
-	}
-	best, bi := math.Abs(x[0]), 0
-	for i := 1; i < n; i++ {
-		if av := math.Abs(x[i]); av > best {
-			best, bi = av, i
-		}
-	}
-	return bi
-}
-
-// Dcopy copies n elements of x into y.
-//
-// abft:hotpath
-// abft:bce checks=2
-func Dcopy(n int, x, y []float64) {
-	copy(y[:n], x[:n])
-}
-
-// Dasum returns the sum of absolute values of x over n elements.
-func Dasum(n int, x []float64) float64 {
-	s := 0.0
-	for _, v := range x[:n] {
-		s += math.Abs(v)
-	}
-	return s
 }

@@ -49,24 +49,6 @@ func Dgemv(trans Transpose, m, n int, alpha float64, a []float64, lda int, x []f
 	}
 }
 
-// Dger computes A ← A + alpha*x*yᵀ where A is m x n with leading
-// dimension lda.
-func Dger(m, n int, alpha float64, x, y, a []float64, lda int) {
-	if alpha == 0 {
-		return
-	}
-	for j := 0; j < n; j++ {
-		ay := alpha * y[j]
-		if ay == 0 {
-			continue
-		}
-		col := a[j*lda : j*lda+m]
-		for i := range col {
-			col[i] += ay * x[i]
-		}
-	}
-}
-
 // Dtrsv solves L*x = b or Lᵀ*x = b in place for a lower-triangular,
 // non-unit-diagonal n x n matrix L with leading dimension lda.
 //
@@ -92,23 +74,5 @@ func Dtrsv(trans Transpose, n int, l []float64, lda int, x []float64) {
 			s -= col[i] * x[i]
 		}
 		x[j] = s / l[j+j*lda]
-	}
-}
-
-// Dsyr computes A ← A + alpha*x*xᵀ updating only the lower triangle of
-// the n x n matrix A.
-func Dsyr(n int, alpha float64, x, a []float64, lda int) {
-	if alpha == 0 {
-		return
-	}
-	for j := 0; j < n; j++ {
-		ax := alpha * x[j]
-		if ax == 0 {
-			continue
-		}
-		col := a[j*lda:]
-		for i := j; i < n; i++ {
-			col[i] += ax * x[i]
-		}
 	}
 }

@@ -57,6 +57,26 @@ func TestNonFiniteUnrepairable(t *testing.T) {
 	}
 }
 
+func TestHugeFiniteRepairMustVerify(t *testing.T) {
+	// Bit 62 of -0.145 at row 2 makes it about -2.6e307: a finite
+	// error so large that the plain syndrome absorbs every other
+	// element of its column, so locating and subtracting it leaves
+	// about 0, not -0.145. The thresholds of the corrupted block are
+	// about 1e299 and pass that; the repaired block's must not.
+	for _, m := range []int{2, 3, 4} {
+		blk := mat.RandSPD(32, 7)
+		stored := mat.New(m, 32)
+		EncodeBlockInto(blk, stored)
+		v := blk.At(2, 0)
+		blk.Set(2, 0, math.Float64frombits(math.Float64bits(v)^1<<62))
+		corrs, err := VerifyAndCorrect(blk, stored, mat.New(m, 32))
+		if err == nil {
+			t.Errorf("m=%d: element (2,0) = %v flipped at bit 62 came back as %v with corrections %+v and no error",
+				m, v, blk.At(2, 0), corrs)
+		}
+	}
+}
+
 // fuzzBlock builds the block and stored checksums a fuzz input
 // describes: a random b x b block (b from {1, 7, 32}) with its m
 // checksums, then edits, each 11 bytes: an op byte (set or add a block

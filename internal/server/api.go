@@ -62,18 +62,6 @@ type JobRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// SchemeKey returns the request spelling of a scheme — the same words
-// the CLI's -scheme flag takes (core owns the canonical table).
-func SchemeKey(s core.Scheme) string {
-	return core.SchemeKey(s)
-}
-
-// ParseScheme resolves the request (and CLI -scheme flag) spelling of
-// a fault-tolerance scheme.
-func ParseScheme(s string) (core.Scheme, error) {
-	return core.ParseScheme(s)
-}
-
 // ParsePlacement resolves the request (and CLI -placement flag)
 // spelling of Optimization 2's placement choice.
 func ParsePlacement(s string) (core.Placement, error) {
@@ -154,7 +142,7 @@ func (r JobRequest) Options() (core.Options, error) {
 	if r.Scheme == "" {
 		return o, fmt.Errorf("scheme is required")
 	}
-	scheme, err := ParseScheme(r.Scheme)
+	scheme, err := core.ParseScheme(r.Scheme)
 	if err != nil {
 		return o, err
 	}
@@ -208,7 +196,7 @@ func RequestFromOptions(o core.Options) (JobRequest, error) {
 		Profile:         &prof,
 		N:               o.N,
 		BlockSize:       o.BlockSize,
-		Scheme:          SchemeKey(o.Scheme),
+		Scheme:          core.SchemeKey(o.Scheme),
 		K:               o.K,
 		ChecksumVectors: o.ChecksumVectors,
 		Placement:       o.Placement.String(),

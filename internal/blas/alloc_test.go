@@ -48,6 +48,19 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 			Dtrsm(Right, Trans, n, k, 1, c, n, b, n)
 		}},
 		{"Dtrsv", func() { Dtrsv(NoTrans, k, c, n, x) }},
+		{"Dpotf2", func() {
+			for j := 0; j < k; j++ {
+				for i := j; i < k; i++ {
+					c[i+j*n] = 1 / (1 + float64(i-j))
+				}
+				c[j+j*n] += float64(k)
+			}
+			if err := Dpotf2(k, c, n); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"SubScaled", func() { SubScaled(k, a, n, b, n, x, 1) }},
+		{"ColChecksums", func() { ColChecksums(n, k, a, n, c, 2) }},
 		{"Dscal", func() { Dscal(n, 1.0001, c[:n]) }},
 	}
 	for _, kn := range kernels {

@@ -53,26 +53,47 @@ func kern8x4Go(k int, a []float64, sa int, b []float64, sb int, c []float64, ldc
 	}
 }
 
-// subScaled computes y[i] -= alpha*x[i] over len(y) elements, the
-// product rounded before the subtraction, as the scalar loop
-// `y[i] -= alpha*x[i]` rounds it. It runs in AVX2 when the micro-kernel
-// does, and the two give the same bits: every lane multiplies, then
-// subtracts, with no fused step.
+// SubScaled is the unfused multi-term update: for each term t < nt in
+// increasing order it computes y[i] -= alpha[t*lda]*x[t*ldx+i] over
+// len(y) elements, each product rounded before its subtraction, as the
+// one-term scalar loop `y[i] -= a*x[i]` rounds it; then it multiplies
+// every y[i] by scale (the solves pass the pivot's reciprocal, other
+// callers 1). A term whose alpha is ±0 is skipped, as `if a == 0 {
+// continue }` skips it; a NaN alpha is not. y must not overlap what the
+// terms read; a term that would start before alpha or x panics.
+//
+// It runs in AVX2 when the micro-kernel does, and the two give the same
+// bits: the assembly keeps a chunk of y in registers across all terms,
+// but every lane still multiplies, then subtracts, term after term, and
+// scales last.
 //
 // abft:hotpath
-// abft:bce checks=2
-func subScaled(alpha float64, x, y []float64) {
-	if useAsm {
-		if len(y) > 0 {
-			_ = x[len(y)-1]
-			subScaledAVX2(len(y), alpha, &x[0], &y[0])
-		}
-	} else {
-		subScaledGo(alpha, x, y)
+// abft:bce checks=6
+func SubScaled(nt int, alpha []float64, lda int, x []float64, ldx int, y []float64, scale float64) {
+	if len(y) == 0 {
+		return
 	}
+	if nt <= 0 || !useAsm {
+		for t := 0; t < nt; t++ {
+			if a := alpha[t*lda]; a != 0 {
+				subScaledGo(a, x[t*ldx:][:len(y)], y)
+			}
+		}
+		for i := range y {
+			y[i] *= scale
+		}
+		return
+	}
+	// Bound the last alpha and the last term's first and last x
+	// element: a negative stride fails the first bound on either.
+	_ = alpha[(nt-1)*lda]
+	_ = x[(nt-1)*ldx]
+	_ = x[(nt-1)*ldx+len(y)-1]
+	subScaledColsAVX2(len(y), &y[0], &x[0], ldx, &alpha[0], lda, nt, scale)
 }
 
-// subScaledGo is subScaled's portable loop. The conversion rounds the
+// subScaledGo is SubScaled's one-term portable loop and, term by term,
+// the tests' reference for the assembly. The conversion rounds the
 // product, so no compiler may fuse it into the subtraction.
 //
 // abft:hotpath
@@ -91,29 +112,31 @@ func subScaledGo(alpha float64, x, y []float64) {
 // add. It returns max |a[i,c]| over the whole of a, ignoring NaNs, or
 // 0 when a is empty.
 //
-// With useAsm, four columns at a time run in AVX2, one column per
-// lane, so every sum keeps the order of colChecksumsGo and the two give
-// the same bits; the rows past the last multiple of four and the
-// columns past the last multiple of four finish in Go.
+// With useAsm, eight columns at a time run in AVX2, one column per
+// lane of two vectors, so every sum keeps the order of colChecksumsGo
+// and the two give the same bits; a last odd row and the columns past
+// the last multiple of eight finish in Go.
 //
 // abft:hotpath
-// abft:bce checks=9
+// abft:bce checks=10
 func ColChecksums(rows, cols int, a []float64, lda int, out []float64, ldo int) float64 {
-	r4 := rows &^ 3
-	if !useAsm || r4 == 0 {
+	r2 := rows &^ 1
+	if !useAsm || r2 == 0 {
 		return colChecksumsGo(rows, cols, a, lda, out, ldo)
 	}
 	maxv := 0.0
 	c := 0
-	var acc [12]float64 // s1 of the four columns, then s2, then max|a|
-	for ; c+4 <= cols; c += 4 {
-		_ = a[(c+3)*lda+r4-1]
-		colChecksums4AVX2(r4, &a[c*lda], lda, &acc)
-		for q := 0; q < 4; q++ {
-			if m := acc[8+q]; m > maxv {
-				maxv = m
+	for ; c+8 <= cols; c += 8 {
+		_ = a[(c+7)*lda+r2-1]
+		_ = out[(c+7)*ldo+1]
+		if m := colChecksums8AVX2(r2, &a[c*lda], lda, &out[c*ldo], ldo); m > maxv {
+			maxv = m
+		}
+		if r2 < rows { // the last, odd row
+			for q := c; q < c+8; q++ {
+				o := out[q*ldo:][:2]
+				maxv = checksumTail(a[q*lda:][:rows], r2, o[0], o[1], o, maxv)
 			}
-			maxv = checksumTail(a[(c+q)*lda:][:rows], r4, acc[q], acc[4+q], out[(c+q)*ldo:], maxv)
 		}
 	}
 	if c < cols {

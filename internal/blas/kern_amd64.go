@@ -29,19 +29,20 @@ func hasAVX2FMA() bool {
 //go:noescape
 func kern8x4AVX2(k int, a *float64, sa int, b *float64, sb int, c *float64, ldc int)
 
-// subScaledAVX2 is subScaled in AVX2 assembly over n elements of x
-// and y.
+// subScaledColsAVX2 is SubScaled in AVX2 assembly over n elements of
+// y and nt ≥ 1 terms: term t has α = alpha[t*lda] and reads n values
+// from x + t*ldx.
 //
 //go:noescape
-func subScaledAVX2(n int, alpha float64, x, y *float64)
+func subScaledColsAVX2(n int, y *float64, x *float64, ldx int, alpha *float64, lda int, nt int, scale float64)
 
-// colChecksums4AVX2 is ColChecksums over rows (a multiple of four) of
-// the four columns at a, a+lda, a+2*lda and a+3*lda. It writes the
-// columns' s1 to acc[0:4], their s2 to acc[4:8] and each column's
-// max|a| to acc[8:12].
+// colChecksums8AVX2 is ColChecksums over rows (a positive even number)
+// of the eight columns at a, a+lda, ..., a+7*lda. It writes column q's
+// s1 and s2 to out[q*ldo] and out[q*ldo+1] and returns the max|a| of
+// all eight columns.
 //
 //go:noescape
-func colChecksums4AVX2(rows int, a *float64, lda int, acc *[12]float64)
+func colChecksums8AVX2(rows int, a *float64, lda int, out *float64, ldo int) float64
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

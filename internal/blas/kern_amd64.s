@@ -89,126 +89,246 @@ store:
 	VZEROUPPER
 	RET
 
-// func subScaledAVX2(n int, alpha float64, x, y *float64)
+// Load term t's α from (AX) into X4 and jump to skip when it is ±0; a
+// NaN compares unordered and is kept, as `α == 0` keeps it.
+#define ALPHA(skip) \
+	VMOVSD   (AX), X4 \
+	VUCOMISD X15, X4  \
+	JNE      2(PC)    \
+	JPC      skip
+
+// submask holds 16 all-ones lanes, then 16 zero lanes: the 32 bytes
+// at (16-r+4v)*8 mask rows 4v..4v+3 of a 16-row chunk to its first r.
+DATA submask<>+0(SB)/8, $-1
+DATA submask<>+8(SB)/8, $-1
+DATA submask<>+16(SB)/8, $-1
+DATA submask<>+24(SB)/8, $-1
+DATA submask<>+32(SB)/8, $-1
+DATA submask<>+40(SB)/8, $-1
+DATA submask<>+48(SB)/8, $-1
+DATA submask<>+56(SB)/8, $-1
+DATA submask<>+64(SB)/8, $-1
+DATA submask<>+72(SB)/8, $-1
+DATA submask<>+80(SB)/8, $-1
+DATA submask<>+88(SB)/8, $-1
+DATA submask<>+96(SB)/8, $-1
+DATA submask<>+104(SB)/8, $-1
+DATA submask<>+112(SB)/8, $-1
+DATA submask<>+120(SB)/8, $-1
+GLOBL submask<>(SB), RODATA|NOPTR, $256
+
+// func subScaledColsAVX2(n int, y *float64, x *float64, ldx int, alpha *float64, lda int, nt int, scale float64)
 //
-// y[i] -= alpha*x[i]: VMULPD rounds the product, then VSUBPD the
-// difference, lane by lane as the scalar loop does; eight elements per
-// iteration, then four, then one.
-TEXT ·subScaledAVX2(SB), NOSPLIT, $0-32
+// For t = 0..nt-1 in order, y[i] -= α_t·x[t*ldx+i] over i < n, with
+// α_t = alpha[t*lda]; a zero α_t is skipped. Then y[i] *= scale. Sixteen
+// rows of y stay in four vectors across all nt ≥ 1 terms, so four
+// independent subtraction chains are in flight; VMULPD rounds each
+// product and VSUBPD the difference, as the scalar loop does. The last
+// n mod 16 rows take one more pass under a lane mask, which neither
+// reads nor writes past row n.
+TEXT ·subScaledColsAVX2(SB), NOSPLIT, $0-64
 	MOVQ         n+0(FP), CX
-	VBROADCASTSD alpha+8(FP), Y0
+	MOVQ         y+8(FP), DI
 	MOVQ         x+16(FP), SI
-	MOVQ         y+24(FP), DI
+	MOVQ         ldx+24(FP), R8
+	MOVQ         alpha+32(FP), R9
+	MOVQ         lda+40(FP), R10
+	MOVQ         nt+48(FP), R11
+	VBROADCASTSD scale+56(FP), Y14
+	SHLQ         $3, R8
+	SHLQ         $3, R10
+	VXORPD       X15, X15, X15
 
-	MOVQ CX, BX
-	SHRQ $3, BX
-	JZ   sub4
+rows16:
+	CMPQ    CX, $16
+	JLT     rest
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	MOVQ    R9, AX
+	MOVQ    SI, DX
+	MOVQ    R11, BX
 
-sub8:
-	VMULPD  (SI), Y0, Y1
-	VMULPD  32(SI), Y0, Y2
-	VMOVUPD (DI), Y3
-	VMOVUPD 32(DI), Y4
-	VSUBPD  Y1, Y3, Y3
-	VSUBPD  Y2, Y4, Y4
-	VMOVUPD Y3, (DI)
-	VMOVUPD Y4, 32(DI)
-	ADDQ    $64, SI
-	ADDQ    $64, DI
+term16:
+	ALPHA(next16)
+	VBROADCASTSD X4, Y4
+	VMULPD       (DX), Y4, Y5
+	VMULPD       32(DX), Y4, Y6
+	VMULPD       64(DX), Y4, Y7
+	VMULPD       96(DX), Y4, Y8
+	VSUBPD       Y5, Y0, Y0
+	VSUBPD       Y6, Y1, Y1
+	VSUBPD       Y7, Y2, Y2
+	VSUBPD       Y8, Y3, Y3
+
+next16:
+	ADDQ    R10, AX
+	ADDQ    R8, DX
 	DECQ    BX
-	JNZ     sub8
+	JNZ     term16
+	VMULPD  Y14, Y0, Y0
+	VMULPD  Y14, Y1, Y1
+	VMULPD  Y14, Y2, Y2
+	VMULPD  Y14, Y3, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	SUBQ    $16, CX
+	JMP     rows16
 
-sub4:
-	TESTQ $4, CX
-	JZ    sub1
-	VMULPD  (SI), Y0, Y1
-	VMOVUPD (DI), Y3
-	VSUBPD  Y1, Y3, Y3
-	VMOVUPD Y3, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
+rest:
+	TESTQ      CX, CX
+	JZ         subdone
+	NEGQ       CX
+	LEAQ       submask<>+128(SB), AX
+	LEAQ       (AX)(CX*8), AX
+	VMOVUPD    (AX), Y9
+	VMOVUPD    32(AX), Y10
+	VMOVUPD    64(AX), Y11
+	VMOVUPD    96(AX), Y12
+	VMASKMOVPD (DI), Y9, Y0
+	VMASKMOVPD 32(DI), Y10, Y1
+	VMASKMOVPD 64(DI), Y11, Y2
+	VMASKMOVPD 96(DI), Y12, Y3
+	MOVQ       R9, AX
+	MOVQ       SI, DX
+	MOVQ       R11, BX
 
-sub1:
-	ANDQ $3, CX
-	JZ   subdone
+termrest:
+	ALPHA(nextrest)
+	VBROADCASTSD X4, Y4
+	VMASKMOVPD   (DX), Y9, Y5
+	VMASKMOVPD   32(DX), Y10, Y6
+	VMASKMOVPD   64(DX), Y11, Y7
+	VMASKMOVPD   96(DX), Y12, Y8
+	VMULPD       Y5, Y4, Y5
+	VMULPD       Y6, Y4, Y6
+	VMULPD       Y7, Y4, Y7
+	VMULPD       Y8, Y4, Y8
+	VSUBPD       Y5, Y0, Y0
+	VSUBPD       Y6, Y1, Y1
+	VSUBPD       Y7, Y2, Y2
+	VSUBPD       Y8, Y3, Y3
 
-sub1loop:
-	VMOVSD (SI), X1
-	VMULSD X0, X1, X1
-	VMOVSD (DI), X3
-	VSUBSD X1, X3, X3
-	VMOVSD X3, (DI)
-	ADDQ   $8, SI
-	ADDQ   $8, DI
-	DECQ   CX
-	JNZ    sub1loop
+nextrest:
+	ADDQ       R10, AX
+	ADDQ       R8, DX
+	DECQ       BX
+	JNZ        termrest
+	VMULPD     Y14, Y0, Y0
+	VMULPD     Y14, Y1, Y1
+	VMULPD     Y14, Y2, Y2
+	VMULPD     Y14, Y3, Y3
+	VMASKMOVPD Y0, Y9, (DI)
+	VMASKMOVPD Y1, Y10, 32(DI)
+	VMASKMOVPD Y2, Y11, 64(DI)
+	VMASKMOVPD Y3, Y12, 96(DI)
 
 subdone:
 	VZEROUPPER
 	RET
 
-// Fold one transposed row r (row i of the four columns, one per lane)
-// into the sums as the scalar loop does: s1 += r in Y8, s2 += w*r in Y9
-// with the product rounded first, max(|r|, Y10) into Y10 keeping Y10
-// when |r| is NaN, then w += 1 in Y11.
-#define CHKROW(r) \
-	VADDPD r, Y8, Y8     \
-	VMULPD r, Y11, Y14   \
-	VADDPD Y14, Y9, Y9   \
-	VANDPD r, Y13, Y15   \
-	VMAXPD Y10, Y15, Y10 \
-	VADDPD Y12, Y11, Y11
+// Fold one transposed row r (one column per lane) into a group's sums
+// as the scalar loop does: s1 += r, s2 += w*r with the product rounded
+// first, then max(|r|, mx) into mx, keeping mx when |r| is NaN. t is
+// scratch; r is overwritten.
+#define CHKROW(r, w, s1, s2, mx, t) \
+	VADDPD r, s1, s1  \
+	VMULPD r, w, t    \
+	VADDPD t, s2, s2  \
+	VANDPD r, Y15, r  \
+	VMAXPD mx, r, mx
 
-// func colChecksums4AVX2(rows int, a *float64, lda int, acc *[12]float64)
+// Load rows i and i+1 of the four columns at p, p+lda, p+2*lda and
+// p+3*lda, and leave row i in lo and row i+1 in hi, one column per
+// lane. Y0 and Y1 are scratch.
+#define CHKLOAD(p, lo, hi) \
+	VMOVUPD     (p), X0                \
+	VINSERTF128 $1, (p)(R8*2), Y0, Y0  \
+	VMOVUPD     (p)(R8*1), X1          \
+	VINSERTF128 $1, (p)(R9*1), Y1, Y1  \
+	VUNPCKLPD   Y1, Y0, lo             \
+	VUNPCKHPD   Y1, Y0, hi
+
+// Write a group's four (s1, s2) pairs to DI, DI+ldo, DI+2*ldo and
+// DI+3*ldo (R11 = ldo bytes, R12 = 3*ldo bytes): unpacking s1 with s2
+// pairs up columns 0 and 2 in Y0 and columns 1 and 3 in Y1.
+#define CHKSTORE(s1, s2) \
+	VUNPCKLPD    s2, s1, Y0         \
+	VUNPCKHPD    s2, s1, Y1         \
+	VMOVUPD      X0, (DI)           \
+	VMOVUPD      X1, (DI)(R11*1)    \
+	VEXTRACTF128 $1, Y0, (DI)(R11*2) \
+	VEXTRACTF128 $1, Y1, (DI)(R12*1)
+
+// func colChecksums8AVX2(rows int, a *float64, lda int, out *float64, ldo int) float64
 //
-// rows is a positive multiple of four. Each iteration loads rows i..i+3 of the four columns, transposes the
-// 4x4 tile so Y0..Y3 hold rows i..i+3 with one column per lane, and
-// folds the rows in increasing i. Every instruction is VEX-encoded: a
-// legacy-SSE one would cost an AVX-SSE state transition.
-TEXT ·colChecksums4AVX2(SB), NOSPLIT, $0-32
+// rows is a positive even number. The eight columns at a, a+lda, ...,
+// a+7*lda form two groups of four, each with its own s1, s2 and max
+// vectors, so two independent chains of adds are in flight. Each
+// iteration folds rows i and i+1 of both groups, in increasing i. Row
+// i's weights (w) and row i+1's (w+1) each step by two, so neither
+// waits on the other. Column q's s1 and s2 go to out[q*ldo] and
+// out[q*ldo+1]; the max|a| over all eight columns is returned. No lane
+// of the max vectors is ever NaN, so their lanes reduce in any order.
+// Every instruction is VEX-encoded: a legacy-SSE one would cost an
+// AVX-SSE state transition.
+TEXT ·colChecksums8AVX2(SB), NOSPLIT, $0-48
 	MOVQ rows+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ lda+16(FP), R8
-	MOVQ acc+24(FP), DI
 	SHLQ $3, R8
-	LEAQ (R8)(R8*2), R9 // 3 columns
-	SHRQ $2, CX
+	LEAQ (R8)(R8*2), R9  // 3 columns
+	LEAQ (SI)(R8*4), R10 // the second group
+	SHRQ $1, CX
 
 	MOVQ         $0x3ff0000000000000, AX // 1.0
-	VMOVQ        AX, X12
-	VBROADCASTSD X12, Y12
+	VMOVQ        AX, X6
+	VBROADCASTSD X6, Y6  // w = 1
+	VADDPD       Y6, Y6, Y14 // step 2
+	VMOVAPD      Y14, Y7 // w+1 = 2
 	MOVQ         $0x7fffffffffffffff, AX // |x| mask
-	VMOVQ        AX, X13
-	VBROADCASTSD X13, Y13
-	VMOVAPD      Y12, Y11 // w = 1
+	VMOVQ        AX, X15
+	VBROADCASTSD X15, Y15
 	VXORPD       Y8, Y8, Y8
 	VXORPD       Y9, Y9, Y9
 	VXORPD       Y10, Y10, Y10
+	VXORPD       Y11, Y11, Y11
+	VXORPD       Y12, Y12, Y12
+	VXORPD       Y13, Y13, Y13
 
 chkloop:
-	VMOVUPD    (SI), Y0
-	VMOVUPD    (SI)(R8*1), Y1
-	VMOVUPD    (SI)(R8*2), Y2
-	VMOVUPD    (SI)(R9*1), Y3
-	VUNPCKLPD  Y1, Y0, Y4      // a0 b0 a2 b2
-	VUNPCKHPD  Y1, Y0, Y5      // a1 b1 a3 b3
-	VUNPCKLPD  Y3, Y2, Y6      // c0 d0 c2 d2
-	VUNPCKHPD  Y3, Y2, Y7      // c1 d1 c3 d3
-	VPERM2F128 $0x20, Y6, Y4, Y0 // row i
-	VPERM2F128 $0x20, Y7, Y5, Y1 // row i+1
-	VPERM2F128 $0x31, Y6, Y4, Y2 // row i+2
-	VPERM2F128 $0x31, Y7, Y5, Y3 // row i+3
-	CHKROW(Y0)
-	CHKROW(Y1)
-	CHKROW(Y2)
-	CHKROW(Y3)
-	ADDQ       $32, SI
-	DECQ       CX
-	JNZ        chkloop
+	CHKLOAD(SI, Y2, Y3)
+	CHKLOAD(R10, Y4, Y5)
+	CHKROW(Y2, Y6, Y8, Y9, Y10, Y0)
+	CHKROW(Y4, Y6, Y11, Y12, Y13, Y1)
+	CHKROW(Y3, Y7, Y8, Y9, Y10, Y0)
+	CHKROW(Y5, Y7, Y11, Y12, Y13, Y1)
+	VADDPD Y14, Y6, Y6
+	VADDPD Y14, Y7, Y7
+	ADDQ   $16, SI
+	ADDQ   $16, R10
+	DECQ   CX
+	JNZ    chkloop
 
-	VMOVUPD Y8, (DI)
-	VMOVUPD Y9, 32(DI)
-	VMOVUPD Y10, 64(DI)
+	MOVQ out+24(FP), DI
+	MOVQ ldo+32(FP), R11
+	SHLQ $3, R11
+	LEAQ (R11)(R11*2), R12
+	CHKSTORE(Y8, Y9)
+	LEAQ (DI)(R11*4), DI
+	CHKSTORE(Y11, Y12)
+
+	VMAXPD       Y13, Y10, Y10
+	VEXTRACTF128 $1, Y10, X11
+	VMAXPD       X11, X10, X10
+	VUNPCKHPD    X10, X10, X11
+	VMAXSD       X11, X10, X10
+	VMOVSD       X10, ret+40(FP)
 	VZEROUPPER
 	RET
 

@@ -9,10 +9,10 @@ func kern8x4AVX2(k int, a *float64, sa int, b *float64, sb int, c *float64, ldc 
 	panic("blas: no assembly micro-kernel on this architecture")
 }
 
-func subScaledAVX2(n int, alpha float64, x, y *float64) {
-	panic("blas: no assembly axpy on this architecture")
+func subScaledColsAVX2(n int, y *float64, x *float64, ldx int, alpha *float64, lda int, nt int, scale float64) {
+	panic("blas: no assembly update kernel on this architecture")
 }
 
-func colChecksums4AVX2(rows int, a *float64, lda int, acc *[12]float64) {
+func colChecksums8AVX2(rows int, a *float64, lda int, out *float64, ldo int) float64 {
 	panic("blas: no assembly checksum kernel on this architecture")
 }

@@ -249,25 +249,52 @@ func testGemmLayoutInvariant(t *testing.T) {
 	}
 }
 
+// TestSubScaledKernelsBitIdentical checks the multi-term update, on
+// the assembly and the Go path, against subScaledGo applied one term at
+// a time and then the scaling: 0–9 terms, alphas that are ±0
+// (skipped), ±Inf, NaN or subnormal, special x and y values, lengths
+// 0–35 at offsets 0–3, scale 1 or not. It also checks that nothing
+// outside y is written.
 func TestSubScaledKernelsBitIdentical(t *testing.T) {
-	requireAsm(t)
-	x := randSlice(40, 1)
-	y0 := randSlice(40, 2)
-	for n := 0; n <= 35; n++ {
-		for off := 0; off < 4; off++ { // unaligned starts
-			asm := append([]float64(nil), y0...)
-			ref := append([]float64(nil), y0...)
-			subScaled(-0.375, x[off:][:n], asm[off:][:n])
-			subScaledGo(-0.375, x[off:][:n], ref[off:][:n])
-			if i := firstDiff(asm, ref); i >= 0 {
-				t.Fatalf("n=%d off=%d: element %d asm %v, Go %v", n, off, i, asm[i], ref[i])
+	const lda, ldx = 3, 41
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -2.2e-308}
+	x := specialValues(9*ldx+4, 1)
+	y0 := specialValues(40, 2)
+	check := func(t *testing.T) {
+		for nt := 0; nt <= 9; nt++ {
+			alpha := randSlice(nt*lda+1, int64(nt))
+			for k := 1; k < nt; k += 2 {
+				alpha[k*lda] = specials[(nt+k)%len(specials)]
+			}
+			for n := 0; n <= 35; n++ {
+				for off := 0; off < 4; off++ { // unaligned starts
+					got := append([]float64(nil), y0...)
+					want := append([]float64(nil), y0...)
+					scale := []float64{1, -0.375, 1 / 3.0}[(n+off)%3]
+					SubScaled(nt, alpha, lda, x[off:], ldx, got[off:][:n], scale)
+					for k := 0; k < nt; k++ {
+						if a := alpha[k*lda]; a != 0 {
+							subScaledGo(a, x[off+k*ldx:][:n], want[off:][:n])
+						}
+					}
+					for i := range want[off:][:n] {
+						want[off+i] *= scale
+					}
+					for i := range got {
+						if !sameBits(got[i], want[i]) {
+							t.Fatalf("nt=%d n=%d off=%d scale=%v: element %d is %v, term loop %v", nt, n, off, scale, i, got[i], want[i])
+						}
+					}
+				}
 			}
 		}
 	}
+	t.Run("default", check)
+	t.Run("go", func(t *testing.T) { withGoKernel(func() { check(t) }) })
 }
 
 // dpotf2Scalar is Dpotf2 with its column update as the scalar loop it
-// was before subScaled. The conversion only pins the rounding the
+// was before SubScaled. The conversion only pins the rounding the
 // loop had, a product rounded before the subtraction.
 func dpotf2Scalar(n int, a []float64, lda int) error {
 	for j := 0; j < n; j++ {
@@ -301,7 +328,7 @@ func dpotf2Scalar(n int, a []float64, lda int) error {
 }
 
 // trsmRightTransScalar is Dtrsm(Right, Trans, alpha = 1) with its
-// in-block solve as the scalar loop it was before subScaled.
+// in-block solve as the scalar loop it was before SubScaled.
 func trsmRightTransScalar(m, n int, l []float64, ldl int, b []float64, ldb int) {
 	for k0 := 0; k0 < n; k0 += trsmNB {
 		kb := min(trsmNB, n-k0)
@@ -330,7 +357,7 @@ func trsmRightTransScalar(m, n int, l []float64, ldl int, b []float64, ldb int) 
 
 func TestVectorLoopsMatchScalar(t *testing.T) {
 	check := func(t *testing.T) {
-		for _, n := range []int{1, 5, 17, 64, 100} {
+		for _, n := range []int{1, 5, 17, 64, 100, 200, 300} {
 			a := spdSlice(n, int64(n))
 			got := append([]float64(nil), a...)
 			want := append([]float64(nil), a...)
@@ -412,7 +439,7 @@ func TestColChecksumsKernelsBitIdentical(t *testing.T) {
 	requireAsm(t)
 	const lda, ldo = 512, 3
 	rowsList := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 64, 67}
-	colsList := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 64}
+	colsList := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17, 20, 64, 67}
 	for _, special := range []bool{false, true} {
 		for _, rows := range rowsList {
 			for _, cols := range colsList {
@@ -446,14 +473,16 @@ func TestColChecksumsKernelsBitIdentical(t *testing.T) {
 // a NaN never becomes the max, the way `av > maxv` skips it.
 func TestColChecksumsMaxIgnoresNaN(t *testing.T) {
 	check := func(t *testing.T) {
-		a := make([]float64, 8*4)
+		// Eight columns, so the assembly runs; the max sits in the
+		// second group of four, a NaN row after it.
+		a := make([]float64, 8*8)
 		for i := range a {
 			a[i] = math.NaN()
 		}
-		a[5], a[17] = -3, 2
-		out := make([]float64, 2*4)
-		if got := ColChecksums(8, 4, a, 8, out, 2); got != 3 {
-			t.Fatalf("max = %v, want 3", got)
+		a[5], a[17], a[62] = -3, 2, -4
+		out := make([]float64, 2*8)
+		if got := ColChecksums(8, 8, a, 8, out, 2); got != 4 {
+			t.Fatalf("max = %v, want 4", got)
 		}
 	}
 	t.Run("asm", check)

@@ -82,7 +82,7 @@ func Dsyrk(n, k int, alpha float64, a []float64, lda int, beta float64, c []floa
 // is blocked: its off-diagonal updates run on gemmPacked.
 //
 // abft:hotpath
-// abft:bce checks=20
+// abft:bce checks=19
 func Dtrsm(side Side, transL Transpose, m, n int, alpha float64, l []float64, ldl int, b []float64, ldb int) {
 	if alpha != 1 {
 		for j := 0; j < n; j++ {
@@ -134,18 +134,7 @@ func Dtrsm(side Side, transL Transpose, m, n int, alpha float64, l []float64, ld
 				gemmPacked(false, NoTrans, Trans, m, kb, k0, -1, b, ldb, l[k0:], ldl, b[k0*ldb:], ldb)
 			}
 			for k := k0; k < k0+kb; k++ {
-				bk := b[k*ldb:][:m]
-				for j := k0; j < k; j++ {
-					lkj := l[k+j*ldl]
-					if lkj == 0 {
-						continue
-					}
-					subScaled(lkj, b[j*ldb:][:len(bk)], bk)
-				}
-				d := 1 / l[k+k*ldl]
-				for i := range bk {
-					bk[i] *= d
-				}
+				SubScaled(k-k0, l[k+k0*ldl:], ldl, b[k0*ldb:], ldb, b[k*ldb:][:m], 1/l[k+k*ldl])
 			}
 		}
 	}

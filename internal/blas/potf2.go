@@ -47,17 +47,7 @@ func Dpotf2(n int, a []float64, lda int) error {
 		d = math.Sqrt(d)
 		col[j] = d
 		// a[j+1:, j] = (a[j+1:, j] - A[j+1:, 0:j]*a[j, 0:j]ᵀ) / d
-		for k := 0; k < j; k++ {
-			ajk := a[j+k*lda]
-			if ajk == 0 {
-				continue
-			}
-			subScaled(ajk, a[k*lda+j+1:][:n-j-1], col[j+1:])
-		}
-		inv := 1 / d
-		for i := j + 1; i < n; i++ {
-			col[i] *= inv
-		}
+		SubScaled(j, a[j:], lda, a[j+1:], lda, col[j+1:], 1/d)
 	}
 	return nil
 }

@@ -11,7 +11,8 @@ import (
 // Runtime pin of the // abft:hotpath contract for the checksum layer:
 // encoding, for m = 2 (blas.ColChecksums), m = 4 and m = 9 (the scalar
 // loop, whose stack accumulator takes eight vectors per pass), and the
-// three update routines allocate nothing per call.
+// three update routines, UpdatePOTF2 over one and two column chunks,
+// allocate nothing per call.
 
 func TestChecksumHotPathDoesNotAllocate(t *testing.T) {
 	const b = 32
@@ -31,6 +32,10 @@ func TestChecksumHotPathDoesNotAllocate(t *testing.T) {
 			la.Set(i, j, 1/(1+float64(i-j)))
 		}
 	}
+	// b = 65 runs UpdatePOTF2's second column chunk.
+	la65 := mat.Eye(65)
+	chk65 := mat.New(2, 65)
+	chk65.Fill(1)
 	panel := mat.New(b, b)
 	panel.CopyFrom(blk)
 
@@ -44,6 +49,7 @@ func TestChecksumHotPathDoesNotAllocate(t *testing.T) {
 		{"UpdateRankK", func() { UpdateRankK(chk2, chk2, panel) }},
 		{"UpdateTRSM", func() { UpdateTRSM(chk2, la) }},
 		{"UpdatePOTF2", func() { UpdatePOTF2(chk2, la) }},
+		{"UpdatePOTF2/b=65", func() { UpdatePOTF2(chk65, la65) }},
 	}
 	for _, c := range cases {
 		c.fn() // warm sync.Pool state in the BLAS layer underneath

@@ -141,7 +141,7 @@ func sameBits(x, y float64) bool {
 }
 
 func TestUpdatePOTF2MatchesAtLoop(t *testing.T) {
-	for _, b := range []int{1, 2, 7, 64} {
+	for _, b := range []int{1, 2, 7, 64, 65, 300} {
 		l := mat.RandSPD(b, int64(b))
 		if err := blas.Dpotf2(b, l.Data, l.Stride); err != nil {
 			t.Fatal(err)

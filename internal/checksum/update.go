@@ -61,32 +61,43 @@ func UpdateTRSM(chk, l *mat.Matrix) {
 // (Algebraically this equals chk·LA⁻ᵀ, but the paper's loop form works
 // one column at a time exactly as the CPU factors them.)
 //
+// Each checksum row runs on a contiguous copy, potf2Chunk columns at a
+// time, so the updates are blas.SubScaled calls over whole rows. A
+// chunk first takes the terms of every earlier, finished column, in
+// increasing j, then replays the loop above on its own columns. So each
+// element takes the same subtractions, in the same order and with the
+// same zero skip, and then the same division as in the loop.
+//
 // abft:hotpath
-// abft:bce checks=3
+// abft:bce checks=7
 func UpdatePOTF2(chk, la *mat.Matrix) {
 	b := la.Rows
 	if la.Cols != b || chk.Cols != b {
 		panic(fmt.Sprintf("checksum: potf2 update shapes chk %dx%d la %dx%d", chk.Rows, chk.Cols, la.Rows, la.Cols))
 	}
-	// Each chk element takes the same operations in the same order as
-	// the row-by-row loop of the paper; the loops run down columns so
-	// they read contiguous memory.
-	for j := 0; j < b; j++ {
-		lj := la.Col(j)
-		cj := chk.Col(j)
-		d := lj[j]
-		for r := range cj {
-			cj[r] /= d
-		}
-		for i := j + 1; i < b; i++ {
-			ci := chk.Col(i)[:len(cj)]
-			l := lj[i]
-			for r, c := range cj {
-				if c == 0 {
-					continue
-				}
-				ci[r] += -c * l
+	var buf [potf2Chunk]float64
+	for r := 0; r < chk.Rows; r++ {
+		row := chk.Off(r, 0) // element j at row[j*chk.Stride]
+		for c0 := 0; c0 < b; c0 += len(buf) {
+			x := buf[:min(len(buf), b-c0)]
+			for i := range x {
+				x[i] = row[(c0+i)*chk.Stride]
+			}
+			if c0 > 0 {
+				blas.SubScaled(c0, row, chk.Stride, la.Off(c0, 0), la.Stride, x, 1)
+			}
+			for j := range x {
+				lj := la.Col(c0 + j)[c0+j:]
+				x[j] /= lj[0]
+				blas.SubScaled(1, x[j:], 0, lj[1:], 0, x[j+1:], 1)
+			}
+			for i, v := range x {
+				row[(c0+i)*chk.Stride] = v
 			}
 		}
 	}
 }
+
+// potf2Chunk is how many columns of one checksum row UpdatePOTF2 holds
+// in its stack copy: a whole row at the usual block size.
+const potf2Chunk = 64

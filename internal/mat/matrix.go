@@ -188,15 +188,8 @@ func (m *Matrix) Transpose() *Matrix {
 // lower triangle and diagonal. It is used to extract the Cholesky
 // factor from a buffer whose upper triangle holds stale data.
 func (m *Matrix) LowerFromFull() {
-	n := m.Rows
-	if m.Cols < n {
-		n = m.Cols
-	}
 	for j := 1; j < m.Cols; j++ {
-		col := m.Col(j)
-		for i := 0; i < j && i < m.Rows; i++ {
-			col[i] = 0
-		}
+		clear(m.Col(j)[:min(j, m.Rows)])
 	}
 }
 

@@ -28,9 +28,19 @@ import (
 // update is O(n²) against the kernel's O(n³), so fused should track
 // plain closely: the fused_overhead_pct rates show how closely. Rates
 // use the min, the least disturbed sample.
+//
+// The level-2 entries time the checksum and unblocked kernels at the
+// factorization's shape, a B = 64 block of an n = 512 matrix (lda 512):
+// encode and clean verify at m = 2 (the AVX2 checksum kernel) and m = 4
+// (the weighted scalar loop), Dpotf2, and UpdatePOTF2 at m = 2. Each
+// takes microseconds, so it gets level2Reps samples of one call, its
+// set-up left out of the timing.
 const (
 	blasN, blasK = 256, 128
 	blasReps     = 20
+	level2N      = 512
+	level2B      = 64
+	level2Reps   = 200
 )
 
 func benchBLAS(r *Report) error {
@@ -105,6 +115,56 @@ func benchBLAS(r *Report) error {
 	}
 	r.setExact("n", n)
 	r.setExact("k", k)
+	return benchLevel2(r)
+}
+
+func benchLevel2(r *Report) error {
+	const b = level2B
+	a := mat.RandSPD(level2N, 1)
+	blk := a.View(b, 0, b, b) // a below-diagonal block at lda 512
+	level2 := func(name string, setup func(), fn func() error) error {
+		setup()
+		if err := fn(); err != nil { // warm-up
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		for range level2Reps {
+			setup()
+			if err := r.time(name, fn); err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+		}
+		return nil
+	}
+	none := func() {}
+	for _, m := range []int{2, 4} {
+		chk, scratch := mat.New(m, b), mat.New(m, b)
+		encode := func() error { checksum.EncodeBlockInto(blk, chk); return nil }
+		verify := func() error { _, err := checksum.VerifyAndCorrect(blk, chk, scratch); return err }
+		if err := level2(fmt.Sprintf("encode/m=%d", m), none, encode); err != nil {
+			return err
+		}
+		if err := level2(fmt.Sprintf("verify/m=%d", m), none, verify); err != nil {
+			return err
+		}
+	}
+	w := a.Clone()
+	diag := w.View(0, 0, b, b)
+	src := a.View(0, 0, b, b)
+	if err := level2("dpotf2", func() { diag.CopyFrom(src) }, func() error {
+		return blas.Dpotf2(b, diag.Data, diag.Stride)
+	}); err != nil {
+		return err
+	}
+	chk, chk0 := mat.New(2, b), mat.New(2, b)
+	checksum.EncodeBlockInto(src, chk0)
+	if err := level2("updatepotf2/m=2", func() { chk.CopyFrom(chk0) }, func() error {
+		checksum.UpdatePOTF2(chk, diag)
+		return nil
+	}); err != nil {
+		return err
+	}
+	r.setExact("level2_n", level2N)
+	r.setExact("level2_b", b)
 	return nil
 }
 

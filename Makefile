@@ -21,7 +21,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Native fuzzing of the trust boundaries and the checksum verifier,
+# Native fuzzing of the trust boundaries, the checksum verifier and
+# the GEMM micro-kernels (the one chosen at init against the Go one),
 # 10 s per target (`go test -fuzz` takes one package and one target per
 # run). `go test ./...` already replays every seed and every
 # committed testdata/fuzz regression input; this searches for new ones.
@@ -32,6 +33,7 @@ fuzz:
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzCampaignInvariants$$' -fuzztime 10s
 	$(GO) test ./internal/reliability/campaign -run '^$$' -fuzz '^FuzzJournalLoad$$' -fuzztime 10s
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s
+	$(GO) test ./internal/blas -run '^$$' -fuzz '^FuzzGemmKernels$$' -fuzztime 10s
 
 # lint = formatting + go vet + the repository's own analyzer suite
 # (cmd/abftlint — see docs/LINTING.md for the current roster; the

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -458,6 +460,39 @@ func TestParallelTrsmMatchesSerial(t *testing.T) {
 	for i := range y1 {
 		if y1[i] != y2[i] {
 			t.Fatal("parallel trsm Left differs")
+		}
+	}
+}
+
+// TestParallelChunksAlignToTile pins parallelColumns' split: chunks
+// cover [0, n) in order, every boundary but n is a multiple of align,
+// and no chunk but the last is shorter than minChunk.
+func TestParallelChunksAlignToTile(t *testing.T) {
+	saved := Workers
+	defer func() { Workers = saved }()
+	for _, tc := range []struct {
+		n, minChunk, align, workers int
+		want                        [][2]int
+	}{
+		{64, 8, kernNR, 3, [][2]int{{0, 24}, {24, 48}, {48, 64}}}, // not 22-column chunks
+		{64, 8, kernNR, 2, [][2]int{{0, 32}, {32, 64}}},
+		{61, 8, kernNR, 8, [][2]int{{0, 8}, {8, 16}, {16, 24}, {24, 32}, {32, 40}, {40, 48}, {48, 56}, {56, 61}}},
+		{100, 32, kernMR, 3, [][2]int{{0, 40}, {40, 80}, {80, 100}}},
+		{63, 32, kernMR, 2, [][2]int{{0, 63}}}, // under two minimum chunks
+		{10, 4, 1, 3, [][2]int{{0, 4}, {4, 8}, {8, 10}}},
+		{64, 8, kernNR, 1, [][2]int{{0, 64}}},
+	} {
+		Workers = tc.workers
+		var mu sync.Mutex
+		var got [][2]int
+		parallelColumns(tc.n, tc.minChunk, tc.align, func(j0, j1 int) {
+			mu.Lock()
+			defer mu.Unlock()
+			got = append(got, [2]int{j0, j1})
+		})
+		slices.SortFunc(got, func(x, y [2]int) int { return x[0] - y[0] })
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("n=%d minChunk=%d align=%d workers=%d: chunks %v, want %v", tc.n, tc.minChunk, tc.align, tc.workers, got, tc.want)
 		}
 	}
 }

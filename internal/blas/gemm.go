@@ -21,8 +21,8 @@ import "sync"
 // column split of the parallel front ends, or which micro-kernel runs.
 // Only packKC fixes the summation order.
 const (
-	kernMR = 8   // rows of a micro tile (two 4-wide vectors)
-	kernNR = 4   // columns of a micro tile
+	kernMR = 8   // rows of a micro tile (one 8-wide or two 4-wide vectors)
+	kernNR = 8   // columns of a micro tile
 	packKC = 256 // depth of one packed block
 	packMC = 128 // rows of op(A) packed at once (a multiple of kernMR)
 	packNC = 128 // columns of op(B) packed at once (a multiple of kernNR)
@@ -159,7 +159,7 @@ func macroKernel(lower bool, mb, nb, kb int, oa, ob *block, c []float64, ldc, i0
 			ap, sa := oa.panel(ir)
 			cc := c[row+col*ldc:]
 			if mrr == kernMR && nrr == kernNR && (!lower || row >= col+kernNR-1) {
-				kern8x4(kb, ap, sa, bp, sb, cc, ldc)
+				kern8x8(kb, ap, sa, bp, sb, cc, ldc)
 			} else {
 				edgeTile(lower, mrr, nrr, kb, ap, sa, bp, sb, cc, ldc, row-col)
 			}
@@ -181,7 +181,7 @@ func edgeTile(lower bool, mrr, nrr, kb int, ap []float64, sa int, bp []float64, 
 	for j := 0; j < nrr; j++ {
 		copy(t[j*kernMR:][:mrr], c[j*ldc:][:mrr])
 	}
-	kern8x4(kb, ap, sa, bp, sb, t[:], kernMR)
+	kern8x8(kb, ap, sa, bp, sb, t[:], kernMR)
 	for j := 0; j < nrr; j++ {
 		lo := 0
 		if lower {
@@ -253,6 +253,7 @@ func packB(trans Transpose, alpha float64, b []float64, ldb, l0, kb, j0, nb int,
 				d := (*[kernNR]float64)(dst[jr*kb+l*kernNR:])
 				s := (*[kernNR]float64)(src[jr:])
 				d[0], d[1], d[2], d[3] = alpha*s[0], alpha*s[1], alpha*s[2], alpha*s[3]
+				d[4], d[5], d[6], d[7] = alpha*s[4], alpha*s[5], alpha*s[6], alpha*s[7]
 			}
 		}
 	}

@@ -2,37 +2,45 @@ package blas
 
 import "math"
 
-// kern8x4 is the micro-kernel: C[0:8, 0:4] += A·B, where A's 8 rows at
-// depth l are a[l*sa : l*sa+8] and B's 4 columns at depth l are
-// b[l*sb : l*sb+4], and c is column-major with leading dimension ldc.
+// kern8x8 is the micro-kernel: C[0:8, 0:8] += A·B, where A's 8 rows at
+// depth l are a[l*sa : l*sa+8] and B's 8 columns at depth l are
+// b[l*sb : l*sb+8], and c is column-major with leading dimension ldc.
 // The depth strides sa and sb let one kernel read a packed panel
 // (sa = kernMR, sb = kernNR) or an operand where it lies: untransposed
-// A with sa = lda, transposed B with sb = ldb. Each of the 32 sums
+// A with sa = lda, transposed B with sb = ldb. Each of the 64 sums
 // starts at zero, takes one fused multiply-add per depth step in
 // increasing l, and is added to C at the end.
 //
-// useAsm picks the AVX2/FMA assembly once, at init, from what the CPU
-// and OS support; every other machine runs kern8x4Go. The two produce
-// the same bits: FMA rounds once per step either way.
+// Three implementations keep that contract, chosen at init from what
+// the CPU and OS support (cpuWords.kernels): kern8x8AVX512, the tile
+// as two kern8x4AVX2 halves, or kern8x8Go. All three produce the same
+// bits: FMA rounds once per step whatever the vector width.
 //
 // abft:hotpath
-// abft:bce checks=5
-func kern8x4(k int, a []float64, sa int, b []float64, sb int, c []float64, ldc int) {
-	if useAsm {
-		// Bound the last element the kernel reads or writes.
-		_ = c[3*ldc+kernMR-1]
-		kern8x4AVX2(k, &a[:(k-1)*sa+kernMR][0], sa, &b[:(k-1)*sb+kernNR][0], sb, &c[0], ldc)
-	} else {
-		kern8x4Go(k, a, sa, b, sb, c, ldc)
+// abft:bce checks=7
+func kern8x8(k int, a []float64, sa int, b []float64, sb int, c []float64, ldc int) {
+	if !useAsm {
+		kern8x8Go(k, a, sa, b, sb, c, ldc)
+		return
+	}
+	// Bound the last element the kernel reads or writes.
+	ap, bp := a[:(k-1)*sa+kernMR], b[:(k-1)*sb+kernNR]
+	_ = c[(kernNR-1)*ldc+kernMR-1]
+	a0, b0, c0 := &ap[0], &bp[0], &c[0]
+	if useAVX512 {
+		kern8x8AVX512(k, a0, sa, b0, sb, c0, ldc)
+	} else { // the left and the right four columns
+		kern8x4AVX2(k, a0, sa, b0, sb, c0, ldc)
+		kern8x4AVX2(k, a0, sa, &bp[4], sb, &c[4*ldc], ldc)
 	}
 }
 
-// kern8x4Go is the portable micro-kernel and the tests' reference for
-// the assembly one.
+// kern8x8Go is the portable micro-kernel and the tests' reference for
+// the assembly ones.
 //
 // abft:hotpath
 // abft:bce checks=6
-func kern8x4Go(k int, a []float64, sa int, b []float64, sb int, c []float64, ldc int) {
+func kern8x8Go(k int, a []float64, sa int, b []float64, sb int, c []float64, ldc int) {
 	var acc [kernMR * kernNR]float64
 	for l := 0; l < k; l++ {
 		ap := a[l*sa:][:kernMR]
@@ -51,6 +59,43 @@ func kern8x4Go(k int, a []float64, sa int, b []float64, sb int, c []float64, ldc
 			col[i] += s[i]
 		}
 	}
+}
+
+// cpuWords are the CPUID and XGETBV words the kernel choice reads:
+// CPUID leaf 0's EAX, leaf 1's ECX, leaf 7's EBX and XCR0.
+type cpuWords struct {
+	maxLeaf, ecx1, ebx7, xcr0 uint32
+}
+
+const osxsave = 1 << 27 // CPUID.1:ECX, the OS has enabled XGETBV
+
+// kernels reports whether the AVX2/FMA kernels may run (AVX, FMA and
+// AVX2, with the OS saving the XMM and YMM state) and whether the
+// AVX-512 micro-kernel may run on top of them (AVX512F, with the OS
+// also saving the opmask and both halves of the ZMM state).
+func (w cpuWords) kernels() (avx2, avx512 bool) {
+	const fma, avx = 1 << 12, 1 << 28              // CPUID.1:ECX
+	const avx2Bit, avx512f = 1 << 5, 1 << 16       // CPUID.7:EBX
+	const ymmState = 1<<1 | 1<<2                   // XCR0: SSE, AVX
+	const zmmState = ymmState | 1<<5 | 1<<6 | 1<<7 // XCR0: opmask, ZMM_Hi256, Hi16_ZMM
+	avx2 = w.maxLeaf >= 7 &&
+		w.ecx1&(fma|osxsave|avx) == fma|osxsave|avx &&
+		w.xcr0&ymmState == ymmState &&
+		w.ebx7&avx2Bit != 0
+	avx512 = avx2 && w.ebx7&avx512f != 0 && w.xcr0&zmmState == zmmState
+	return avx2, avx512
+}
+
+// Kernel names the micro-kernel this process runs: "avx512", "avx2"
+// (the 8x8 tile as two AVX2 halves) or "go".
+func Kernel() string {
+	switch {
+	case !useAsm:
+		return "go"
+	case useAVX512:
+		return "avx512"
+	}
+	return "avx2"
 }
 
 // SubScaled is the unfused multi-term update: for each term t < nt in

@@ -1,33 +1,37 @@
 package blas
 
-// useAsm selects kern8x4AVX2. It is fixed at init; tests flip it to
-// run both kernels on one machine.
-var useAsm = hasAVX2FMA()
+// useAsm selects the AVX2/FMA kernels, useAVX512 the AVX-512 micro-
+// kernel on top of them. Both are fixed at init from what the CPU and
+// OS support; tests flip them to run every kernel on one machine.
+var useAsm, useAVX512 = readCPU().kernels()
 
-// hasAVX2FMA reports whether the CPU has AVX2 and FMA and the OS saves
-// the YMM registers across context switches.
-func hasAVX2FMA() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
+// readCPU reads the CPUID and XGETBV words the kernel choice depends
+// on. XCR0 is read only when the OS has enabled XGETBV.
+func readCPU() (w cpuWords) {
+	w.maxLeaf, _, _, _ = cpuid(0, 0)
+	_, _, w.ecx1, _ = cpuid(1, 0)
+	if w.ecx1&osxsave != 0 {
+		w.xcr0, _ = xgetbv()
 	}
-	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(fma|osxsave|avx) != fma|osxsave|avx {
-		return false
+	if w.maxLeaf >= 7 {
+		_, w.ebx7, _, _ = cpuid(7, 0)
 	}
-	const sseState, avxState = 1 << 1, 1 << 2
-	if xcr0, _ := xgetbv(); xcr0&(sseState|avxState) != sseState|avxState {
-		return false
-	}
-	const avx2 = 1 << 5
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
+	return w
 }
 
-// kern8x4AVX2 is kern8x4 in AVX2/FMA assembly. a, b and c point at
-// the first elements of (k-1)*sa+8, (k-1)*sb+4 and 3*ldc+8 values.
+// kern8x4AVX2 is the left or right half of kern8x8 in AVX2/FMA
+// assembly: C[0:8, 0:4] += A·B with B's 4 columns at depth l in
+// b[l*sb : l*sb+4]. a, b and c point at the first elements of
+// (k-1)*sa+8, (k-1)*sb+4 and 3*ldc+8 values.
 //
 //go:noescape
 func kern8x4AVX2(k int, a *float64, sa int, b *float64, sb int, c *float64, ldc int)
+
+// kern8x8AVX512 is kern8x8 in AVX-512 assembly. a, b and c point at
+// the first elements of (k-1)*sa+8, (k-1)*sb+8 and 7*ldc+8 values.
+//
+//go:noescape
+func kern8x8AVX512(k int, a *float64, sa int, b *float64, sb int, c *float64, ldc int)
 
 // subScaledColsAVX2 is SubScaled in AVX2 assembly over n elements of
 // y and nt ≥ 1 terms: term t has α = alpha[t*lda] and reads n values

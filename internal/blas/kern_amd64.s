@@ -89,6 +89,89 @@ store:
 	VZEROUPPER
 	RET
 
+// One depth step of the 8x8 tile: load A's 8 rows from a into Z8 and
+// fold the 64 products into the accumulators Z0..Z7 (column c in Zc),
+// each FMA broadcasting its B value from b0..b7.
+#define STEP8(a, b0, b1, b2, b3, b4, b5, b6, b7) \
+	VMOVUPD          a, Z8      \
+	VFMADD231PD.BCST b0, Z8, Z0 \
+	VFMADD231PD.BCST b1, Z8, Z1 \
+	VFMADD231PD.BCST b2, Z8, Z2 \
+	VFMADD231PD.BCST b3, Z8, Z3 \
+	VFMADD231PD.BCST b4, Z8, Z4 \
+	VFMADD231PD.BCST b5, Z8, Z5 \
+	VFMADD231PD.BCST b6, Z8, Z6 \
+	VFMADD231PD.BCST b7, Z8, Z7
+
+// Add one accumulated column to C at DX and step DX to the next column.
+#define STORE8(acc) \
+	VADDPD  (DX), acc, acc \
+	VMOVUPD acc, (DX)      \
+	ADDQ    R8, DX
+
+// func kern8x8AVX512(k int, a *float64, sa int, b *float64, sb int, c *float64, ldc int)
+//
+// The same loop as kern8x4AVX2, one ZMM accumulator per column.
+TEXT ·kern8x8AVX512(SB), NOSPLIT, $0-56
+	MOVQ k+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ sa+16(FP), R9
+	MOVQ b+24(FP), DI
+	MOVQ sb+32(FP), R10
+	MOVQ c+40(FP), DX
+	MOVQ ldc+48(FP), R8
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	LEAQ (R9)(R9*2), R11  // 3 A steps
+	LEAQ (R10)(R10*2), R12 // 3 B steps
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+
+	MOVQ CX, BX
+	SHRQ $2, BX
+	JZ   tail8
+
+loop8x4:
+	STEP8((SI), (DI), 8(DI), 16(DI), 24(DI), 32(DI), 40(DI), 48(DI), 56(DI))
+	STEP8((SI)(R9*1), (DI)(R10*1), 8(DI)(R10*1), 16(DI)(R10*1), 24(DI)(R10*1), 32(DI)(R10*1), 40(DI)(R10*1), 48(DI)(R10*1), 56(DI)(R10*1))
+	STEP8((SI)(R9*2), (DI)(R10*2), 8(DI)(R10*2), 16(DI)(R10*2), 24(DI)(R10*2), 32(DI)(R10*2), 40(DI)(R10*2), 48(DI)(R10*2), 56(DI)(R10*2))
+	STEP8((SI)(R11*1), (DI)(R12*1), 8(DI)(R12*1), 16(DI)(R12*1), 24(DI)(R12*1), 32(DI)(R12*1), 40(DI)(R12*1), 48(DI)(R12*1), 56(DI)(R12*1))
+	LEAQ (SI)(R9*4), SI
+	LEAQ (DI)(R10*4), DI
+	DECQ BX
+	JNZ  loop8x4
+
+tail8:
+	ANDQ $3, CX
+	JZ   store8
+
+loop8x1:
+	STEP8((SI), (DI), 8(DI), 16(DI), 24(DI), 32(DI), 40(DI), 48(DI), 56(DI))
+	ADDQ R9, SI
+	ADDQ R10, DI
+	DECQ CX
+	JNZ  loop8x1
+
+store8:
+	STORE8(Z0)
+	STORE8(Z1)
+	STORE8(Z2)
+	STORE8(Z3)
+	STORE8(Z4)
+	STORE8(Z5)
+	STORE8(Z6)
+	STORE8(Z7)
+	VZEROUPPER
+	RET
+
 // Load term t's α from (AX) into X4 and jump to skip when it is ±0; a
 // NaN compares unordered and is kept, as `α == 0` keeps it.
 #define ALPHA(skip) \

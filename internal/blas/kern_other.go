@@ -2,10 +2,15 @@
 
 package blas
 
-// useAsm is always false off amd64: kern8x4Go is the only kernel.
-var useAsm = false
+// useAsm and useAVX512 are always false off amd64: kern8x8Go is the
+// only micro-kernel.
+var useAsm, useAVX512 = false, false
 
 func kern8x4AVX2(k int, a *float64, sa int, b *float64, sb int, c *float64, ldc int) {
+	panic("blas: no assembly micro-kernel on this architecture")
+}
+
+func kern8x8AVX512(k int, a *float64, sa int, b *float64, sb int, c *float64, ldc int) {
 	panic("blas: no assembly micro-kernel on this architecture")
 }
 

@@ -6,12 +6,42 @@ import (
 	"testing"
 )
 
-// withGoKernel runs fn with the portable micro-kernel forced on.
-func withGoKernel(fn func()) {
-	saved := useAsm
-	useAsm = false
-	defer func() { useAsm = saved }()
+// The micro-kernels this host can run, as chosen at init.
+var hostAVX2, hostAVX512 = useAsm, useAVX512
+
+// hostKernels names every micro-kernel this host can run, widest
+// first: "avx512", "avx2" (the 8x8 tile as two AVX2 halves), "go".
+func hostKernels() []string {
+	var ks []string
+	if hostAVX512 {
+		ks = append(ks, "avx512")
+	}
+	if hostAVX2 {
+		ks = append(ks, "avx2")
+	}
+	return append(ks, "go")
+}
+
+// withKernel runs fn with the named micro-kernel forced on.
+func withKernel(name string, fn func()) {
+	savedAsm, saved512 := useAsm, useAVX512
+	defer func() { useAsm, useAVX512 = savedAsm, saved512 }()
+	useAsm, useAVX512 = name != "go", name == "avx512"
 	fn()
+}
+
+// withGoKernel runs fn with the portable micro-kernel forced on.
+func withGoKernel(fn func()) { withKernel("go", fn) }
+
+// eachAsmKernel runs fn as a subtest under each assembly micro-kernel
+// the host has, and skips when it has none.
+func eachAsmKernel(t *testing.T, fn func(t *testing.T)) {
+	requireAsm(t)
+	for _, name := range hostKernels() {
+		if name != "go" {
+			t.Run(name, func(t *testing.T) { withKernel(name, func() { fn(t) }) })
+		}
+	}
 }
 
 // firstDiff returns the first index where x and y differ in bits, or -1.
@@ -31,29 +61,71 @@ func requireAsm(t *testing.T) {
 	}
 }
 
-// TestMicroKernelsBitIdentical runs both micro-kernels on packed
-// panels (sa = 8, sb = 4) and on operands read in place (sa = lda,
-// sb = ldb), and checks they write only the tile.
+// TestKernelChoice pins the feature check against CPUID and XGETBV
+// words, so a host without AVX-512 covers the AVX-512 rule too.
+func TestKernelChoice(t *testing.T) {
+	const (
+		leaf1   = 1<<12 | 1<<27 | 1<<28 // FMA, OSXSAVE, AVX
+		avx2    = 1 << 5
+		avx512f = 1 << 16
+		ymm     = 0x06 // XCR0: SSE, AVX
+		zmm     = 0xe6 // XCR0: also opmask, ZMM_Hi256, Hi16_ZMM
+	)
+	for _, tc := range []struct {
+		name         string
+		w            cpuWords
+		want2, want5 bool
+	}{
+		{"avx512", cpuWords{13, leaf1, avx2 | avx512f, zmm}, true, true},
+		{"avx2 only", cpuWords{13, leaf1, avx2, zmm}, true, false},
+		{"OS saves no ZMM state", cpuWords{13, leaf1, avx2 | avx512f, ymm}, true, false},
+		{"OS saves no Hi16_ZMM", cpuWords{13, leaf1, avx2 | avx512f, zmm &^ (1 << 7)}, true, false},
+		{"OS saves no opmask", cpuWords{13, leaf1, avx2 | avx512f, zmm &^ (1 << 5)}, true, false},
+		{"no FMA", cpuWords{13, leaf1 &^ (1 << 12), avx2 | avx512f, zmm}, false, false},
+		{"no OSXSAVE", cpuWords{13, leaf1 &^ (1 << 27), avx2 | avx512f, zmm}, false, false},
+		{"OS saves no YMM state", cpuWords{13, leaf1, avx2 | avx512f, 0x02}, false, false},
+		{"no AVX2", cpuWords{13, leaf1, avx512f, zmm}, false, false},
+		{"no leaf 7", cpuWords{6, leaf1, avx2 | avx512f, zmm}, false, false},
+		{"nothing", cpuWords{}, false, false},
+	} {
+		if got2, got5 := tc.w.kernels(); got2 != tc.want2 || got5 != tc.want5 {
+			t.Errorf("%s: kernels() = %v, %v, want %v, %v", tc.name, got2, got5, tc.want2, tc.want5)
+		}
+	}
+	for _, name := range hostKernels() {
+		withKernel(name, func() {
+			if got := Kernel(); got != name {
+				t.Errorf("Kernel() = %q under the %s kernel", got, name)
+			}
+		})
+	}
+}
+
+// TestMicroKernelsBitIdentical runs every micro-kernel the host has
+// through kern8x8 on packed panels (sa = sb = 8) and on operands read
+// in place (sa = lda, sb = ldb), checks each against kern8x8Go, and
+// checks that none writes outside the 8x8 tile: not the gap rows of a
+// column when ldc > 8, nor past the tile's last element.
 func TestMicroKernelsBitIdentical(t *testing.T) {
-	requireAsm(t)
-	for _, k := range []int{1, 3, 4, 5, 255, 256, 257} {
-		for _, sa := range []int{kernMR, 19} {
-			for _, sb := range []int{kernNR, 13} {
-				a := randSlice((k-1)*sa+kernMR, int64(k))
-				b := randSlice((k-1)*sb+kernNR, int64(k)+1)
-				for _, ldc := range []int{kernMR, 11} {
-					c0 := randSlice(3*ldc+kernMR, 7)
-					asm := append([]float64(nil), c0...)
-					ref := append([]float64(nil), c0...)
-					kern8x4AVX2(k, &a[0], sa, &b[0], sb, &asm[0], ldc)
-					kern8x4Go(k, a, sa, b, sb, ref, ldc)
-					if i := firstDiff(asm, ref); i >= 0 {
-						t.Fatalf("k=%d sa=%d sb=%d ldc=%d: element %d asm %v, Go %v", k, sa, sb, ldc, i, asm[i], ref[i])
-					}
-					for j := 0; j < kernNR-1; j++ {
-						for i := kernMR; i < ldc; i++ {
-							if asm[i+j*ldc] != c0[i+j*ldc] {
-								t.Fatalf("k=%d ldc=%d: wrote the gap row %d of column %d", k, ldc, i, j)
+	const guard = 5 // elements past the tile's last one
+	for _, name := range hostKernels() {
+		for _, k := range []int{1, 3, 4, 5, 255, 256, 257} {
+			for _, sa := range []int{kernMR, 19} {
+				for _, sb := range []int{kernNR, 13} {
+					a := randSlice((k-1)*sa+kernMR, int64(k))
+					b := randSlice((k-1)*sb+kernNR, int64(k)+1)
+					for _, ldc := range []int{kernMR, 11} {
+						c0 := randSlice((kernNR-1)*ldc+kernMR+guard, 7)
+						got := append([]float64(nil), c0...)
+						ref := append([]float64(nil), c0...)
+						withKernel(name, func() { kern8x8(k, a, sa, b, sb, got, ldc) })
+						kern8x8Go(k, a, sa, b, sb, ref, ldc)
+						if i := firstDiff(got, ref); i >= 0 {
+							t.Fatalf("%s k=%d sa=%d sb=%d ldc=%d: element %d is %v, Go %v", name, k, sa, sb, ldc, i, got[i], ref[i])
+						}
+						for i := range got {
+							if r, j := i%ldc, i/ldc; (r >= kernMR || j >= kernNR) && got[i] != c0[i] {
+								t.Fatalf("%s k=%d ldc=%d: wrote element %d, outside the tile", name, k, ldc, i)
 							}
 						}
 					}
@@ -64,63 +136,66 @@ func TestMicroKernelsBitIdentical(t *testing.T) {
 }
 
 // TestPackedGemmKernelsBitIdentical runs every transpose case of
-// Dgemm over ragged shapes and strided operands on both micro-kernels.
+// Dgemm over ragged shapes and strided operands on each assembly
+// micro-kernel and on the Go one.
 func TestPackedGemmKernelsBitIdentical(t *testing.T) {
-	requireAsm(t)
-	const pad = 3 // leading dimensions exceed the row counts
-	for _, m := range []int{1, 2, 7, 14, 384} {
-		for _, n := range []int{1, 5, 64} {
-			for _, k := range []int{1, 37, 300} {
-				for _, tr := range [][2]Transpose{{NoTrans, NoTrans}, {NoTrans, Trans}, {Trans, NoTrans}, {Trans, Trans}} {
-					ar, ac := m, k
-					if tr[0] == Trans {
-						ar, ac = k, m
-					}
-					br, bc := k, n
-					if tr[1] == Trans {
-						br, bc = n, k
-					}
-					lda, ldb, ldc := ar+pad, br+pad, m+pad
-					a := randSlice(lda*ac, int64(m*n+k))
-					b := randSlice(ldb*bc, int64(m+n*k))
-					asm := randSlice(ldc*n, int64(m+n+k))
-					ref := append([]float64(nil), asm...)
-					Dgemm(tr[0], tr[1], m, n, k, -1.25, a, lda, b, ldb, 0.5, asm, ldc)
-					withGoKernel(func() { Dgemm(tr[0], tr[1], m, n, k, -1.25, a, lda, b, ldb, 0.5, ref, ldc) })
-					if i := firstDiff(asm, ref); i >= 0 {
-						t.Fatalf("%v m=%d n=%d k=%d: element %d asm %v, Go %v", tr, m, n, k, i, asm[i], ref[i])
+	eachAsmKernel(t, func(t *testing.T) {
+		const pad = 3 // leading dimensions exceed the row counts
+		for _, m := range []int{1, 2, 7, 14, 384} {
+			for _, n := range []int{1, 5, 12, 64} {
+				for _, k := range []int{1, 37, 300} {
+					for _, tr := range [][2]Transpose{{NoTrans, NoTrans}, {NoTrans, Trans}, {Trans, NoTrans}, {Trans, Trans}} {
+						ar, ac := m, k
+						if tr[0] == Trans {
+							ar, ac = k, m
+						}
+						br, bc := k, n
+						if tr[1] == Trans {
+							br, bc = n, k
+						}
+						lda, ldb, ldc := ar+pad, br+pad, m+pad
+						a := randSlice(lda*ac, int64(m*n+k))
+						b := randSlice(ldb*bc, int64(m+n*k))
+						asm := randSlice(ldc*n, int64(m+n+k))
+						ref := append([]float64(nil), asm...)
+						Dgemm(tr[0], tr[1], m, n, k, -1.25, a, lda, b, ldb, 0.5, asm, ldc)
+						withGoKernel(func() { Dgemm(tr[0], tr[1], m, n, k, -1.25, a, lda, b, ldb, 0.5, ref, ldc) })
+						if i := firstDiff(asm, ref); i >= 0 {
+							t.Fatalf("%v m=%d n=%d k=%d: element %d asm %v, Go %v", tr, m, n, k, i, asm[i], ref[i])
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestPackedSyrkTrsmKernelsBitIdentical(t *testing.T) {
-	requireAsm(t)
-	for _, n := range []int{1, 7, 14, 45, 130} {
-		for _, k := range []int{1, 37, 300} {
-			ld := n + 2
-			a := randSlice(ld*k, int64(n+k))
-			asm := randSlice(ld*n, int64(n*k))
-			ref := append([]float64(nil), asm...)
-			Dsyrk(n, k, -1, a, ld, 1, asm, ld)
-			withGoKernel(func() { Dsyrk(n, k, -1, a, ld, 1, ref, ld) })
-			if i := firstDiff(asm, ref); i >= 0 {
-				t.Fatalf("syrk n=%d k=%d: element %d asm %v, Go %v", n, k, i, asm[i], ref[i])
+	eachAsmKernel(t, func(t *testing.T) {
+		for _, n := range []int{1, 7, 14, 45, 130} {
+			for _, k := range []int{1, 37, 300} {
+				ld := n + 2
+				a := randSlice(ld*k, int64(n+k))
+				asm := randSlice(ld*n, int64(n*k))
+				ref := append([]float64(nil), asm...)
+				Dsyrk(n, k, -1, a, ld, 1, asm, ld)
+				withGoKernel(func() { Dsyrk(n, k, -1, a, ld, 1, ref, ld) })
+				if i := firstDiff(asm, ref); i >= 0 {
+					t.Fatalf("syrk n=%d k=%d: element %d asm %v, Go %v", n, k, i, asm[i], ref[i])
+				}
+			}
+			for _, m := range []int{1, 14, 384} {
+				l := lowerWithGoodDiag(n, int64(n))
+				asm := randSlice((m+1)*n, int64(m*n))
+				ref := append([]float64(nil), asm...)
+				Dtrsm(Right, Trans, m, n, 1, l, n, asm, m+1)
+				withGoKernel(func() { Dtrsm(Right, Trans, m, n, 1, l, n, ref, m+1) })
+				if i := firstDiff(asm, ref); i >= 0 {
+					t.Fatalf("trsm m=%d n=%d: element %d asm %v, Go %v", m, n, i, asm[i], ref[i])
+				}
 			}
 		}
-		for _, m := range []int{1, 14, 384} {
-			l := lowerWithGoodDiag(n, int64(n))
-			asm := randSlice((m+1)*n, int64(m*n))
-			ref := append([]float64(nil), asm...)
-			Dtrsm(Right, Trans, m, n, 1, l, n, asm, m+1)
-			withGoKernel(func() { Dtrsm(Right, Trans, m, n, 1, l, n, ref, m+1) })
-			if i := firstDiff(asm, ref); i >= 0 {
-				t.Fatalf("trsm m=%d n=%d: element %d asm %v, Go %v", m, n, i, asm[i], ref[i])
-			}
-		}
-	}
+	})
 }
 
 // TestSyrkMatchesGemmBits pins the contract DsyrkParallel's split rests
@@ -151,7 +226,7 @@ func TestSyrkMatchesGemmBits(t *testing.T) {
 }
 
 // TestBlockedFactorBitIdentical factors one matrix with every worker
-// count and both micro-kernels: the parallel front ends split columns
+// count and every micro-kernel the host has: the parallel front ends split columns
 // or rows, never the depth, so the factor keeps its bits.
 func TestBlockedFactorBitIdentical(t *testing.T) {
 	const n, nb = 192, 48
@@ -181,11 +256,11 @@ func TestBlockedFactorBitIdentical(t *testing.T) {
 			t.Fatalf("Workers=%d: element %d differs from Workers=1", w, i)
 		}
 	}
-	if useAsm {
+	for _, name := range hostKernels() {
 		var got []float64
-		withGoKernel(func() { got = factor() })
+		withKernel(name, func() { got = factor() })
 		if i := firstDiff(got, want); i >= 0 {
-			t.Fatalf("Go micro-kernel: element %d differs from the assembly one", i)
+			t.Fatalf("%s micro-kernel: element %d differs from the default one", name, i)
 		}
 	}
 }
@@ -208,11 +283,13 @@ func transposed(x []float64, rows, cols, ld, pad int) ([]float64, int) {
 // Dgemm(NoTrans, Trans) reads one operand where it lies, and
 // Dgemm(Trans, NoTrans) on transposed copies must pack both, yet the
 // two give the same bits for any alpha, for m < n and m > n, and on
-// ragged shapes, on either micro-kernel. Dsyrk's lower mode is held to
-// the same test.
+// ragged shapes, on every micro-kernel the host has. Dsyrk's lower mode
+// is held to the same test.
 func TestGemmLayoutInvariant(t *testing.T) {
 	t.Run("default", testGemmLayoutInvariant)
-	t.Run("go", func(t *testing.T) { withGoKernel(func() { testGemmLayoutInvariant(t) }) })
+	for _, name := range hostKernels() {
+		t.Run(name, func(t *testing.T) { withKernel(name, func() { testGemmLayoutInvariant(t) }) })
+	}
 }
 
 func testGemmLayoutInvariant(t *testing.T) {

@@ -14,8 +14,10 @@ var Workers = runtime.NumCPU()
 // parallelColumns splits the n columns of an output into contiguous
 // chunks and runs fn(j0, j1) for each chunk on its own goroutine.
 // Chunks never overlap, so no synchronization beyond the WaitGroup is
-// needed as long as fn only writes columns [j0, j1).
-func parallelColumns(n int, minChunk int, fn func(j0, j1 int)) {
+// needed as long as fn only writes columns [j0, j1). Every chunk
+// boundary is a multiple of align, so only the last chunk can end in a
+// ragged micro tile.
+func parallelColumns(n, minChunk, align int, fn func(j0, j1 int)) {
 	workers := Workers
 	if workers < 1 {
 		workers = 1
@@ -24,10 +26,8 @@ func parallelColumns(n int, minChunk int, fn func(j0, j1 int)) {
 		fn(0, n)
 		return
 	}
-	chunk := (n + workers - 1) / workers
-	if chunk < minChunk {
-		chunk = minChunk
-	}
+	chunk := max(minChunk, (n+workers-1)/workers)
+	chunk = (chunk + align - 1) / align * align
 	var wg sync.WaitGroup
 	for j0 := 0; j0 < n; j0 += chunk {
 		j1 := j0 + chunk
@@ -47,8 +47,7 @@ func parallelColumns(n int, minChunk int, fn func(j0, j1 int)) {
 // goroutines. Each worker owns a disjoint column range of C, so the
 // decomposition is race-free by construction.
 func DgemmParallel(transA, transB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	parallelColumns(n, 8, func(j0, j1 int) {
-
+	parallelColumns(n, 8, kernNR, func(j0, j1 int) {
 		var bs []float64
 		switch transB {
 		case NoTrans:
@@ -66,8 +65,7 @@ func DgemmParallel(transA, transB Transpose, m, n, k int, alpha float64, a []flo
 // columns, which parallelColumns tolerates because work imbalance only
 // affects speed.
 func DsyrkParallel(n, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
-	parallelColumns(n, 8, func(j0, j1 int) {
-
+	parallelColumns(n, 8, kernNR, func(j0, j1 int) {
 		// The sub-problem over columns [j0, j1) of the lower triangle:
 		// rows j0..n. That is a (n-j0) x (j1-j0) block whose top
 		// (j1-j0) x (j1-j0) part is itself a lower-triangular SYRK and
@@ -85,14 +83,14 @@ func DsyrkParallel(n, k int, alpha float64, a []float64, lda int, beta float64, 
 // solves the rows of B are independent, so we split rows.
 func DtrsmParallel(side Side, transL Transpose, m, n int, alpha float64, l []float64, ldl int, b []float64, ldb int) {
 	if side == Left {
-		parallelColumns(n, 4, func(j0, j1 int) {
+		parallelColumns(n, 4, 1, func(j0, j1 int) {
 			Dtrsm(Left, transL, m, j1-j0, alpha, l, ldl, b[j0*ldb:], ldb)
 		})
 		return
 	}
-	// Right side: split the m rows of B.
-	parallelColumns(m, 32, func(i0, i1 int) {
-
+	// Right side: split the m rows of B, at multiples of the tile's
+	// rows for the updates on gemmPacked.
+	parallelColumns(m, 32, kernMR, func(i0, i1 int) {
 		Dtrsm(Right, transL, i1-i0, n, alpha, l, ldl, b[i0:], ldb)
 	})
 }

@@ -10,7 +10,7 @@ import (
 
 // Runtime pin of the // abft:hotpath contract for the checksum layer:
 // encoding, for m = 2 (blas.ColChecksums), m = 4 and m = 9 (the scalar
-// loop, whose stack accumulator takes eight vectors per pass), and the
+// loop, whose stack weight table takes four vectors per pass), and the
 // three update routines, UpdatePOTF2 over one and two column chunks,
 // allocate nothing per call.
 

@@ -51,40 +51,60 @@ func EncodeBlockInto(block, chk *mat.Matrix) float64 {
 	return blas.ColChecksums(block.Rows, block.Cols, block.Data, block.Stride, chk.Data, chk.Stride)
 }
 
-// encodeWeighted is EncodeBlockInto's scalar loop for any m. A column's
-// sums accumulate in one pass, eight weights at a time in a stack
-// array; every pass builds w = x^s by the same chain of products, so
-// the chunking changes no bit. Each product is rounded before its add,
-// as in blas.ColChecksums, so no compiler fuses the two; for m = 2 the
-// two give the same bits.
+// encodeRows is how many rows' weights encodeWeighted holds at once.
+const encodeRows = 256
+
+// encodeWeighted is EncodeBlockInto's loop for any m. Each pass takes
+// four checksums s0..s0+3 and up to encodeRows rows: it builds every
+// row's four weights once, w_s = x^s by the chain 1·x·x···x, then sums
+// each column's four checksums in four chains in increasing row order,
+// a later row chunk continuing from the sums stored in chk. Each
+// product is rounded before its add, as in blas.ColChecksums, so no
+// compiler fuses the two; for m = 2 the two give the same bits.
 //
 // abft:hotpath
-// abft:bce checks=2
+// abft:bce checks=4
 func encodeWeighted(block, chk *mat.Matrix) float64 {
-	var sums [8]float64
+	var w [encodeRows * 4]float64
 	m := chk.Rows
 	maxv := 0.0
-	for col := 0; col < block.Cols; col++ {
-		data := block.Col(col)
-		out := chk.Col(col)
-		for s0 := 0; s0 < m; s0 += len(sums) {
-			acc := sums[:min(len(sums), m-s0)]
-			clear(acc)
-			for i, v := range data {
-				if av := math.Abs(v); av > maxv {
-					maxv = av
+	for s0 := 0; s0 < m; s0 += 4 {
+		ns := min(4, m-s0)
+		for r0 := 0; r0 < block.Rows; r0 += encodeRows {
+			rows := min(encodeRows, block.Rows-r0)
+			for i := range rows {
+				x := float64(r0 + i + 1)
+				p := 1.0
+				for range s0 {
+					p *= x
 				}
-				x := float64(i + 1)
-				w := 1.0
-				for s := 0; s < s0; s++ {
-					w *= x
-				}
-				for s := range acc {
-					acc[s] += float64(w * v)
-					w *= x
+				ws := (*[4]float64)(w[i*4:])
+				for s := range ws {
+					ws[s] = p
+					p *= x
 				}
 			}
-			copy(out[s0:], acc)
+			for col := 0; col < block.Cols; col++ {
+				data := block.Col(col)[r0:][:rows]
+				out := chk.Col(col)[s0:][:ns]
+				var acc [4]float64
+				if r0 > 0 {
+					copy(acc[:], out)
+				}
+				a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
+				for i, v := range data {
+					if av := math.Abs(v); av > maxv {
+						maxv = av
+					}
+					ws := (*[4]float64)(w[i*4:])
+					a0 += float64(ws[0] * v)
+					a1 += float64(ws[1] * v)
+					a2 += float64(ws[2] * v)
+					a3 += float64(ws[3] * v)
+				}
+				acc = [4]float64{a0, a1, a2, a3}
+				copy(out, acc[:])
+			}
 		}
 	}
 	return maxv

@@ -32,6 +32,39 @@ func encodeBlockAt(block, chk *mat.Matrix) float64 {
 	return maxv
 }
 
+// encodeWeightedChain is encodeWeighted as it was before it built each
+// row's weights once per call: every element rebuilds its weights by
+// the chain of multiplies, eight sums per pass in a stack array.
+func encodeWeightedChain(block, chk *mat.Matrix) float64 {
+	var sums [8]float64
+	m := chk.Rows
+	maxv := 0.0
+	for col := 0; col < block.Cols; col++ {
+		data := block.Col(col)
+		out := chk.Col(col)
+		for s0 := 0; s0 < m; s0 += len(sums) {
+			acc := sums[:min(len(sums), m-s0)]
+			clear(acc)
+			for i, v := range data {
+				if av := math.Abs(v); av > maxv {
+					maxv = av
+				}
+				x := float64(i + 1)
+				w := 1.0
+				for s := 0; s < s0; s++ {
+					w *= x
+				}
+				for s := range acc {
+					acc[s] += float64(w * v)
+					w *= x
+				}
+			}
+			copy(out[s0:], acc)
+		}
+	}
+	return maxv
+}
+
 // compareAt lists the columns whose syndrome s is not within
 // tol·B^s, NaN included.
 func compareAt(stored, recalced *mat.Matrix, tol float64) []int {
@@ -160,6 +193,36 @@ func TestUpdatePOTF2MatchesAtLoop(t *testing.T) {
 			updatePOTF2At(ref, l)
 			if !sameMatrixBits(chk, ref) {
 				t.Fatalf("b=%d m=%d: UpdatePOTF2 differs from the At loop", b, m)
+			}
+		}
+	}
+}
+
+// TestEncodeWeightedMatchesChain holds the m > 2 encoder, whose weights
+// are built once per row, to the bits of the per-element weight chain,
+// for m = 2..9, blocks wider than one row chunk, special values and a
+// wide stride.
+func TestEncodeWeightedMatchesChain(t *testing.T) {
+	big := mat.RandGeneral(600, 9, 5)
+	for _, special := range []bool{false, true} {
+		for _, rows := range []int{1, 3, 8, 64, 255, 256, 257, 600} {
+			for _, cols := range []int{1, 5, 9} {
+				block := big.View(0, 0, rows, cols).Clone()
+				if special {
+					withSpecials(block)
+				}
+				wide := mat.New(700, cols).View(0, 0, rows, cols)
+				wide.CopyFrom(block)
+				for m := 2; m <= 9; m++ {
+					for _, blk := range []*mat.Matrix{block, wide} {
+						got, want := mat.New(m, cols), mat.New(m, cols)
+						got.Fill(7) // the encoder must overwrite, not add to, chk
+						gm, wm := encodeWeighted(blk, got), encodeWeightedChain(blk, want)
+						if gm != wm || !sameMatrixBits(got, want) {
+							t.Fatalf("special=%v %dx%d m=%d stride %d: max %v/%v, checksums\n%v\nchain\n%v", special, rows, cols, m, blk.Stride, gm, wm, got, want)
+						}
+					}
+				}
 			}
 		}
 	}

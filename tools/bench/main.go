@@ -58,14 +58,16 @@ type Report struct {
 	Exact map[string]json.RawMessage `json:"exact"`
 }
 
-// Env is the machine and toolchain a report was measured on, the
-// fields perfbench prints in its header.
+// Env is the machine and toolchain a report was measured on: the
+// fields perfbench prints in its header, and the micro-kernel
+// (blas.Kernel) the CPU selected.
 type Env struct {
 	GoVersion   string `json:"go_version"`
 	GOARCH      string `json:"goarch"`
 	NumCPU      int    `json:"num_cpu"`
 	GOMAXPROCS  int    `json:"gomaxprocs"`
 	BLASWorkers int    `json:"blas_workers"`
+	BLASKernel  string `json:"blas_kernel"`
 }
 
 // Entry summarizes the wall-clock samples of one timed step.
@@ -94,7 +96,7 @@ func main() {
 
 func record(name string, run func(*Report) error, check bool) error {
 	r := &Report{
-		Env:   Env{runtime.Version(), runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0), blas.Workers},
+		Env:   Env{runtime.Version(), runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0), blas.Workers, blas.Kernel()},
 		Rates: map[string]float64{},
 		Exact: map[string]json.RawMessage{},
 	}

@@ -20,7 +20,7 @@ func committed(t *testing.T) *Report {
 	t.Helper()
 	var r Report
 	err := json.Unmarshal([]byte(`{
-  "env": {"go_version": "go1.24.0", "goarch": "amd64", "num_cpu": 2, "gomaxprocs": 2, "blas_workers": 2},
+  "env": {"go_version": "go1.24.0", "goarch": "amd64", "num_cpu": 2, "gomaxprocs": 2, "blas_workers": 2, "blas_kernel": "avx512"},
   "entries": [
     {"name": "serial", "reps": 5, "median_ms": 10, "min_ms": 9},
     {"name": "parallel", "reps": 5, "median_ms": 100, "min_ms": 90}

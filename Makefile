@@ -21,19 +21,27 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Native fuzzing of the trust boundaries, the checksum verifier and
+# Native fuzzing of the trust boundaries (the campaign journal, the
+# daemon's submit decoders, fingerprints), the checksum verifier and
 # the GEMM micro-kernels (the one chosen at init against the Go one),
 # 10 s per target (`go test -fuzz` takes one package and one target per
 # run). `go test ./...` already replays every seed and every
 # committed testdata/fuzz regression input; this searches for new ones.
 # A failure leaves the crashing input under the package's
 # testdata/fuzz/<target>/, which is where its regression seed belongs.
+# Minimizing a new input is capped at 100 execs: at Go's default (60 s)
+# a target whose execs are slow, such as FuzzJournalLoad with one
+# fsynced journal per exec, spends its whole 10 s shrinking the first
+# input it finds and fuzzes nothing after it.
+FUZZ = -run '^$$' -fuzztime 10s -fuzzminimizetime 100x
+
 fuzz:
-	$(GO) test ./internal/checksum -run '^$$' -fuzz '^FuzzVerifyAndCorrect$$' -fuzztime 10s
-	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzCampaignInvariants$$' -fuzztime 10s
-	$(GO) test ./internal/reliability/campaign -run '^$$' -fuzz '^FuzzJournalLoad$$' -fuzztime 10s
-	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s
-	$(GO) test ./internal/blas -run '^$$' -fuzz '^FuzzGemmKernels$$' -fuzztime 10s
+	$(GO) test ./internal/checksum $(FUZZ) -fuzz '^FuzzVerifyAndCorrect$$'
+	$(GO) test ./internal/fault $(FUZZ) -fuzz '^FuzzCampaignInvariants$$'
+	$(GO) test ./internal/reliability/campaign $(FUZZ) -fuzz '^FuzzJournalLoad$$'
+	$(GO) test ./internal/experiments $(FUZZ) -fuzz '^FuzzFingerprint$$'
+	$(GO) test ./internal/blas $(FUZZ) -fuzz '^FuzzGemmKernels$$'
+	$(GO) test ./internal/server $(FUZZ) -fuzz '^FuzzSubmitBodies$$'
 
 # lint = formatting + go vet + the repository's own analyzer suite
 # (cmd/abftlint — see docs/LINTING.md for the current roster; the

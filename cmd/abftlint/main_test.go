@@ -114,14 +114,13 @@ func findingLess(a, b *jsonFinding) bool {
 }
 
 // TestDriverOnSeededBugs points the driver at a self-contained fixture
-// module carrying seeded bugs — an unguarded write to a guarded field
-// (lockcheck), a leaked worker goroutine (goleak), a map-range streamed
-// into a JSON encoder and a wall-clock read in the numeric core
-// (determinism), a %v wrap severing a sentinel chain (errflow), and a
-// handler minting context.Background() instead of inheriting the
-// request context (ctxcheck) — and asserts the end-to-end pipeline
-// (loader, suite, driver formatting, exit code) reports every one of
-// them.
+// module carrying seeded bugs — a leaked worker goroutine (goleak), a
+// map-range streamed into a JSON encoder and a wall-clock read in the
+// numeric core (determinism), a %v wrap severing a sentinel chain
+// (errflow), and a handler minting context.Background() instead of
+// inheriting the request context (ctxcheck) — and asserts the
+// end-to-end pipeline (loader, suite, driver formatting, exit code)
+// reports every one of them.
 func TestDriverOnSeededBugs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the fixture module")
@@ -144,7 +143,6 @@ func TestDriverOnSeededBugs(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"[lockcheck] write to r.counters without holding r.mu",
 		"[goleak] goroutine has no join point",
 		"[determinism] emit inside a range over a map",
 		"[determinism] time.Now reads the wall clock",

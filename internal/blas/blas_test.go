@@ -5,9 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 	"testing/quick"
+
+	"abftchol/internal/guard"
 )
 
 func randSlice(n int, seed int64) []float64 {
@@ -483,13 +484,12 @@ func TestParallelChunksAlignToTile(t *testing.T) {
 		{64, 8, kernNR, 1, [][2]int{{0, 64}}},
 	} {
 		Workers = tc.workers
-		var mu sync.Mutex
-		var got [][2]int
+		var chunks guard.Mutex[[][2]int]
 		parallelColumns(tc.n, tc.minChunk, tc.align, func(j0, j1 int) {
-			mu.Lock()
-			defer mu.Unlock()
-			got = append(got, [2]int{j0, j1})
+			chunks.Do(func(c *[][2]int) { *c = append(*c, [2]int{j0, j1}) })
 		})
+		var got [][2]int
+		chunks.Do(func(c *[][2]int) { got = *c })
 		slices.SortFunc(got, func(x, y [2]int) int { return x[0] - y[0] })
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("n=%d minChunk=%d align=%d workers=%d: chunks %v, want %v", tc.n, tc.minChunk, tc.align, tc.workers, got, tc.want)

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"abftchol/internal/core"
+	"abftchol/internal/guard"
 	"abftchol/internal/hetsim"
 	"abftchol/internal/obs"
 )
@@ -26,26 +26,26 @@ type Obs struct {
 	// trace is retained, so memory stays bounded by one run.
 	CaptureTrace bool
 
-	mu sync.Mutex
-	// lastTrace and lastTraceLabel identify the retained timeline.
-	lastTrace      *hetsim.Trace
-	lastTraceLabel string
+	last guard.Mutex[retainedTrace]
+}
+
+// retainedTrace identifies the retained timeline.
+type retainedTrace struct {
+	trace *hetsim.Trace
+	label string
 }
 
 // LastTrace returns the retained timeline and its label (nil if no
 // traced run has finished).
 func (s *Obs) LastTrace() (*hetsim.Trace, string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastTrace, s.lastTraceLabel
+	var last retainedTrace
+	s.last.Do(func(r *retainedTrace) { last = *r })
+	return last.trace, last.label
 }
 
 // setLastTrace replaces the retained timeline.
 func (s *Obs) setLastTrace(tr *hetsim.Trace, label string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lastTrace = tr
-	s.lastTraceLabel = label
+	s.last.Do(func(r *retainedTrace) { *r = retainedTrace{tr, label} })
 }
 
 // instrument copies the sink's wiring into one run's options.

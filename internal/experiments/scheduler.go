@@ -24,8 +24,10 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"abftchol/internal/core"
+	"abftchol/internal/guard"
 	"abftchol/internal/hetsim"
 	"abftchol/internal/obs"
 )
@@ -48,7 +50,11 @@ type Scheduler struct {
 	runFn  func(core.Options) (core.Result, error)
 	remote bool
 
-	mu       sync.Mutex // guards: memo, storeErr
+	st guard.Mutex[schedState]
+}
+
+// schedState is the scheduler's guarded state.
+type schedState struct {
 	memo     map[string]*outcome
 	storeErr error
 }
@@ -64,7 +70,7 @@ type outcome struct {
 	executed bool          // ran core.Run (not memo, not disk)
 	fromDisk bool
 	stored   bool
-	merged   bool // delta already flushed into a sink
+	merged   atomic.Bool // delta already flushed into a sink
 }
 
 // NewScheduler builds a sweep engine running at most workers
@@ -74,13 +80,14 @@ func NewScheduler(workers int, cache *Cache) *Scheduler {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Scheduler{
+	s := &Scheduler{
 		workers: workers,
 		cache:   cache,
 		sem:     make(chan struct{}, workers),
 		runFn:   core.Run,
-		memo:    make(map[string]*outcome),
 	}
+	s.st.Do(func(st *schedState) { st.memo = make(map[string]*outcome) })
+	return s
 }
 
 // NewRemoteScheduler builds a sweep engine whose points are resolved
@@ -111,9 +118,9 @@ func (s *Scheduler) Remote() bool { return s.remote }
 // best-effort for correctness (the sweep's results are unaffected) but
 // a broken cache directory should be surfaced, not silently ignored.
 func (s *Scheduler) StoreErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.storeErr
+	var err error
+	s.st.Do(func(st *schedState) { err = st.storeErr })
+	return err
 }
 
 // PointResult is one point's outcome, in the order requested.
@@ -211,15 +218,15 @@ func (s *Scheduler) Execute(points []core.Options, sink *Obs) []PointResult {
 
 // claim registers a fingerprint, returning its outcome and whether the
 // caller owns (must execute) it.
-func (s *Scheduler) claim(fp string) (*outcome, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if oc, ok := s.memo[fp]; ok {
-		return oc, false
-	}
-	oc := &outcome{done: make(chan struct{})}
-	s.memo[fp] = oc
-	return oc, true
+func (s *Scheduler) claim(fp string) (oc *outcome, created bool) {
+	s.st.Do(func(st *schedState) {
+		if oc = st.memo[fp]; oc == nil {
+			oc = &outcome{done: make(chan struct{})}
+			st.memo[fp] = oc
+			created = true
+		}
+	})
+	return oc, created
 }
 
 // runPoint fills one owned outcome: disk cache first (unless the
@@ -247,11 +254,11 @@ func (s *Scheduler) runPoint(fp string, o core.Options, sink *Obs, oc *outcome, 
 	oc.executed = true
 	if s.cache != nil && cacheable && oc.err == nil {
 		if err := s.cache.Store(o, oc.res); err != nil {
-			s.mu.Lock()
-			if s.storeErr == nil {
-				s.storeErr = err
-			}
-			s.mu.Unlock()
+			s.st.Do(func(st *schedState) {
+				if st.storeErr == nil {
+					st.storeErr = err
+				}
+			})
 		} else {
 			oc.stored = true
 		}
@@ -261,7 +268,7 @@ func (s *Scheduler) runPoint(fp string, o core.Options, sink *Obs, oc *outcome, 
 // flush merges per-execution metric deltas into the sink in canonical
 // point order and accounts the sweep.* counters. Each delta merges
 // exactly once across the scheduler's lifetime (the memo outlives one
-// Execute call), claimed under the scheduler lock.
+// Execute call): the caller that flips its merged flag merges it.
 func (s *Scheduler) flush(points []core.Options, fps, order []string, get func(string) (*outcome, bool), sink *Obs) {
 	if sink == nil || sink.Metrics == nil {
 		return
@@ -269,14 +276,7 @@ func (s *Scheduler) flush(points []core.Options, fps, order []string, get func(s
 	m := sink.Metrics
 	for _, fp := range order {
 		oc, _ := get(fp)
-		if oc.delta == nil {
-			continue
-		}
-		s.mu.Lock()
-		claim := !oc.merged
-		oc.merged = true
-		s.mu.Unlock()
-		if claim {
+		if oc.delta != nil && oc.merged.CompareAndSwap(false, true) {
 			m.Merge(oc.delta)
 		}
 	}

@@ -3,14 +3,16 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
-	"sync"
+
+	"abftchol/internal/guard"
 )
 
 // Registry holds one deterministic set of metrics, pre-registered
 // from Catalog. It is strict: touching a name the catalog does not
 // declare panics, so a typo fails the first test that exercises the
-// path instead of silently dropping data. A mutex makes concurrent
+// path instead of silently dropping data. A lock makes concurrent
 // emission safe (the sweep engine's worker pool shares one sink);
 // determinism is unaffected because every metric is a commutative
 // accumulation, so a snapshot is a pure function of the set of runs
@@ -18,7 +20,11 @@ import (
 // guarantees the sweep engine still merges per-run deltas in
 // canonical point order (see internal/experiments).
 type Registry struct {
-	mu       sync.Mutex // guards: counters, values, hists
+	m guard.Mutex[metrics]
+}
+
+// metrics is a registry's guarded state.
+type metrics struct {
 	counters map[string]int64
 	values   map[string]float64
 	hists    map[string]*Histogram
@@ -26,25 +32,26 @@ type Registry struct {
 
 // NewRegistry builds a registry with every catalog metric at zero.
 func NewRegistry() *Registry {
-	r := &Registry{
-		counters: make(map[string]int64),
-		values:   make(map[string]float64),
-		hists:    make(map[string]*Histogram),
-	}
-	for _, m := range Catalog {
-		switch m.Kind {
-		case Counter:
-			r.counters[m.Name] = 0
-		case Value:
-			r.values[m.Name] = 0
-		case HistogramKind:
-			r.hists[m.Name] = &Histogram{}
+	r := &Registry{}
+	r.m.Do(func(m *metrics) {
+		m.counters = make(map[string]int64)
+		m.values = make(map[string]float64)
+		m.hists = make(map[string]*Histogram)
+		for _, c := range Catalog {
+			switch c.Kind {
+			case Counter:
+				m.counters[c.Name] = 0
+			case Value:
+				m.values[c.Name] = 0
+			case HistogramKind:
+				m.hists[c.Name] = &Histogram{}
+			}
 		}
-	}
+	})
 	return r
 }
 
-func (r *Registry) unknown(kind Kind, name string) string {
+func unknown(kind Kind, name string) string {
 	return fmt.Sprintf("obs: %s %q is not in the catalog; declare it in internal/obs/catalog.go", kind, name)
 }
 
@@ -53,66 +60,70 @@ func (r *Registry) Inc(name string) { r.Add(name, 1) }
 
 // Add adds d to a counter.
 func (r *Registry) Add(name string, d int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.counters[name]; !ok {
-		panic(r.unknown(Counter, name))
-	}
-	r.counters[name] += d
+	r.m.Do(func(m *metrics) {
+		if _, ok := m.counters[name]; !ok {
+			panic(unknown(Counter, name))
+		}
+		m.counters[name] += d
+	})
 }
 
 // AddValue adds v to a float accumulator.
 func (r *Registry) AddValue(name string, v float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.values[name]; !ok {
-		panic(r.unknown(Value, name))
-	}
-	r.values[name] += v
+	r.m.Do(func(m *metrics) {
+		if _, ok := m.values[name]; !ok {
+			panic(unknown(Value, name))
+		}
+		m.values[name] += v
+	})
 }
 
 // Observe records v into a histogram.
 func (r *Registry) Observe(name string, v float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		panic(r.unknown(HistogramKind, name))
-	}
-	h.observe(v)
+	r.m.Do(func(m *metrics) {
+		h, ok := m.hists[name]
+		if !ok {
+			panic(unknown(HistogramKind, name))
+		}
+		h.observe(v)
+	})
 }
 
 // Counter reads a counter's current value (tests and assertions).
 func (r *Registry) Counter(name string) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.counters[name]
+	var v int64
+	var ok bool
+	r.m.Do(func(m *metrics) { v, ok = m.counters[name] })
 	if !ok {
-		panic(r.unknown(Counter, name))
+		panic(unknown(Counter, name))
 	}
 	return v
 }
 
 // Value reads a float accumulator's current value.
 func (r *Registry) Value(name string) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.values[name]
+	var v float64
+	var ok bool
+	r.m.Do(func(m *metrics) { v, ok = m.values[name] })
 	if !ok {
-		panic(r.unknown(Value, name))
+		panic(unknown(Value, name))
 	}
 	return v
 }
 
 // HistogramCount reads a histogram's observation count.
 func (r *Registry) HistogramCount(name string) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
+	var n int64
+	var ok bool
+	r.m.Do(func(m *metrics) {
+		if h, found := m.hists[name]; found {
+			n, ok = h.Count, true
+		}
+	})
 	if !ok {
-		panic(r.unknown(HistogramKind, name))
+		panic(unknown(HistogramKind, name))
 	}
-	return h.Count
+	return n
 }
 
 // Merge folds every metric of src into r: counters and values add,
@@ -121,34 +132,42 @@ func (r *Registry) HistogramCount(name string) int64 {
 // Snapshot is byte-identical to having emitted both registries' events
 // into one. The sweep engine gives each concurrent factorization a
 // private registry and merges the deltas in canonical point order, so
-// parallel sweeps snapshot byte-identically to serial ones.
+// parallel sweeps snapshot byte-identically to serial ones. src is
+// copied under its own lock and added in under r's, so Merge never
+// holds two registry locks and a.Merge(b) may run alongside
+// b.Merge(a).
 func (r *Registry) Merge(src *Registry) {
 	if src == nil || src == r {
 		return
 	}
-	// Lock ordering: src is a completed per-run delta no longer being
-	// written; taking its lock second is safe because Merge callers
-	// never merge two live sinks into each other both ways.
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	src.mu.Lock()
-	defer src.mu.Unlock()
-	for name, v := range src.counters {
-		r.counters[name] += v
-	}
-	for name, v := range src.values {
-		r.values[name] += v
-	}
-	for name, h := range src.hists {
-		dst := r.hists[name]
-		dst.Count += h.Count
-		dst.Sum += h.Sum
-		dst.Underflow += h.Underflow
-		dst.Overflow += h.Overflow
-		for i := range h.buckets {
-			dst.buckets[i] += h.buckets[i]
+	var delta metrics
+	src.m.Do(func(m *metrics) {
+		delta.counters = maps.Clone(m.counters)
+		delta.values = maps.Clone(m.values)
+		delta.hists = make(map[string]*Histogram, len(m.hists))
+		for name, h := range m.hists {
+			c := *h
+			delta.hists[name] = &c
 		}
-	}
+	})
+	r.m.Do(func(m *metrics) {
+		for name, v := range delta.counters {
+			m.counters[name] += v
+		}
+		for name, v := range delta.values {
+			m.values[name] += v
+		}
+		for name, h := range delta.hists {
+			dst := m.hists[name]
+			dst.Count += h.Count
+			dst.Sum += h.Sum
+			dst.Underflow += h.Underflow
+			dst.Overflow += h.Overflow
+			for i := range h.buckets {
+				dst.buckets[i] += h.buckets[i]
+			}
+		}
+	})
 }
 
 // Histogram is a log₂-bucketed distribution: bucket i counts
@@ -214,25 +233,27 @@ type snapshot struct {
 // of the same catalog always have the same shape — as indented JSON.
 // Identical runs produce byte-identical snapshots.
 func (r *Registry) Snapshot() ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := snapshot{
-		Counters:   r.counters,
-		Values:     r.values,
-		Histograms: make(map[string]histSnapshot, len(r.hists)),
-	}
-	for name, h := range r.hists {
-		hs := histSnapshot{Count: h.Count, Sum: h.Sum, Underflow: h.Underflow, Overflow: h.Overflow}
-		le := float64(1)
-		for i := 0; i <= maxBucket; i++ {
-			if h.buckets[i] > 0 {
-				hs.Buckets = append(hs.Buckets, bucketSnapshot{LE: le, N: h.buckets[i]})
-			}
-			le *= 2
+	var b []byte
+	var err error
+	r.m.Do(func(m *metrics) {
+		s := snapshot{
+			Counters:   m.counters,
+			Values:     m.values,
+			Histograms: make(map[string]histSnapshot, len(m.hists)),
 		}
-		s.Histograms[name] = hs
-	}
-	b, err := json.MarshalIndent(&s, "", "  ")
+		for name, h := range m.hists {
+			hs := histSnapshot{Count: h.Count, Sum: h.Sum, Underflow: h.Underflow, Overflow: h.Overflow}
+			le := float64(1)
+			for i := 0; i <= maxBucket; i++ {
+				if h.buckets[i] > 0 {
+					hs.Buckets = append(hs.Buckets, bucketSnapshot{LE: le, N: h.buckets[i]})
+				}
+				le *= 2
+			}
+			s.Histograms[name] = hs
+		}
+		b, err = json.MarshalIndent(&s, "", "  ")
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -242,18 +263,18 @@ func (r *Registry) Snapshot() ([]byte, error) {
 // Names returns every registered metric name, sorted — the live
 // registry's view for the catalog drift test.
 func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var out []string
-	for n := range r.counters {
-		out = append(out, n)
-	}
-	for n := range r.values {
-		out = append(out, n)
-	}
-	for n := range r.hists {
-		out = append(out, n)
-	}
+	r.m.Do(func(m *metrics) {
+		for n := range m.counters {
+			out = append(out, n)
+		}
+		for n := range m.values {
+			out = append(out, n)
+		}
+		for n := range m.hists {
+			out = append(out, n)
+		}
+	})
 	sort.Strings(out)
 	return out
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestRegistryRejectsUnknownNames(t *testing.T) {
@@ -118,5 +120,55 @@ func TestCatalogTableListsEveryMetric(t *testing.T) {
 		if !strings.Contains(table, "`"+def.Name+"`") {
 			t.Errorf("catalog table is missing %s", def.Name)
 		}
+	}
+}
+
+func TestMergeAddsEveryMetric(t *testing.T) {
+	src := NewRegistry()
+	src.Add("kernel.launches.gemm", 3)
+	src.AddValue("time.sim_seconds", 0.25)
+	src.Observe("xfer.bytes", 4096)
+	dst := NewRegistry()
+	dst.Merge(src)
+	dst.Merge(src)
+	src.Inc("kernel.launches.gemm") // a later write to src must not reach dst
+	if got := dst.Counter("kernel.launches.gemm"); got != 6 {
+		t.Errorf("merged counter %d, want 6", got)
+	}
+	if got := dst.Value("time.sim_seconds"); got != 0.5 {
+		t.Errorf("merged value %v, want 0.5", got)
+	}
+	if got := dst.HistogramCount("xfer.bytes"); got != 2 {
+		t.Errorf("merged histogram count %d, want 2", got)
+	}
+}
+
+// TestCrossMergeCompletes runs a.Merge(b) and b.Merge(a) concurrently.
+// A Merge that held both registries' locks at once could deadlock
+// here, each goroutine holding its destination and waiting for the
+// other's.
+func TestCrossMergeCompletes(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	a.Inc("run.count")
+	b.Inc("run.count")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		for _, pair := range [][2]*Registry{{a, b}, {b, a}} {
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 2000; i++ {
+					pair[0].Merge(pair[1])
+				}
+			}()
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("concurrent a.Merge(b) and b.Merge(a) did not finish within 30 s")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -25,20 +26,27 @@ import (
 // factorization worker pool's queue slots, and graceful drain joins
 // it like any in-flight execution.
 
-// campaignJob is one campaign's lifecycle. Mutable fields are guarded
-// by Server.mu; changed is closed-and-replaced on every transition.
+// campaignJob is one campaign's identity, fixed at submission and
+// readable without the lock. Its lifecycle is a campaignStatus in the
+// server's shared state.
 type campaignJob struct {
-	id  string
-	fp  string
-	cfg campaign.Config // normalized
-
-	state     State
-	err       error // terminal cause; classified via ErrorCodeOf
+	id        string
+	fp        string
+	cfg       campaign.Config // normalized
 	submitted time.Time
-	finished  time.Time
-	attached  int // follower submissions deduped onto this campaign
-	report    []byte
-	changed   chan struct{}
+}
+
+// campaignStatus is a campaign's lifecycle. It lives in
+// shared.campaigns, so only code holding the server lock reaches it;
+// changed is closed-and-replaced on every transition.
+type campaignStatus struct {
+	*campaignJob
+	state    State
+	err      error // terminal cause; classified via ErrorCodeOf
+	finished time.Time
+	attached int // follower submissions deduped onto this campaign
+	report   []byte
+	changed  chan struct{}
 }
 
 // newCampaign registers a campaign (or attaches to the in-flight or
@@ -47,31 +55,29 @@ type campaignJob struct {
 // leader is false for deduped followers.
 func (s *Server) newCampaign(cfg campaign.Config, fp string) (cj *campaignJob, leader, ok bool) {
 	now := s.cfg.Clock.Now()
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil, false, false
+	s.st.Do(func(sh *shared) {
+		if sh.draining {
+			return
+		}
+		ok = true
+		if existing, dup := sh.campaignsByFP[fp]; dup && existing.state != StateFailed && existing.state != StateCanceled {
+			existing.attached++
+			cj = existing.campaignJob
+			return
+		}
+		sh.cseq++
+		cj = &campaignJob{id: newCampaignID(sh.cseq), fp: fp, cfg: cfg, submitted: now}
+		cs := &campaignStatus{campaignJob: cj, state: StateRunning, changed: make(chan struct{})}
+		sh.campaigns[cj.id] = cs
+		sh.campaignsByFP[fp] = cs
+		leader = true
+	})
+	if !leader {
+		return cj, false, ok
 	}
-	if existing, dup := s.campaignsByFP[fp]; dup && existing.state != StateFailed && existing.state != StateCanceled {
-		existing.attached++
-		s.mu.Unlock()
-		return existing, false, true
-	}
-	s.cseq++
-	cj = &campaignJob{
-		id:        newCampaignID(s.cseq),
-		fp:        fp,
-		cfg:       cfg,
-		state:     StateRunning,
-		submitted: now,
-		changed:   make(chan struct{}),
-	}
-	s.campaigns[cj.id] = cj
-	s.campaignsByFP[fp] = cj
-	s.mu.Unlock()
-	// The Add happens outside mu like process()'s: Shutdown joins HTTP
-	// handlers (httpSrv.Shutdown) before it reaches execWG.Wait, so the
-	// Add of an accepted campaign always precedes the Wait.
+	// The Add happens outside the lock like process()'s: Shutdown joins
+	// HTTP handlers (httpSrv.Shutdown) before it reaches execWG.Wait, so
+	// the Add of an accepted campaign always precedes the Wait.
 	s.execWG.Add(1)
 	go s.execCampaign(s.execCtx, cj)
 	return cj, true, true
@@ -102,39 +108,39 @@ func (s *Server) execCampaign(ctx context.Context, cj *campaignJob) {
 	s.reg.Merge(sink)
 
 	now := s.cfg.Clock.Now()
-	s.mu.Lock()
-	cj.finished = now
-	switch {
-	case errors.Is(err, context.Canceled):
-		cj.state = StateCanceled
-		cj.err = fmt.Errorf("%w: %w", errCanceled, err)
-	case err != nil:
-		cj.state = StateFailed
-		cj.err = err
-	default:
-		cj.state = StateDone
-		cj.report = data
-	}
-	close(cj.changed)
-	cj.changed = make(chan struct{})
-	s.mu.Unlock()
+	s.st.Do(func(sh *shared) {
+		cs := sh.campaigns[cj.id]
+		cs.finished = now
+		switch {
+		case errors.Is(err, context.Canceled):
+			cs.state = StateCanceled
+			cs.err = fmt.Errorf("%w: %w", errCanceled, err)
+		case err != nil:
+			cs.state = StateFailed
+			cs.err = err
+		default:
+			cs.state = StateDone
+			cs.report = data
+		}
+		close(cs.changed)
+		cs.changed = make(chan struct{})
+	})
 }
 
-// campaignInfoLocked renders a campaign's status body. Callers hold
-// s.mu.
-func (s *Server) campaignInfoLocked(cj *campaignJob) CampaignInfo {
+// campaignInfo renders a campaign's status body.
+func (sh *shared) campaignInfo(cs *campaignStatus) CampaignInfo {
 	info := CampaignInfo{
-		ID:          cj.id,
-		State:       cj.state,
-		Fingerprint: cj.fp,
-		Config:      cj.cfg,
-		Attached:    cj.attached,
-		SubmittedAt: cj.submitted,
-		Error:       errorText(cj.err),
-		ErrorCode:   ErrorCodeOf(cj.err),
+		ID:          cs.id,
+		State:       cs.state,
+		Fingerprint: cs.fp,
+		Config:      cs.cfg,
+		Attached:    cs.attached,
+		SubmittedAt: cs.submitted,
+		Error:       errorText(cs.err),
+		ErrorCode:   ErrorCodeOf(cs.err),
 	}
-	if !cj.finished.IsZero() {
-		t := cj.finished
+	if !cs.finished.IsZero() {
+		t := cs.finished
 		info.FinishedAt = &t
 	}
 	return info
@@ -153,19 +159,7 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var cfg campaign.Config
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		failJSON(w, http.StatusBadRequest, "invalid_request", "decode body: %v", err)
-		return
-	}
-	norm, err := cfg.Normalize()
-	if err != nil {
-		failJSON(w, http.StatusBadRequest, "invalid_request", "%v", err)
-		return
-	}
-	fp, err := norm.Fingerprint()
+	norm, fp, err := decodeCampaign(r.Body)
 	if err != nil {
 		failJSON(w, http.StatusBadRequest, "invalid_request", "%v", err)
 		return
@@ -180,24 +174,47 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.reg.Inc("server.campaigns.deduped")
 	}
-	s.mu.Lock()
-	info := s.campaignInfoLocked(cj)
-	s.mu.Unlock()
+	var info CampaignInfo
+	s.st.Do(func(sh *shared) { info = sh.campaignInfo(sh.campaigns[cj.id]) })
 	w.Header().Set("Location", "/v1/campaigns/"+cj.id)
 	writeJSON(w, http.StatusAccepted, info)
+}
+
+// decodeCampaign parses a POST /v1/campaigns body into its normalized
+// config and that config's fingerprint.
+func decodeCampaign(body io.Reader) (campaign.Config, string, error) {
+	var cfg campaign.Config
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return campaign.Config{}, "", fmt.Errorf("decode body: %w", err)
+	}
+	norm, err := cfg.Normalize()
+	if err != nil {
+		return campaign.Config{}, "", err
+	}
+	fp, err := norm.Fingerprint()
+	if err != nil {
+		return campaign.Config{}, "", err
+	}
+	return norm, fp, nil
 }
 
 // lookupCampaign resolves a path's campaign ID, writing the 404
 // itself on a miss.
 func (s *Server) lookupCampaign(w http.ResponseWriter, r *http.Request) (*campaignJob, bool) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	cj, ok := s.campaigns[id]
-	s.mu.Unlock()
-	if !ok {
+	var cj *campaignJob
+	s.st.Do(func(sh *shared) {
+		if cs, ok := sh.campaigns[id]; ok {
+			cj = cs.campaignJob
+		}
+	})
+	if cj == nil {
 		failJSON(w, http.StatusNotFound, "unknown_campaign", "no campaign %q (IDs do not survive daemon restarts)", id)
+		return nil, false
 	}
-	return cj, ok
+	return cj, true
 }
 
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
@@ -222,10 +239,12 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		expired = s.cfg.Clock.After(wait)
 	}
 	for {
-		s.mu.Lock()
-		info := s.campaignInfoLocked(cj)
-		ch := cj.changed
-		s.mu.Unlock()
+		var info CampaignInfo
+		var ch chan struct{}
+		s.st.Do(func(sh *shared) {
+			cs := sh.campaigns[cj.id]
+			info, ch = sh.campaignInfo(cs), cs.changed
+		})
 		if wait == 0 || info.State.Terminal() {
 			writeJSON(w, http.StatusOK, info)
 			return
@@ -250,9 +269,13 @@ func (s *Server) handleCampaignReport(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.mu.Lock()
-	state, errMsg, report := cj.state, errorText(cj.err), cj.report
-	s.mu.Unlock()
+	var state State
+	var errMsg string
+	var report []byte
+	s.st.Do(func(sh *shared) {
+		cs := sh.campaigns[cj.id]
+		state, errMsg, report = cs.state, errorText(cs.err), cs.report
+	})
 	switch {
 	case state == StateFailed:
 		failJSON(w, http.StatusConflict, "job_failed", "campaign %s failed: %s", cj.id, errMsg)

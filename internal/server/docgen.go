@@ -220,15 +220,13 @@ func DocSession() (string, error) {
 // ID that does not exist returns immediately.
 func (s *Server) awaitTerminal(id string) {
 	for {
-		s.mu.Lock()
-		j, ok := s.jobs[id]
-		if !ok {
-			s.mu.Unlock()
-			return
-		}
-		ch := j.changed
-		terminal := j.state.Terminal()
-		s.mu.Unlock()
+		var ch chan struct{}
+		terminal := true
+		s.st.Do(func(sh *shared) {
+			if js, ok := sh.jobs[id]; ok {
+				ch, terminal = js.changed, js.state.Terminal()
+			}
+		})
 		if terminal {
 			return
 		}

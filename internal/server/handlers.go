@@ -2,14 +2,18 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sort"
 	"strconv"
 	"time"
 
+	"abftchol/internal/core"
 	"abftchol/internal/experiments"
+	"abftchol/internal/hetsim"
 	"abftchol/internal/obs"
 )
 
@@ -96,9 +100,9 @@ func clientKey(r *http.Request) string {
 }
 
 func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
+	var draining bool
+	s.st.Do(func(sh *shared) { draining = sh.draining })
+	return draining
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -114,33 +118,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var req JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		failJSON(w, http.StatusBadRequest, "invalid_request", "decode body: %v", err)
-		return
-	}
-	opts, err := req.Options()
+	req, opts, fp, err := decodeJob(r.Body)
 	if err != nil {
 		failJSON(w, http.StatusBadRequest, "invalid_request", "%v", err)
 		return
 	}
-	fp := experiments.Fingerprint(opts)
-	j, ok := s.newJob(req, opts, fp)
-	if !ok {
+	j, info, err := s.enqueue(req, opts, fp)
+	switch {
+	case errors.Is(err, errDraining):
 		failJSON(w, http.StatusServiceUnavailable, "draining", "daemon is shutting down; submissions are closed")
 		return
-	}
-	// The response describes the job as accepted: snapshot it before a
-	// worker can pick it up, or a fast job would answer "done".
-	s.mu.Lock()
-	info := s.infoLocked(j)
-	s.mu.Unlock()
-	select {
-	case s.queue <- j:
-	default:
-		s.dropJob(j)
+	case errors.Is(err, errQueueFull):
 		s.reg.Inc("server.jobs.rejected.queue")
 		w.Header().Set("Retry-After", "1")
 		failJSON(w, http.StatusTooManyRequests, "queue_full", "job queue is at capacity (%d); retry after 1 s", s.cfg.QueueDepth)
@@ -149,6 +137,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.reg.Inc("server.jobs.submitted")
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	writeJSON(w, http.StatusAccepted, info)
+}
+
+// decodeJob parses a POST /v1/jobs body into its request, the options
+// point it names, and that point's canonical fingerprint.
+func decodeJob(body io.Reader) (JobRequest, core.Options, string, error) {
+	var req JobRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, core.Options{}, "", fmt.Errorf("decode body: %w", err)
+	}
+	opts, err := req.Options()
+	if err != nil {
+		return req, core.Options{}, "", err
+	}
+	return req, opts, experiments.Fingerprint(opts), nil
 }
 
 // retrySeconds rounds a wait up to whole header seconds (minimum 1).
@@ -161,12 +165,13 @@ func retrySeconds(d time.Duration) int {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	infos := make([]JobInfo, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		infos = append(infos, s.infoLocked(j))
-	}
-	s.mu.Unlock()
+	var infos []JobInfo
+	s.st.Do(func(sh *shared) {
+		infos = make([]JobInfo, 0, len(sh.jobs))
+		for _, js := range sh.jobs {
+			infos = append(infos, sh.info(js))
+		}
+	})
 	sort.Slice(infos, func(i, k int) bool { return infos[i].ID < infos[k].ID })
 	writeJSON(w, http.StatusOK, JobList{Jobs: infos})
 }
@@ -174,13 +179,17 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // lookup resolves a path's job ID, writing the 404 itself on a miss.
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*job, bool) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
+	var j *job
+	s.st.Do(func(sh *shared) {
+		if js, ok := sh.jobs[id]; ok {
+			j = js.job
+		}
+	})
+	if j == nil {
 		failJSON(w, http.StatusNotFound, "unknown_job", "no job %q (IDs do not survive daemon restarts)", id)
+		return nil, false
 	}
-	return j, ok
+	return j, true
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -205,10 +214,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		expired = s.cfg.Clock.After(wait)
 	}
 	for {
-		s.mu.Lock()
-		info := s.infoLocked(j)
-		ch := j.changed
-		s.mu.Unlock()
+		var info JobInfo
+		var ch chan struct{}
+		s.st.Do(func(sh *shared) {
+			js := sh.jobs[j.id]
+			info, ch = sh.info(js), js.changed
+		})
 		if wait == 0 || info.State.Terminal() {
 			writeJSON(w, http.StatusOK, info)
 			return
@@ -234,19 +245,23 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := s.cfg.Clock.Now()
-	s.mu.Lock()
-	if j.state != StateQueued {
-		state := j.state
-		s.mu.Unlock()
-		failJSON(w, http.StatusConflict, "not_cancelable", "job %s is %s; only queued jobs can be canceled", j.id, state)
+	var info JobInfo
+	var was State
+	s.st.Do(func(sh *shared) {
+		js := sh.jobs[j.id]
+		if was = js.state; was != StateQueued {
+			return
+		}
+		js.state = StateCanceled
+		js.err = fmt.Errorf("%w by client", errCanceled)
+		js.finished = now
+		sh.broadcast(js)
+		info = sh.info(js)
+	})
+	if was != StateQueued {
+		failJSON(w, http.StatusConflict, "not_cancelable", "job %s is %s; only queued jobs can be canceled", j.id, was)
 		return
 	}
-	j.state = StateCanceled
-	j.err = fmt.Errorf("%w by client", errCanceled)
-	j.finished = now
-	s.broadcastLocked(j)
-	info := s.infoLocked(j)
-	s.mu.Unlock()
 	s.reg.Inc("server.jobs.canceled")
 	writeJSON(w, http.StatusOK, info)
 }
@@ -262,11 +277,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	idx := 0
 	for {
-		s.mu.Lock()
-		events := append([]stateEvent(nil), j.history[idx:]...)
-		ch := j.changed
-		terminal := j.state.Terminal()
-		s.mu.Unlock()
+		var events []stateEvent
+		var ch chan struct{}
+		var terminal bool
+		s.st.Do(func(sh *shared) {
+			js := sh.jobs[j.id]
+			events = append([]stateEvent(nil), js.history[idx:]...)
+			ch, terminal = js.changed, js.state.Terminal()
+		})
 		idx += len(events)
 		for _, ev := range events {
 			data, err := json.Marshal(ev)
@@ -296,12 +314,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.mu.Lock()
-	state := j.state
-	executed := j.executed
-	res := j.result
-	errMsg := errorText(j.err)
-	s.mu.Unlock()
+	var state State
+	var executed bool
+	var res core.Result
+	var errMsg string
+	s.st.Do(func(sh *shared) {
+		js := sh.jobs[j.id]
+		state, executed, res, errMsg = js.state, js.executed, js.result, errorText(js.err)
+	})
 	switch {
 	case state == StateDone:
 		writeJSON(w, http.StatusOK, JobResult{
@@ -320,11 +340,13 @@ func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.mu.Lock()
-	snap := j.metrics
-	state := j.state
-	errMsg := errorText(j.err)
-	s.mu.Unlock()
+	var snap []byte
+	var state State
+	var errMsg string
+	s.st.Do(func(sh *shared) {
+		js := sh.jobs[j.id]
+		snap, state, errMsg = js.metrics, js.state, errorText(js.err)
+	})
 	switch {
 	case snap != nil:
 		w.Header().Set("Content-Type", "application/json")
@@ -341,19 +363,19 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.mu.Lock()
-	tr := j.trace
-	state := j.state
-	n, k := j.opts.N, j.opts.K
-	scheme := j.req.Scheme
-	s.mu.Unlock()
+	var tr *hetsim.Trace
+	var state State
+	s.st.Do(func(sh *shared) {
+		js := sh.jobs[j.id]
+		tr, state = js.trace, js.state
+	})
 	switch {
 	case tr != nil:
 		w.Header().Set("Content-Type", "application/json")
 		obs.WriteChromeTrace(w, tr, map[string]string{
 			"tool": "abftd",
 			"job":  j.id,
-			"run":  fmt.Sprintf("%s n=%d K=%d", scheme, n, k),
+			"run":  fmt.Sprintf("%s n=%d K=%d", j.req.Scheme, j.opts.N, j.opts.K),
 		})
 	case !state.Terminal():
 		failJSON(w, http.StatusConflict, "not_finished", "job %s is %s; the trace exists once the job is done", j.id, state)
@@ -374,13 +396,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	depth := len(s.queue)
-	s.mu.Lock()
 	counts := make(map[State]int)
-	for _, j := range s.jobs {
-		counts[j.state]++
-	}
-	draining := s.draining
-	s.mu.Unlock()
+	var draining bool
+	s.st.Do(func(sh *shared) {
+		for _, js := range sh.jobs {
+			counts[js.state]++
+		}
+		draining = sh.draining
+	})
 	status := "ok"
 	if draining {
 		status = "draining"

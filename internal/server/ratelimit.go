@@ -1,8 +1,9 @@
 package server
 
 import (
-	"sync"
 	"time"
+
+	"abftchol/internal/guard"
 )
 
 // rateLimiter is a per-client token bucket: each client starts with
@@ -16,8 +17,7 @@ type rateLimiter struct {
 	burst float64
 	now   func() time.Time
 
-	mu      sync.Mutex // guards: buckets
-	buckets map[string]*bucket
+	buckets guard.Mutex[map[string]*bucket]
 }
 
 type bucket struct {
@@ -26,39 +26,43 @@ type bucket struct {
 }
 
 func newRateLimiter(rate, burst float64, now func() time.Time) *rateLimiter {
-	return &rateLimiter{rate: rate, burst: burst, now: now, buckets: make(map[string]*bucket)}
+	l := &rateLimiter{rate: rate, burst: burst, now: now}
+	l.buckets.Do(func(m *map[string]*bucket) { *m = make(map[string]*bucket) })
+	return l
 }
 
 // allow spends one token for key. When the bucket is empty it reports
 // false and how long until a full token has refilled — the Retry-After
 // hint.
-func (l *rateLimiter) allow(key string) (bool, time.Duration) {
+func (l *rateLimiter) allow(key string) (ok bool, retry time.Duration) {
 	now := l.now()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	b, ok := l.buckets[key]
-	if !ok {
-		pruneBuckets(l.buckets, l.burst)
-		b = &bucket{tokens: l.burst, last: now}
-		l.buckets[key] = b
-	} else {
-		b.tokens += now.Sub(b.last).Seconds() * l.rate
-		if b.tokens > l.burst {
-			b.tokens = l.burst
+	l.buckets.Do(func(m *map[string]*bucket) {
+		buckets := *m
+		b, found := buckets[key]
+		if !found {
+			pruneBuckets(buckets, l.burst)
+			b = &bucket{tokens: l.burst, last: now}
+			buckets[key] = b
+		} else {
+			b.tokens += now.Sub(b.last).Seconds() * l.rate
+			if b.tokens > l.burst {
+				b.tokens = l.burst
+			}
+			b.last = now
 		}
-		b.last = now
-	}
-	if b.tokens >= 1 {
-		b.tokens--
-		return true, 0
-	}
-	need := (1 - b.tokens) / l.rate
-	return false, time.Duration(need * float64(time.Second))
+		if b.tokens >= 1 {
+			b.tokens--
+			ok = true
+			return
+		}
+		need := (1 - b.tokens) / l.rate
+		retry = time.Duration(need * float64(time.Second))
+	})
+	return ok, retry
 }
 
 // pruneBuckets caps the bucket map: full buckets carry no history (a
-// new bucket behaves identically), so they are safe to forget. The
-// caller holds the limiter lock and passes the guarded map in.
+// new bucket behaves identically), so they are safe to forget.
 func pruneBuckets(buckets map[string]*bucket, burst float64) {
 	if len(buckets) < 1024 {
 		return

@@ -30,6 +30,7 @@ import (
 
 	"abftchol/internal/core"
 	"abftchol/internal/experiments"
+	"abftchol/internal/guard"
 	"abftchol/internal/hetsim"
 	"abftchol/internal/obs"
 )
@@ -84,6 +85,12 @@ var (
 	errTimeout  = errors.New("timeout")
 )
 
+// errDraining and errQueueFull are enqueue's refusals.
+var (
+	errDraining  = errors.New("draining")
+	errQueueFull = errors.New("queue full")
+)
+
 // errorText renders a job's stored cause for wire bodies; a nil error
 // is the empty string (the job has not failed).
 func errorText(err error) string {
@@ -120,28 +127,47 @@ type stateEvent struct {
 	Error string    `json:"error,omitempty"`
 }
 
-// job is one submission's full lifecycle. All mutable fields are
-// guarded by Server.mu; execDone is closed by the executing goroutine
-// and changed is closed-and-replaced on every transition (a broadcast
-// that long-polls and SSE streams select on).
+// job is one submission's identity, fixed when it is accepted and
+// readable without the lock. Its lifecycle is a jobStatus in the
+// server's shared state. execDone is closed by the executing
+// goroutine.
 type job struct {
-	id   string
-	fp   string
-	req  JobRequest
-	opts core.Options
-
-	state     State
-	err       error // terminal cause; classified via ErrorCodeOf
+	id        string
+	fp        string
+	req       JobRequest
+	opts      core.Options
 	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	executed  bool
-	result    core.Result
-	metrics   []byte // this job's private registry snapshot
-	trace     *hetsim.Trace
-	history   []stateEvent
-	changed   chan struct{}
 	execDone  chan struct{}
+}
+
+// jobStatus is a job's lifecycle. It lives in shared.jobs, so only
+// code holding the server lock reaches it. changed is
+// closed-and-replaced on every transition (a broadcast that
+// long-polls and SSE streams select on).
+type jobStatus struct {
+	*job
+	state    State
+	err      error // terminal cause; classified via ErrorCodeOf
+	started  time.Time
+	finished time.Time
+	executed bool
+	result   core.Result
+	metrics  []byte // this job's private registry snapshot
+	trace    *hetsim.Trace
+	history  []stateEvent
+	changed  chan struct{}
+}
+
+// shared is what the daemon's handlers and workers share. It is
+// reachable only inside Server.st.Do, which holds the lock, so its
+// methods run with the lock held by construction.
+type shared struct {
+	jobs          map[string]*jobStatus // by job ID
+	seq           int
+	campaigns     map[string]*campaignStatus // by campaign ID
+	campaignsByFP map[string]*campaignStatus
+	cseq          int
+	draining      bool
 }
 
 // Server is the daemon: an HTTP handler plus the worker pool behind
@@ -167,13 +193,7 @@ type Server struct {
 	execCtx    context.Context
 	cancelExec context.CancelFunc
 
-	mu            sync.Mutex // guards: jobs, seq, campaigns, campaignsByFP, cseq, draining
-	jobs          map[string]*job
-	seq           int
-	campaigns     map[string]*campaignJob
-	campaignsByFP map[string]*campaignJob
-	cseq          int
-	draining      bool
+	st guard.Mutex[shared]
 }
 
 // New builds a daemon and starts its worker pool. The caller owns the
@@ -192,15 +212,17 @@ func New(cfg Config) (*Server, error) {
 		cfg.RateBurst = 8
 	}
 	s := &Server{
-		cfg:           cfg,
-		sched:         experiments.NewScheduler(cfg.Workers, cfg.Cache),
-		reg:           obs.NewRegistry(),
-		queue:         make(chan *job, cfg.QueueDepth),
-		quit:          make(chan struct{}),
-		jobs:          make(map[string]*job),
-		campaigns:     make(map[string]*campaignJob),
-		campaignsByFP: make(map[string]*campaignJob),
+		cfg:   cfg,
+		sched: experiments.NewScheduler(cfg.Workers, cfg.Cache),
+		reg:   obs.NewRegistry(),
+		queue: make(chan *job, cfg.QueueDepth),
+		quit:  make(chan struct{}),
 	}
+	s.st.Do(func(sh *shared) {
+		sh.jobs = make(map[string]*jobStatus)
+		sh.campaigns = make(map[string]*campaignStatus)
+		sh.campaignsByFP = make(map[string]*campaignStatus)
+	})
 	// Background is correct here: New is the root of the daemon's
 	// lifetime, not a request path; Shutdown owns the cancel.
 	s.execCtx, s.cancelExec = context.WithCancel(context.Background())
@@ -238,13 +260,11 @@ func (s *Server) Serve(ln net.Listener) error {
 // always terminates). Safe to call once; later calls return nil
 // immediately.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	var already bool
+	s.st.Do(func(sh *shared) { already, sh.draining = sh.draining, true })
+	if already {
 		return nil
 	}
-	s.draining = true
-	s.mu.Unlock()
 	close(s.quit)
 
 	// Listener first: stop accepting. Long-polls and SSE streams select
@@ -398,37 +418,41 @@ func (s *Server) execJob(j *job) {
 
 	s.reg.Merge(sink.Metrics)
 	now := s.cfg.Clock.Now()
-	s.mu.Lock()
-	transitioned := j.state == StateRunning
-	if transitioned {
-		j.executed = pr.Executed
-		j.metrics = snap
-		j.trace = tr
-		j.result = pr.Result
-		j.finished = now
+	var transitioned bool
+	var state State
+	s.st.Do(func(sh *shared) {
+		js := sh.jobs[j.id]
+		if js.state != StateRunning {
+			return
+		}
+		transitioned = true
+		js.executed = pr.Executed
+		js.metrics = snap
+		js.trace = tr
+		js.result = pr.Result
+		js.finished = now
 		switch {
 		case snapErr != nil:
-			j.state = StateFailed
-			j.err = fmt.Errorf("metrics snapshot: %w", snapErr)
+			js.state = StateFailed
+			js.err = fmt.Errorf("metrics snapshot: %w", snapErr)
 		case pr.Err != nil:
 			// Stored as the error itself, not its rendered text, so the
 			// core taxonomy predicates still classify it (ErrorCodeOf
 			// derives the wire code at serving time).
-			j.state = StateFailed
-			j.err = pr.Err
+			js.state = StateFailed
+			js.err = pr.Err
 		default:
-			j.state = StateDone
+			js.state = StateDone
 		}
-		s.broadcastLocked(j)
-	}
-	state, executed := j.state, j.executed
-	s.mu.Unlock()
+		sh.broadcast(js)
+		state = js.state
+	})
 
 	if !transitioned {
 		return // lost a timeout race; fail() already accounted it
 	}
 	switch {
-	case state == StateDone && executed:
+	case state == StateDone && pr.Executed:
 		s.reg.Inc("server.jobs.done")
 	case state == StateDone:
 		s.reg.Inc("server.jobs.done")
@@ -440,16 +464,18 @@ func (s *Server) execJob(j *job) {
 
 // claimRunning moves a queued job to running; false means the job was
 // already terminal (canceled or timed out while queued).
-func (s *Server) claimRunning(j *job, now time.Time) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j.state != StateQueued {
-		return false
-	}
-	j.state = StateRunning
-	j.started = now
-	s.broadcastLocked(j)
-	return true
+func (s *Server) claimRunning(j *job, now time.Time) (claimed bool) {
+	s.st.Do(func(sh *shared) {
+		js := sh.jobs[j.id]
+		if js.state != StateQueued {
+			return
+		}
+		js.state = StateRunning
+		js.started = now
+		sh.broadcast(js)
+		claimed = true
+	})
+	return claimed
 }
 
 // fail moves a job from the given state to failed with the cause;
@@ -457,17 +483,21 @@ func (s *Server) claimRunning(j *job, now time.Time) bool {
 // finished in the instant the deadline fired).
 func (s *Server) fail(j *job, from State, cause error) {
 	now := s.cfg.Clock.Now()
-	s.mu.Lock()
-	if j.state != from {
-		s.mu.Unlock()
-		return
+	var failed bool
+	s.st.Do(func(sh *shared) {
+		js := sh.jobs[j.id]
+		if js.state != from {
+			return
+		}
+		js.state = StateFailed
+		js.err = cause
+		js.finished = now
+		sh.broadcast(js)
+		failed = true
+	})
+	if failed {
+		s.reg.Inc("server.jobs.failed")
 	}
-	j.state = StateFailed
-	j.err = cause
-	j.finished = now
-	s.broadcastLocked(j)
-	s.mu.Unlock()
-	s.reg.Inc("server.jobs.failed")
 }
 
 // cancelQueued cancels every still-queued job (the shutdown-deadline
@@ -475,93 +505,102 @@ func (s *Server) fail(j *job, from State, cause error) {
 func (s *Server) cancelQueued(cause error) {
 	now := s.cfg.Clock.Now()
 	var n int64
-	s.mu.Lock()
-	for _, j := range s.jobs {
-		if j.state == StateQueued {
-			j.state = StateCanceled
-			j.err = cause
-			j.finished = now
-			s.broadcastLocked(j)
-			n++
+	s.st.Do(func(sh *shared) {
+		for _, js := range sh.jobs {
+			if js.state == StateQueued {
+				js.state = StateCanceled
+				js.err = cause
+				js.finished = now
+				sh.broadcast(js)
+				n++
+			}
 		}
-	}
-	s.mu.Unlock()
+	})
 	if n > 0 {
 		s.reg.Add("server.jobs.canceled", n)
 	}
 }
 
-// broadcastLocked records the transition and wakes every watcher.
-// Callers hold s.mu.
-func (s *Server) broadcastLocked(j *job) {
-	t := j.started
-	if j.state.Terminal() {
-		t = j.finished
+// broadcast records the transition and wakes every watcher.
+func (sh *shared) broadcast(js *jobStatus) {
+	t := js.started
+	if js.state.Terminal() {
+		t = js.finished
 	}
-	j.history = append(j.history, stateEvent{State: j.state, Time: t, Error: errorText(j.err)})
-	close(j.changed)
-	j.changed = make(chan struct{})
+	js.history = append(js.history, stateEvent{State: js.state, Time: t, Error: errorText(js.err)})
+	close(js.changed)
+	js.changed = make(chan struct{})
 }
 
-// infoLocked renders a job's status body. Callers hold s.mu.
-func (s *Server) infoLocked(j *job) JobInfo {
+// info renders a job's status body.
+func (sh *shared) info(js *jobStatus) JobInfo {
 	info := JobInfo{
-		ID:          j.id,
-		State:       j.state,
-		Fingerprint: j.fp,
-		Scheme:      j.req.Scheme,
-		Machine:     j.req.Machine,
-		N:           j.opts.N,
-		SubmittedAt: j.submitted,
-		Error:       errorText(j.err),
-		ErrorCode:   ErrorCodeOf(j.err),
+		ID:          js.id,
+		State:       js.state,
+		Fingerprint: js.fp,
+		Scheme:      js.req.Scheme,
+		Machine:     js.req.Machine,
+		N:           js.opts.N,
+		SubmittedAt: js.submitted,
+		Error:       errorText(js.err),
+		ErrorCode:   ErrorCodeOf(js.err),
 	}
-	if info.Machine == "" && j.req.Profile != nil {
-		info.Machine = j.req.Profile.Name
+	if info.Machine == "" && js.req.Profile != nil {
+		info.Machine = js.req.Profile.Name
 	}
-	if !j.started.IsZero() {
-		t := j.started
+	if !js.started.IsZero() {
+		t := js.started
 		info.StartedAt = &t
 	}
-	if !j.finished.IsZero() {
-		t := j.finished
+	if !js.finished.IsZero() {
+		t := js.finished
 		info.FinishedAt = &t
 	}
-	if j.state == StateDone || (j.state == StateFailed && j.metrics != nil) {
-		e := j.executed
+	if js.state == StateDone || (js.state == StateFailed && js.metrics != nil) {
+		e := js.executed
 		info.Executed = &e
 	}
 	return info
 }
 
-// newJob registers a submission under the next ID and returns it, or
-// false when the daemon is draining.
-func (s *Server) newJob(req JobRequest, opts core.Options, fp string) (*job, bool) {
+// enqueue registers a submission under the next ID and queues it in
+// one step, so no handler or worker ever sees a registered job that is
+// not queued. It returns the job's status as accepted (taken before a
+// worker can pick it up, or a fast job would answer "done"), or
+// errDraining or errQueueFull; a refused submission still consumes its
+// ID. The send cannot block: a full queue refuses.
+func (s *Server) enqueue(req JobRequest, opts core.Options, fp string) (*job, JobInfo, error) {
 	now := s.cfg.Clock.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return nil, false
-	}
-	s.seq++
-	j := &job{
-		id:        fmt.Sprintf("j-%06d", s.seq),
-		fp:        fp,
-		req:       req,
-		opts:      opts,
-		state:     StateQueued,
-		submitted: now,
-		changed:   make(chan struct{}),
-		execDone:  make(chan struct{}),
-	}
-	j.history = append(j.history, stateEvent{State: StateQueued, Time: now})
-	s.jobs[j.id] = j
-	return j, true
-}
-
-// dropJob removes a job that never made it into the queue.
-func (s *Server) dropJob(j *job) {
-	s.mu.Lock()
-	delete(s.jobs, j.id)
-	s.mu.Unlock()
+	var j *job
+	var info JobInfo
+	var err error
+	s.st.Do(func(sh *shared) {
+		if sh.draining {
+			err = errDraining
+			return
+		}
+		sh.seq++
+		j = &job{
+			id:        fmt.Sprintf("j-%06d", sh.seq),
+			fp:        fp,
+			req:       req,
+			opts:      opts,
+			submitted: now,
+			execDone:  make(chan struct{}),
+		}
+		js := &jobStatus{
+			job:     j,
+			state:   StateQueued,
+			history: []stateEvent{{State: StateQueued, Time: now}},
+			changed: make(chan struct{}),
+		}
+		select {
+		case s.queue <- j:
+			sh.jobs[j.id] = js
+			info = sh.info(js)
+		default:
+			err = errQueueFull
+		}
+	})
+	return j, info, err
 }

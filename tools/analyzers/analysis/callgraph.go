@@ -74,6 +74,3 @@ func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
 }
-
-// Decl returns the declaration of fn in this package, or nil.
-func (cg *CallGraph) Decl(fn *types.Func) *ast.FuncDecl { return cg.decls[fn] }

@@ -6,7 +6,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"strings"
 	"testing"
 )
 
@@ -68,8 +67,8 @@ func TestCallGraphDecl(t *testing.T) {
 	pass := typecheckPass(t, cgSrc)
 	cg := BuildCallGraph(pass)
 	fn := declByName(t, pass, cg, "mid")
-	if d := cg.Decl(fn); d == nil || d.Name.Name != "mid" {
-		t.Fatalf("Decl(mid) = %v", d)
+	if d := cg.decls[fn]; d == nil || d.Name.Name != "mid" {
+		t.Fatalf("decls[mid] = %v", d)
 	}
 }
 
@@ -98,74 +97,5 @@ func TestCalleeOf(t *testing.T) {
 	}
 	if fn := CalleeOf(pass.TypesInfo, funcCall); fn == nil || fn.Name() != "mid" {
 		t.Errorf("function callee = %v", fn)
-	}
-}
-
-const duSrc = `package p
-
-type ev struct{}
-
-func rec() ev      { return ev{} }
-func sink(e ev)    {}
-func two() (ev, error) { return ev{}, nil }
-
-func f(param ev) {
-	used := rec()
-	sink(used)
-	unused := rec()
-	_ = func() { sink(param) }
-	pair, err := two()
-	_, _ = pair, err
-	var bare ev
-	_ = unused
-	_ = bare
-}
-`
-
-func objByName(t *testing.T, pass *Pass, name string) types.Object {
-	t.Helper()
-	for id, obj := range pass.TypesInfo.Defs {
-		if obj != nil && id.Name == name && obj.Parent() != pass.Pkg.Scope() {
-			return obj
-		}
-	}
-	t.Fatalf("object %s not found", name)
-	return nil
-}
-
-func TestCollectDefUse(t *testing.T) {
-	pass := typecheckPass(t, duSrc)
-	var fn *ast.FuncDecl
-	for _, d := range pass.Files[0].Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "f" {
-			fn = fd
-		}
-	}
-	du := CollectDefUse(fn, pass.TypesInfo)
-
-	used := objByName(t, pass, "used")
-	defs := du.Defs[used]
-	if len(defs) != 1 {
-		t.Fatalf("used has %d defs, want 1", len(defs))
-	}
-	if call, ok := defs[0].(*ast.CallExpr); !ok || !strings.HasPrefix(types.ExprString(call), "rec") {
-		t.Errorf("used's def should be the rec() call, got %s", types.ExprString(defs[0]))
-	}
-
-	// Multi-value assignment: both LHS record the single call RHS.
-	pair, errObj := objByName(t, pass, "pair"), objByName(t, pass, "err")
-	if len(du.Defs[pair]) != 1 || len(du.Defs[errObj]) != 1 {
-		t.Error("multi-value assignment should define both targets")
-	}
-
-	param := objByName(t, pass, "param")
-	if !du.Params[param] {
-		t.Error("param should be recorded as a parameter")
-	}
-
-	// var with no initializer: present with nil defs.
-	bare := objByName(t, pass, "bare")
-	if defs, ok := du.Defs[bare]; !ok || defs != nil {
-		t.Error("bare var should have a nil-def entry")
 	}
 }

@@ -54,9 +54,8 @@ const (
 	// EdgeFalse leaves a NodeCond when its condition fails.
 	EdgeFalse
 	// EdgeZeroTrip leaves a loop's entry head when the body runs zero
-	// times. Analyses that may assume loops execute at least once
-	// (PathOpts.SkipZeroTrip) prune exactly these edges; the loop's
-	// normal exit remains reachable through the back-edge head.
+	// times; the loop's normal exit is also reachable through the
+	// back-edge head.
 	EdgeZeroTrip
 )
 
@@ -82,29 +81,12 @@ type Node struct {
 	Preds []Edge
 }
 
-// Pos returns a position for diagnostics anchored at the node.
-func (n *Node) Pos() token.Pos {
-	switch {
-	case n.Cond != nil:
-		return n.Cond.Pos()
-	case n.Stmt != nil:
-		return n.Stmt.Pos()
-	}
-	return token.NoPos
-}
-
 // CFG is the control-flow graph of one function body.
 type CFG struct {
 	Entry *Node
 	Exit  *Node
 	Nodes []*Node
-
-	stmtNode map[ast.Stmt]*Node
 }
-
-// NodeFor returns the node built for stmt, or nil. Loop and switch
-// statements map to their entry head.
-func (g *CFG) NodeFor(stmt ast.Stmt) *Node { return g.stmtNode[stmt] }
 
 // dangling is an edge whose target is not yet known.
 type dangling struct {
@@ -140,7 +122,7 @@ type builder struct {
 // declaration without implementation) yields a graph with only entry
 // and exit.
 func BuildCFG(body *ast.BlockStmt) *CFG {
-	g := &CFG{stmtNode: map[ast.Stmt]*Node{}}
+	g := &CFG{}
 	g.Entry = g.newNode(NodeEntry)
 	g.Exit = g.newNode(NodeExit)
 	b := &builder{g: g, labelNodes: map[string]*Node{}}
@@ -173,9 +155,6 @@ func (g *CFG) newNode(kind NodeKind) *Node {
 func (b *builder) stmtNode(s ast.Stmt) *Node {
 	n := b.g.newNode(NodeStmt)
 	n.Stmt = s
-	if _, ok := b.g.stmtNode[s]; !ok {
-		b.g.stmtNode[s] = n
-	}
 	if b.pendingLabel != "" {
 		b.labelNodes[b.pendingLabel] = n
 		b.pendingLabel = ""
@@ -187,11 +166,6 @@ func (b *builder) condNode(s ast.Stmt, cond ast.Expr) *Node {
 	n := b.g.newNode(NodeCond)
 	n.Stmt = s
 	n.Cond = cond
-	if s != nil {
-		if _, ok := b.g.stmtNode[s]; !ok {
-			b.g.stmtNode[s] = n
-		}
-	}
 	if b.pendingLabel != "" {
 		b.labelNodes[b.pendingLabel] = n
 		b.pendingLabel = ""
@@ -431,50 +405,20 @@ func (b *builder) switchClauses(s ast.Stmt, clauses []ast.Stmt, exhaustive bool,
 
 // ---- queries -------------------------------------------------------
 
-// PathOpts guides Reachable and Dominators along a subset of paths.
-type PathOpts struct {
-	// Resolve, when non-nil, maps a branch condition to a known truth
-	// value; edges contradicting a known value are pruned. Conditions
-	// it reports unknown keep both edges.
-	Resolve func(cond ast.Expr) (value, known bool)
-	// Barrier marks nodes traversal must not continue through. Barrier
-	// nodes themselves still appear in the reachable set.
-	Barrier func(*Node) bool
-	// SkipZeroTrip prunes EdgeZeroTrip edges, i.e. assumes every loop
-	// body executes at least once.
-	SkipZeroTrip bool
-}
-
-// edgeAllowed applies resolution and zero-trip pruning to one edge.
-func (o *PathOpts) edgeAllowed(from *Node, e Edge) bool {
-	if o.SkipZeroTrip && e.Kind == EdgeZeroTrip {
-		return false
-	}
-	if o.Resolve != nil && from.Kind == NodeCond && from.Cond != nil {
-		if v, known := o.Resolve(from.Cond); known {
-			if v && (e.Kind == EdgeFalse || e.Kind == EdgeZeroTrip) {
-				return false
-			}
-			if !v && e.Kind == EdgeTrue {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Reachable returns every node reachable from `from` along allowed
-// edges. `from` itself is included only if a cycle returns to it.
-func (g *CFG) Reachable(from *Node, opts PathOpts) map[*Node]bool {
+// Reachable returns every node reachable from `from`. `from` itself is
+// included only if a cycle returns to it. When barrier is non-nil,
+// traversal does not continue through a node it marks; barrier nodes
+// themselves still appear in the reachable set.
+func (g *CFG) Reachable(from *Node, barrier func(*Node) bool) map[*Node]bool {
 	seen := map[*Node]bool{}
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		for _, e := range n.Succs {
-			if !opts.edgeAllowed(n, e) || seen[e.To] {
+			if seen[e.To] {
 				continue
 			}
 			seen[e.To] = true
-			if opts.Barrier != nil && opts.Barrier(e.To) {
+			if barrier != nil && barrier(e.To) {
 				continue
 			}
 			walk(e.To)
@@ -486,12 +430,9 @@ func (g *CFG) Reachable(from *Node, opts PathOpts) map[*Node]bool {
 
 // Dominators computes, for every node, the set of nodes that lie on
 // every path from entry to it (including itself), by the standard
-// iterative data-flow algorithm. Edges pruned by opts (condition
-// resolution, zero-trip skipping) are excluded, so dominance can be
-// asked under a protocol specialization. Barrier is ignored. Nodes
-// unreachable from entry under opts dominate vacuously: their set
-// contains every node.
-func (g *CFG) Dominators(opts PathOpts) []map[*Node]bool {
+// iterative data-flow algorithm. Nodes unreachable from entry dominate
+// vacuously: their set contains every node.
+func (g *CFG) Dominators() []map[*Node]bool {
 	n := len(g.Nodes)
 	full := func() map[*Node]bool {
 		m := make(map[*Node]bool, n)
@@ -515,9 +456,6 @@ func (g *CFG) Dominators(opts PathOpts) []map[*Node]bool {
 			}
 			var meet map[*Node]bool
 			for _, p := range nd.Preds {
-				if !opts.edgeAllowed(p.To, Edge{To: nd, Kind: p.Kind}) {
-					continue
-				}
 				pd := dom[p.To.Index]
 				if meet == nil {
 					meet = make(map[*Node]bool, len(pd))
@@ -533,7 +471,7 @@ func (g *CFG) Dominators(opts PathOpts) []map[*Node]bool {
 				}
 			}
 			if meet == nil {
-				continue // unreachable under opts; keep the full set
+				continue // no predecessors; keep the full set
 			}
 			meet[nd] = true
 			if len(meet) != len(dom[nd.Index]) {

@@ -25,6 +25,40 @@ func parseBody(t *testing.T, src, name string) *ast.BlockStmt {
 	return nil
 }
 
+// stmtNode returns the first node built for stmt, or nil.
+func stmtNode(g *CFG, stmt ast.Stmt) *Node {
+	for _, n := range g.Nodes {
+		if n.Stmt == stmt {
+			return n
+		}
+	}
+	return nil
+}
+
+// reachesAvoiding reports whether to is reachable from entry without
+// passing through avoid, with every loop body run at least once (zero-
+// trip edges pruned). It is the negation of "avoid dominates to" under
+// at-least-once loop semantics.
+func reachesAvoiding(g *CFG, to, avoid *Node) bool {
+	seen := map[*Node]bool{g.Entry: true}
+	stack := []*Node{g.Entry}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if n == to {
+			return true
+		}
+		for _, e := range n.Succs {
+			if e.Kind == EdgeZeroTrip || e.To == avoid || seen[e.To] {
+				continue
+			}
+			seen[e.To] = true
+			stack = append(stack, e.To)
+		}
+	}
+	return false
+}
+
 // callNode finds the CFG node of the statement calling the named
 // function.
 func callNode(g *CFG, body *ast.BlockStmt, name string) *Node {
@@ -36,7 +70,7 @@ func callNode(g *CFG, body *ast.BlockStmt, name string) *Node {
 		}
 		if call, ok := es.X.(*ast.CallExpr); ok {
 			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == name {
-				found = g.NodeFor(es)
+				found = stmtNode(g, es)
 				return false
 			}
 		}
@@ -115,7 +149,7 @@ done:
 func TestCFGLinearDominance(t *testing.T) {
 	body := parseBody(t, cfgSrc, "linear")
 	g := BuildCFG(body)
-	dom := g.Dominators(PathOpts{})
+	dom := g.Dominators()
 	na, nb, nc := callNode(g, body, "a"), callNode(g, body, "b"), callNode(g, body, "c")
 	if na == nil || nb == nil || nc == nil {
 		t.Fatal("missing call nodes")
@@ -135,24 +169,12 @@ func TestCFGBranchDominance(t *testing.T) {
 	body := parseBody(t, cfgSrc, "branchy")
 	g := BuildCFG(body)
 	na, nb, nc := callNode(g, body, "a"), callNode(g, body, "b"), callNode(g, body, "c")
-	dom := g.Dominators(PathOpts{})
+	dom := g.Dominators()
 	if dom[nc.Index][na] || dom[nc.Index][nb] {
 		t.Error("neither arm of an if/else dominates the join")
 	}
-
-	// Specializing the condition to true makes the then-arm dominate
-	// the join and the else-arm unreachable.
-	spec := PathOpts{Resolve: func(ast.Expr) (bool, bool) { return true, true }}
-	dom = g.Dominators(spec)
-	if !dom[nc.Index][na] {
-		t.Error("then-arm should dominate join when the condition is resolved true")
-	}
-	reach := g.Reachable(g.Entry, spec)
-	if reach[nb] {
-		t.Error("else-arm should be unreachable when the condition is resolved true")
-	}
-	if !reach[na] || !reach[nc] {
-		t.Error("then-arm and join should stay reachable")
+	if !reachesAvoiding(g, nc, na) || !reachesAvoiding(g, nc, nb) {
+		t.Error("each arm of an if/else should have a path to the join around the other")
 	}
 }
 
@@ -161,11 +183,11 @@ func TestCFGLoopZeroTrip(t *testing.T) {
 	g := BuildCFG(body)
 	na, nb := callNode(g, body, "a"), callNode(g, body, "b")
 
-	if dom := g.Dominators(PathOpts{}); dom[nb.Index][na] {
-		t.Error("loop body must not dominate the loop exit under exact semantics")
+	if dom := g.Dominators(); dom[nb.Index][na] {
+		t.Error("loop body must not dominate the loop exit: the zero-trip edge bypasses it")
 	}
-	if dom := g.Dominators(PathOpts{SkipZeroTrip: true}); !dom[nb.Index][na] {
-		t.Error("loop body should dominate the loop exit under at-least-once semantics")
+	if reachesAvoiding(g, nb, na) {
+		t.Error("with the zero-trip edge pruned, every path to the loop exit should cross the body")
 	}
 }
 
@@ -173,14 +195,13 @@ func TestCFGBreak(t *testing.T) {
 	body := parseBody(t, cfgSrc, "breaks")
 	g := BuildCFG(body)
 	na, nb := callNode(g, body, "a"), callNode(g, body, "b")
-	reach := g.Reachable(g.Entry, PathOpts{})
+	reach := g.Reachable(g.Entry, nil)
 	if !reach[na] || !reach[nb] {
 		t.Fatal("all statements should be reachable")
 	}
-	// Even under at-least-once semantics the break path bypasses a(),
-	// so a() must not dominate the loop exit.
-	if dom := g.Dominators(PathOpts{SkipZeroTrip: true}); dom[nb.Index][na] {
-		t.Error("break around a() must kill its dominance over the loop exit")
+	// Even with the zero-trip edge pruned, the break path bypasses a().
+	if !reachesAvoiding(g, nb, na) {
+		t.Error("break around a() must give the loop exit a path that skips it")
 	}
 }
 
@@ -188,16 +209,15 @@ func TestCFGLabeledContinue(t *testing.T) {
 	body := parseBody(t, cfgSrc, "labeled")
 	g := BuildCFG(body)
 	na, nb, nc := callNode(g, body, "a"), callNode(g, body, "b"), callNode(g, body, "c")
-	reach := g.Reachable(g.Entry, PathOpts{})
+	reach := g.Reachable(g.Entry, nil)
 	for _, n := range []*Node{na, nb, nc} {
 		if !reach[n] {
 			t.Fatal("all statements should be reachable")
 		}
 	}
-	// continue outer jumps past b(); with the inner loop forced to run
-	// and its condition-specialized body always continuing, b() must
-	// not dominate c().
-	if dom := g.Dominators(PathOpts{SkipZeroTrip: true}); dom[nc.Index][nb] {
+	// continue outer jumps past b(); with the inner loop forced to run,
+	// c() must still be reachable around b().
+	if !reachesAvoiding(g, nc, nb) {
 		t.Error("labeled continue must provide a path around b()")
 	}
 }
@@ -206,11 +226,11 @@ func TestCFGSwitch(t *testing.T) {
 	body := parseBody(t, cfgSrc, "switchy")
 	g := BuildCFG(body)
 	na, nb, nc := callNode(g, body, "a"), callNode(g, body, "b"), callNode(g, body, "c")
-	dom := g.Dominators(PathOpts{})
+	dom := g.Dominators()
 	if dom[nc.Index][na] || dom[nc.Index][nb] {
 		t.Error("no single clause dominates the statement after a switch")
 	}
-	reach := g.Reachable(g.Entry, PathOpts{})
+	reach := g.Reachable(g.Entry, nil)
 	if !reach[na] || !reach[nb] || !reach[nc] {
 		t.Error("all clauses and the join should be reachable")
 	}
@@ -220,7 +240,7 @@ func TestCFGGoto(t *testing.T) {
 	body := parseBody(t, cfgSrc, "jumpy")
 	g := BuildCFG(body)
 	na, nb := callNode(g, body, "a"), callNode(g, body, "b")
-	reach := g.Reachable(g.Entry, PathOpts{})
+	reach := g.Reachable(g.Entry, nil)
 	if reach[na] {
 		t.Error("statement jumped over by goto should be unreachable")
 	}
@@ -233,7 +253,7 @@ func TestReachableBarrier(t *testing.T) {
 	body := parseBody(t, cfgSrc, "linear")
 	g := BuildCFG(body)
 	na, nb, nc := callNode(g, body, "a"), callNode(g, body, "b"), callNode(g, body, "c")
-	reach := g.Reachable(na, PathOpts{Barrier: func(n *Node) bool { return n == nb }})
+	reach := g.Reachable(na, func(n *Node) bool { return n == nb })
 	if !reach[nb] {
 		t.Error("a barrier node itself is reachable")
 	}
@@ -250,7 +270,7 @@ func TestCFGNilBody(t *testing.T) {
 	if g.Entry == nil || g.Exit == nil {
 		t.Fatal("nil body still yields entry and exit")
 	}
-	if !g.Reachable(g.Entry, PathOpts{})[g.Exit] {
+	if !g.Reachable(g.Entry, nil)[g.Exit] {
 		t.Error("exit should be reachable from entry")
 	}
 }

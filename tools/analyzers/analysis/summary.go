@@ -25,9 +25,6 @@ import (
 // usual bitwise operators.
 type Facts uint64
 
-// Has reports whether every bit of q is set in f.
-func (f Facts) Has(q Facts) bool { return f&q == q }
-
 // Any reports whether at least one bit of q is set in f.
 func (f Facts) Any(q Facts) bool { return f&q != 0 }
 
@@ -110,9 +107,7 @@ func (cg *CallGraph) mustFacts(fn *types.Func, info *types.Info, sums map[*types
 		if !all.Any(bit) {
 			continue
 		}
-		reach := g.Reachable(g.Entry, PathOpts{
-			Barrier: func(n *Node) bool { return nf[n].Any(bit) },
-		})
+		reach := g.Reachable(g.Entry, func(n *Node) bool { return nf[n].Any(bit) })
 		if !reach[g.Exit] {
 			must |= bit
 		}

@@ -99,12 +99,12 @@ func summarizeSrc(t *testing.T) (*Pass, *CallGraph, map[string]*Summary) {
 func TestSummarizeMay(t *testing.T) {
 	_, _, sums := summarizeSrc(t)
 	for _, name := range []string{"always", "maybe", "looped", "ranged", "viaCallee", "viaMaybe", "inClosure", "earlyReturn", "recurA", "recurB"} {
-		if !sums[name].May.Has(factMark) {
+		if !sums[name].May.Any(factMark) {
 			t.Errorf("%s should May-establish the fact", name)
 		}
 	}
 	for _, name := range []string{"clean", "other"} {
-		if sums[name].May.Has(factMark) {
+		if sums[name].May.Any(factMark) {
 			t.Errorf("%s must not May-establish the fact", name)
 		}
 	}
@@ -113,13 +113,13 @@ func TestSummarizeMay(t *testing.T) {
 func TestSummarizeMust(t *testing.T) {
 	_, _, sums := summarizeSrc(t)
 	for _, name := range []string{"always", "viaCallee", "recurB"} {
-		if !sums[name].Must.Has(factMark) {
+		if !sums[name].Must.Any(factMark) {
 			t.Errorf("%s should Must-establish the fact", name)
 		}
 	}
 	// Zero-trip loop edges and conditional paths demote the fact to May.
 	for _, name := range []string{"maybe", "looped", "ranged", "viaMaybe", "inClosure", "earlyReturn", "recurA", "clean"} {
-		if sums[name].Must.Has(factMark) {
+		if sums[name].Must.Any(factMark) {
 			t.Errorf("%s must not Must-establish the fact (some path skips it)", name)
 		}
 	}

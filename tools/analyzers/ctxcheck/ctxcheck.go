@@ -214,7 +214,7 @@ func (c *checker) deadlineDominated(pos token.Pos) bool {
 		return false
 	}
 	if c.dom == nil {
-		c.dom = c.g.Dominators(analysis.PathOpts{})
+		c.dom = c.g.Dominators()
 	}
 	for d := range c.dom[node.Index] {
 		if c.hasDeadlineCall(d) {

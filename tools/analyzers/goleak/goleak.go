@@ -76,7 +76,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		return // most functions spawn nothing; skip building their CFG
 	}
 	g := analysis.BuildCFG(fd.Body)
-	lt := analysis.CollectLifetime(g)
+	lt := collectLifetime(g)
 	if len(lt.Spawns) == 0 {
 		return
 	}
@@ -116,7 +116,7 @@ func spawns(body *ast.BlockStmt) bool {
 // waitGroupFor finds the WaitGroup the goroutine body reports to: a
 // Done call inside the body (possibly deferred), keyed by receiver
 // expression text.
-func waitGroupFor(info *types.Info, sp analysis.SpawnSite) (recv string, ok bool) {
+func waitGroupFor(info *types.Info, sp spawnSite) (recv string, ok bool) {
 	ast.Inspect(sp.Body.Body, func(n ast.Node) bool {
 		if _, isLit := n.(*ast.FuncLit); isLit {
 			return false
@@ -125,7 +125,7 @@ func waitGroupFor(info *types.Info, sp analysis.SpawnSite) (recv string, ok bool
 		if !isCall {
 			return true
 		}
-		if r, method, is := analysis.WaitGroupCall(info, call); is && method == "Done" {
+		if r, method, is := waitGroupCall(info, call); is && method == "Done" {
 			recv, ok = types.ExprString(r), true
 			return false
 		}
@@ -134,14 +134,14 @@ func waitGroupFor(info *types.Info, sp analysis.SpawnSite) (recv string, ok bool
 	return recv, ok
 }
 
-func checkWaitGroupJoin(pass *analysis.Pass, fd *ast.FuncDecl, g *analysis.CFG, sp analysis.SpawnSite, wg string) {
+func checkWaitGroupJoin(pass *analysis.Pass, fd *ast.FuncDecl, g *analysis.CFG, sp spawnSite, wg string) {
 	info := pass.TypesInfo
 
 	// (a) Add must dominate the spawn: on every path reaching the `go`,
 	// the counter is already up. An Add after (or merely sometimes
 	// before) the spawn lets Wait return while the goroutine runs.
 	addNodes := nodesCalling(g, info, wg, "Add")
-	dom := g.Dominators(analysis.PathOpts{})
+	dom := g.Dominators()
 	dominated := false
 	for _, n := range addNodes {
 		if dom[sp.Node.Index][n] && n != sp.Node {
@@ -161,8 +161,8 @@ func checkWaitGroupJoin(pass *analysis.Pass, fd *ast.FuncDecl, g *analysis.CFG, 
 	// must be unreachable when Done nodes are barred.
 	body := analysis.BuildCFG(sp.Body.Body)
 	deferredDone := false
-	for _, ds := range analysis.CollectLifetime(body).Defers {
-		if r, method, is := analysis.WaitGroupCall(info, ds.Call); is && method == "Done" && types.ExprString(r) == wg {
+	for _, call := range collectLifetime(body).Defers {
+		if r, method, is := waitGroupCall(info, call); is && method == "Done" && types.ExprString(r) == wg {
 			deferredDone = true
 		}
 	}
@@ -171,9 +171,7 @@ func checkWaitGroupJoin(pass *analysis.Pass, fd *ast.FuncDecl, g *analysis.CFG, 
 		for _, n := range nodesCalling(body, info, wg, "Done") {
 			doneNodes[n] = true
 		}
-		reach := body.Reachable(body.Entry, analysis.PathOpts{
-			Barrier: func(n *analysis.Node) bool { return doneNodes[n] },
-		})
+		reach := body.Reachable(body.Entry, func(n *analysis.Node) bool { return doneNodes[n] })
 		if reach[body.Exit] {
 			pass.Reportf(sp.Go.Pos(), "%s.Done is not called on every exit path of the goroutine body; defer %s.Done() so panics and early returns still count down", wg, wg)
 		}
@@ -184,8 +182,8 @@ func checkWaitGroupJoin(pass *analysis.Pass, fd *ast.FuncDecl, g *analysis.CFG, 
 	// whether exit is still reachable — zero-trip loop edges count, so
 	// a Wait only inside `for range xs { ... }` does not join when xs
 	// is empty.
-	for _, ds := range analysis.CollectLifetime(g).Defers {
-		if r, method, is := analysis.WaitGroupCall(info, ds.Call); is && method == "Wait" && types.ExprString(r) == wg {
+	for _, call := range collectLifetime(g).Defers {
+		if r, method, is := waitGroupCall(info, call); is && method == "Wait" && types.ExprString(r) == wg {
 			return
 		}
 	}
@@ -193,9 +191,7 @@ func checkWaitGroupJoin(pass *analysis.Pass, fd *ast.FuncDecl, g *analysis.CFG, 
 	for _, n := range nodesCalling(g, info, wg, "Wait") {
 		waitNodes[n] = true
 	}
-	reach := g.Reachable(sp.Node, analysis.PathOpts{
-		Barrier: func(n *analysis.Node) bool { return waitNodes[n] },
-	})
+	reach := g.Reachable(sp.Node, func(n *analysis.Node) bool { return waitNodes[n] })
 	if reach[g.Exit] {
 		pass.Reportf(sp.Go.Pos(), "goroutine is not joined on every path: %s can return without crossing %s.Wait", fd.Name.Name, wg)
 	}
@@ -228,7 +224,7 @@ func nodesCalling(g *analysis.CFG, info *types.Info, recv, method string) []*ana
 			if !isCall {
 				return true
 			}
-			if r, m, is := analysis.WaitGroupCall(info, call); is && m == method && types.ExprString(r) == recv {
+			if r, m, is := waitGroupCall(info, call); is && m == method && types.ExprString(r) == recv {
 				found = true
 			}
 			return true
@@ -248,7 +244,7 @@ func nodesCalling(g *analysis.CFG, info *types.Info, recv, method string) []*ana
 // not returned from it — only then can this pass demand the join
 // locally; params, fields, captures, and returned channels may be
 // joined by a caller.
-func channelFor(info *types.Info, fd *ast.FuncDecl, sp analysis.SpawnSite) (ch ast.Expr, local, ok bool) {
+func channelFor(info *types.Info, fd *ast.FuncDecl, sp spawnSite) (ch ast.Expr, local, ok bool) {
 	ast.Inspect(sp.Body.Body, func(n ast.Node) bool {
 		if _, isLit := n.(*ast.FuncLit); isLit {
 			return false
@@ -259,7 +255,7 @@ func channelFor(info *types.Info, fd *ast.FuncDecl, sp analysis.SpawnSite) (ch a
 			return false
 		case *ast.CallExpr:
 			if id, isID := n.Fun.(*ast.Ident); isID && id.Name == "close" && len(n.Args) == 1 {
-				if tv, has := info.Types[n.Args[0]]; has && analysis.IsChanType(tv.Type) {
+				if tv, has := info.Types[n.Args[0]]; has && isChanType(tv.Type) {
 					ch, ok = n.Args[0], true
 					return false
 				}
@@ -293,7 +289,7 @@ func varOf(info *types.Info, ch ast.Expr) types.Object {
 // boundArg maps a channel the goroutine literal names by one of its
 // own parameters to the argument the spawn binds to that parameter:
 // `go func(d chan<- T) { d <- v }(done)` signals on done.
-func boundArg(info *types.Info, sp analysis.SpawnSite, ch ast.Expr) ast.Expr {
+func boundArg(info *types.Info, sp spawnSite, ch ast.Expr) ast.Expr {
 	obj := varOf(info, ch)
 	if obj == nil {
 		return ch
@@ -333,13 +329,13 @@ func returned(info *types.Info, fd *ast.FuncDecl, obj types.Object) bool {
 // spawnerReceives reports whether the spawning function (outside the
 // goroutine body) receives from the channel: a unary <-, a range over
 // it, or a select with a receive case on it.
-func spawnerReceives(info *types.Info, fd *ast.FuncDecl, sp analysis.SpawnSite, ch ast.Expr) bool {
+func spawnerReceives(info *types.Info, fd *ast.FuncDecl, sp spawnSite, ch ast.Expr) bool {
 	key := types.ExprString(ast.Unparen(ch))
 	sameChan := func(e ast.Expr) bool {
 		if e == nil {
 			return false
 		}
-		if tv, has := info.Types[e]; !has || !analysis.IsChanType(tv.Type) {
+		if tv, has := info.Types[e]; !has || !isChanType(tv.Type) {
 			return false
 		}
 		return types.ExprString(ast.Unparen(e)) == key

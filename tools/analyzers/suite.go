@@ -15,7 +15,6 @@ import (
 	"abftchol/tools/analyzers/errflow"
 	"abftchol/tools/analyzers/floateq"
 	"abftchol/tools/analyzers/goleak"
-	"abftchol/tools/analyzers/lockcheck"
 	"abftchol/tools/analyzers/matindex"
 )
 
@@ -23,7 +22,7 @@ import (
 // (abftlint -json emits it in the header line). Bump it whenever the
 // analyzer set, a diagnostic format, or the JSON wire format changes,
 // so CI artifact consumers can detect incomparable runs.
-const Version = "0.14.0"
+const Version = "0.15.0"
 
 // Suite lists every analyzer the abftlint driver runs. The order is
 // load-bearing — it fixes the sequence of findings in -json output and
@@ -36,7 +35,6 @@ var Suite = []*analysis.Analyzer{
 	errflow.Analyzer,
 	floateq.Analyzer,
 	goleak.Analyzer,
-	lockcheck.Analyzer,
 	matindex.Analyzer,
 }
 

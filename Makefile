@@ -22,7 +22,8 @@ race:
 	$(GO) test -race ./...
 
 # Native fuzzing of the trust boundaries (the campaign journal, the
-# daemon's submit decoders, fingerprints), the checksum verifier and
+# result cache's entry decoder, the daemon's submit decoders,
+# fingerprints), the checksum verifier and
 # the GEMM micro-kernels (the one chosen at init against the Go one),
 # 10 s per target (`go test -fuzz` takes one package and one target per
 # run). `go test ./...` already replays every seed and every
@@ -40,6 +41,7 @@ fuzz:
 	$(GO) test ./internal/fault $(FUZZ) -fuzz '^FuzzCampaignInvariants$$'
 	$(GO) test ./internal/reliability/campaign $(FUZZ) -fuzz '^FuzzJournalLoad$$'
 	$(GO) test ./internal/experiments $(FUZZ) -fuzz '^FuzzFingerprint$$'
+	$(GO) test ./internal/experiments $(FUZZ) -fuzz '^FuzzCacheLoad$$'
 	$(GO) test ./internal/blas $(FUZZ) -fuzz '^FuzzGemmKernels$$'
 	$(GO) test ./internal/server $(FUZZ) -fuzz '^FuzzSubmitBodies$$'
 

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"abftchol/internal/experiments"
+	"abftchol/internal/guard"
 	"abftchol/internal/server"
 )
 
@@ -71,7 +72,9 @@ func main() {
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln) }()
+	var serving guard.Group
+	serving.Go(func() { served <- srv.Serve(ln) })
+	defer serving.Wait()
 	select {
 	case sig := <-sigs:
 		fmt.Fprintf(os.Stderr, "abftd: %v: draining\n", sig)

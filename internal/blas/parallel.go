@@ -2,7 +2,8 @@ package blas
 
 import (
 	"runtime"
-	"sync"
+
+	"abftchol/internal/guard"
 )
 
 // Workers is the goroutine fan-out used by the parallel Level-3 front
@@ -13,7 +14,7 @@ var Workers = runtime.NumCPU()
 
 // parallelColumns splits the n columns of an output into contiguous
 // chunks and runs fn(j0, j1) for each chunk on its own goroutine.
-// Chunks never overlap, so no synchronization beyond the WaitGroup is
+// Chunks never overlap, so no synchronization beyond the join is
 // needed as long as fn only writes columns [j0, j1). Every chunk
 // boundary is a multiple of align, so only the last chunk can end in a
 // ragged micro tile.
@@ -28,19 +29,15 @@ func parallelColumns(n, minChunk, align int, fn func(j0, j1 int)) {
 	}
 	chunk := max(minChunk, (n+workers-1)/workers)
 	chunk = (chunk + align - 1) / align * align
-	var wg sync.WaitGroup
+	var g guard.Group
 	for j0 := 0; j0 < n; j0 += chunk {
 		j1 := j0 + chunk
 		if j1 > n {
 			j1 = n
 		}
-		wg.Add(1)
-		go func(j0, j1 int) {
-			defer wg.Done()
-			fn(j0, j1)
-		}(j0, j1)
+		g.Go(func() { fn(j0, j1) })
 	}
-	wg.Wait()
+	g.Wait()
 }
 
 // DgemmParallel is Dgemm with the output columns fanned out over

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"abftchol/internal/core"
@@ -124,6 +127,66 @@ func TestCacheRoundTrip(t *testing.T) {
 	if _, ok := cache.Load("deadbeef"); ok {
 		t.Error("unknown fingerprint loaded")
 	}
+}
+
+// FuzzCacheLoad: whatever bytes sit in an entry file, Load does not
+// panic, and an entry it accepts stores and loads again to the same
+// WireResult (compared as JSON, so an empty and an absent injection
+// list are the same). The seeds are the entries Store wrote for every
+// fingerprint base that factors without error (the scheduler stores
+// no failed point), whole, cut short, and filed under another point's
+// fingerprint.
+func FuzzCacheLoad(f *testing.F) {
+	bases := fingerprintBases()
+	seeds := NewCache(f.TempDir())
+	var fps []string
+	for _, o := range bases {
+		r, err := core.Run(o)
+		if err != nil {
+			continue
+		}
+		if err := seeds.Store(o, r); err != nil {
+			f.Fatal(err)
+		}
+		fps = append(fps, fingerprint(o))
+	}
+	for i, fp := range fps {
+		data, err := os.ReadFile(seeds.path(fp))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(fp, data)
+		f.Add(fp, data[:len(data)/2])
+		f.Add(fps[(i+1)%len(fps)], data)
+	}
+	o := bases[0]
+	f.Fuzz(func(t *testing.T, fp string, data []byte) {
+		if fp == "" || strings.ContainsAny(fp, "/\\\x00") {
+			return // not a file name inside the cache directory
+		}
+		c := NewCache(t.TempDir())
+		if err := os.WriteFile(filepath.Join(c.Dir(), fp+".json"), data, 0o644); err != nil {
+			return
+		}
+		r, ok := c.Load(fp)
+		if !ok {
+			return
+		}
+		want, err := json.Marshal(ToWire(r))
+		if err != nil {
+			t.Fatalf("accepted entry does not encode: %v", err)
+		}
+		if err := c.Store(o, r); err != nil {
+			t.Fatalf("accepted entry does not store: %v", err)
+		}
+		again, ok := c.Load(fingerprint(o))
+		if !ok {
+			t.Fatal("stored entry did not load")
+		}
+		if got, _ := json.Marshal(ToWire(again)); !bytes.Equal(got, want) {
+			t.Fatalf("round trip changed the result:\n got %s\nwant %s", got, want)
+		}
+	})
 }
 
 // fingerprintBases are the points FuzzFingerprint mutates: the

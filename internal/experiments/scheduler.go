@@ -23,7 +23,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"abftchol/internal/core"
@@ -160,7 +159,7 @@ func (s *Scheduler) Execute(points []core.Options, sink *Obs) []PointResult {
 	}
 	seen := make(map[string]*slot)
 	var order []string // unique fingerprints, first-requested order
-	var wg sync.WaitGroup
+	var g guard.Group
 	for i, fp := range fps {
 		if _, ok := seen[fp]; ok {
 			continue
@@ -169,14 +168,11 @@ func (s *Scheduler) Execute(points []core.Options, sink *Obs) []PointResult {
 		seen[fp] = &slot{oc: oc, created: created}
 		order = append(order, fp)
 		if created {
-			wg.Add(1)
-			go func(fp string, o core.Options, oc *outcome) {
-				defer wg.Done()
-				s.runPoint(fp, o, sink, oc, fp == traceFP)
-			}(fp, points[i], oc)
+			o, traced := points[i], fp == traceFP
+			g.Go(func() { s.runPoint(fp, o, sink, oc, traced) })
 		}
 	}
-	wg.Wait()
+	g.Wait()
 	for _, fp := range order {
 		<-seen[fp].oc.done // points resolved by a concurrent caller
 	}

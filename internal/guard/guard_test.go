@@ -3,6 +3,7 @@ package guard
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestDoSerializesAccess(t *testing.T) {
@@ -62,4 +63,35 @@ func TestDoDoesNotAllocate(t *testing.T) {
 	if n == 0 {
 		t.Fatal("Do never ran f")
 	}
+}
+
+func TestGroupWaitJoinsEveryGo(t *testing.T) {
+	var g Group
+	const n = 16
+	release := make(chan struct{})
+	var returned Mutex[int]
+	for i := 0; i < n; i++ {
+		g.Go(func() {
+			<-release
+			returned.Do(func(v *int) { *v++ })
+		})
+	}
+	waited := make(chan struct{})
+	go func() {
+		g.Wait()
+		close(waited)
+	}()
+	select {
+	case <-waited:
+		t.Fatal("Wait returned while every f was still blocked")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-waited
+	got := 0
+	returned.Do(func(v *int) { got = *v })
+	if got != n {
+		t.Fatalf("Wait returned after %d of %d f returned", got, n)
+	}
+	g.Wait() // a drained Group waits for nothing
 }

@@ -21,7 +21,7 @@ import (
 // fingerprint — concurrent submissions of the same campaign attach to
 // one execution (the leader) instead of running twice. Campaigns do
 // not pass through the bounded job queue: each runs on its own
-// execWG-tracked goroutine and its trials contend for CPU inside a
+// goroutine in the execs group and its trials contend for CPU inside a
 // private scheduler, so a long campaign cannot starve the
 // factorization worker pool's queue slots, and graceful drain joins
 // it like any in-flight execution.
@@ -71,16 +71,11 @@ func (s *Server) newCampaign(cfg campaign.Config, fp string) (cj *campaignJob, l
 		sh.campaigns[cj.id] = cs
 		sh.campaignsByFP[fp] = cs
 		leader = true
+		// Spawned while the lock that saw !draining is held, so the spawn
+		// precedes Shutdown's execs.Wait however the daemon is mounted.
+		s.execs.Go(func() { s.execCampaign(s.execCtx, cj) })
 	})
-	if !leader {
-		return cj, false, ok
-	}
-	// The Add happens outside the lock like process()'s: Shutdown joins
-	// HTTP handlers (httpSrv.Shutdown) before it reaches execWG.Wait, so
-	// the Add of an accepted campaign always precedes the Wait.
-	s.execWG.Add(1)
-	go s.execCampaign(s.execCtx, cj)
-	return cj, true, true
+	return cj, leader, ok
 }
 
 // newCampaignID mirrors the job ID scheme with a distinct prefix.
@@ -97,7 +92,6 @@ func newCampaignID(seq int) string {
 // next shard boundary, and the campaign lands in the canceled state
 // (the journal, when configured, keeps completed shards).
 func (s *Server) execCampaign(ctx context.Context, cj *campaignJob) {
-	defer s.execWG.Done()
 	sink := obs.NewRegistry()
 	sched := experiments.NewScheduler(s.cfg.Workers, nil)
 	report, err := campaign.Run(ctx, cj.cfg, sched, campaign.RunOptions{Metrics: sink})

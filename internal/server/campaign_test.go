@@ -137,3 +137,49 @@ func TestCampaignLifecycleAndDedup(t *testing.T) {
 		t.Fatal("campaign trial counters did not merge into the global registry")
 	}
 }
+
+// TestCampaignSpawnOrderedBeforeShutdownWait races a campaign
+// submission against Shutdown on a daemon mounted without a listener,
+// where no HTTP-handler join orders the two. A campaign the daemon
+// accepted must be finished when Shutdown returns, and under -race a
+// spawn not ordered before Shutdown's join fails the test.
+func TestCampaignSpawnOrderedBeforeShutdownWait(t *testing.T) {
+	cfg, err := campaign.Config{
+		Schemes: []string{"magma"}, Classes: []string{"storage-offset"},
+		N: 256, TrialsPerCell: 1, ShardTrials: 1, Seed: 1,
+	}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := cfg.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 200; round++ {
+		s, err := New(Config{Workers: 1, Clock: realClock()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cj *campaignJob
+		var accepted bool
+		started, submitted := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(submitted)
+			close(started)
+			cj, _, accepted = s.newCampaign(cfg, fp)
+		}()
+		<-started
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		<-submitted
+		if !accepted {
+			continue
+		}
+		var state State
+		s.st.Do(func(sh *shared) { state = sh.campaigns[cj.id].state })
+		if state != StateDone {
+			t.Fatalf("round %d: campaign %s is %s after Shutdown returned", round, cj.id, state)
+		}
+	}
+}

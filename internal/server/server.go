@@ -25,7 +25,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"abftchol/internal/core"
@@ -183,8 +182,8 @@ type Server struct {
 	httpSrv *http.Server
 	mux     *http.ServeMux
 
-	workerWG sync.WaitGroup // the fixed worker pool
-	execWG   sync.WaitGroup // in-flight factorizations (may outlive their worker on timeout)
+	workers guard.Group // the fixed worker pool
+	execs   guard.Group // in-flight executions (a factorization may outlive its worker on timeout)
 
 	// execCtx scopes daemon-owned executions that can observe
 	// cancellation mid-flight (campaign shard loops); cancelExec fires
@@ -231,9 +230,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.mux = s.routes()
 	s.httpSrv = &http.Server{Handler: s.mux}
-	s.workerWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
+		s.workers.Go(s.worker)
 	}
 	return s, nil
 }
@@ -272,8 +270,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	httpErr := s.httpSrv.Shutdown(ctx)
 
 	finished := make(chan struct{})
-	go func() {
-		s.workerWG.Wait()
+	var waiter guard.Group
+	waiter.Go(func() {
+		defer close(finished)
+		s.workers.Wait()
 		// A submission racing the quit signal can land in the queue
 		// after every worker saw it empty and exited; the listener is
 		// closed so the queue is final — drain any such straggler.
@@ -288,18 +288,19 @@ func (s *Server) Shutdown(ctx context.Context) error {
 				break drain
 			}
 		}
-		s.execWG.Wait()
-		close(finished)
-	}()
+		s.execs.Wait()
+	})
 	select {
 	case <-finished:
 	case <-ctx.Done():
 		// Deadline expired: stop campaign shard loops at their next
-		// boundary, cancel still-queued jobs, then join what remains.
+		// boundary and cancel still-queued jobs.
 		s.cancelExec()
 		s.cancelQueued(fmt.Errorf("%w: daemon shutdown deadline expired before the job started", errCanceled))
-		<-finished //nolint:ctxcheck // execWG converges: factorizations always terminate and canceled campaigns stop at the next shard boundary
 	}
+	// The join converges: factorizations always terminate and canceled
+	// campaigns stop at the next shard boundary.
+	waiter.Wait()
 	s.cancelExec()
 	// Anything still queued lost the submit/drain race and will never
 	// be picked up; give it a terminal state so watchers unblock.
@@ -351,7 +352,6 @@ func (s *Server) Metrics() ([]byte, error) { return s.reg.Snapshot() }
 // worker drains the queue until quit, then drains whatever was already
 // accepted and exits.
 func (s *Server) worker() {
-	defer s.workerWG.Done()
 	for {
 		select {
 		case j := <-s.queue:
@@ -374,7 +374,7 @@ func (s *Server) worker() {
 // tracked goroutine, and wait for completion or the deadline —
 // whichever first. On timeout the job is failed and the worker moves
 // on; the factorization goroutine finishes in the background and is
-// joined by Shutdown via execWG.
+// joined by Shutdown through s.execs.
 func (s *Server) process(j *job) {
 	now := s.cfg.Clock.Now()
 	var deadline time.Time
@@ -388,8 +388,7 @@ func (s *Server) process(j *job) {
 	if !s.claimRunning(j, now) {
 		return // canceled while queued
 	}
-	s.execWG.Add(1)
-	go s.execJob(j)
+	s.execs.Go(func() { s.execJob(j) })
 	if deadline.IsZero() {
 		<-j.execDone
 		return
@@ -409,7 +408,6 @@ func (s *Server) process(j *job) {
 // timeout race keeps its failed state; the execution's metrics still
 // merge (the work did happen).
 func (s *Server) execJob(j *job) {
-	defer s.execWG.Done()
 	defer close(j.execDone)
 	sink := &experiments.Obs{Metrics: obs.NewRegistry(), CaptureTrace: j.opts.Trace}
 	pr := s.sched.Execute([]core.Options{j.opts}, sink)[0]

@@ -657,12 +657,16 @@ func TestGracefulShutdown(t *testing.T) {
 
 	// Goroutines drained (workers, execs, watchers).
 	ts.Close()
-	leakDeadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before+2 {
-			break
-		}
-		if time.Now().After(leakDeadline) {
+	assertGoroutinesJoined(t, before)
+}
+
+// assertGoroutinesJoined fails the test unless the goroutine count
+// settles back to at most before+2 within five seconds.
+func assertGoroutinesJoined(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+2 {
+		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
 			t.Fatalf("goroutines leaked: %d -> %d\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
@@ -670,7 +674,12 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestShutdownDeadlineCancelsQueued drains past its deadline with a
+// factorization running, one queued and a campaign in flight: the
+// queued job and the campaign are canceled, the running job finishes,
+// and every execution goroutine is joined.
 func TestShutdownDeadlineCancelsQueued(t *testing.T) {
+	before := runtime.NumGoroutine()
 	gate := make(chan struct{})
 	cfg := Config{Workers: 1, QueueDepth: 8, Clock: realClock()}
 	s, err := New(cfg)
@@ -685,6 +694,12 @@ func TestShutdownDeadlineCancelsQueued(t *testing.T) {
 	inflight := mustSubmit(t, c, JobRequest{Machine: "laptop", N: 256, Scheme: "magma"})
 	waitState(t, c, inflight.ID, StateRunning)
 	queued := mustSubmit(t, c, JobRequest{Machine: "laptop", N: 512, Scheme: "magma"})
+	long := testCampaignConfig()
+	long.TrialsPerCell = 20000 // far more shards than the deadline allows
+	camp, err := c.SubmitCampaign(long)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	shutdownErr := make(chan error, 1)
 	go func() {
@@ -713,6 +728,15 @@ func TestShutdownDeadlineCancelsQueued(t *testing.T) {
 	if info.State != StateDone {
 		t.Fatalf("in-flight job after drain: %+v", info)
 	}
+	var cinfo CampaignInfo
+	if err := c.do(http.MethodGet, "/v1/campaigns/"+camp.ID, nil, &cinfo); err != nil {
+		t.Fatal(err)
+	}
+	if cinfo.State != StateCanceled {
+		t.Fatalf("in-flight campaign after deadline drain: %+v", cinfo)
+	}
+	ts.Close()
+	assertGoroutinesJoined(t, before)
 }
 
 // TestDifferentialHTTPvsLocal is the satellite: the same core.Options

@@ -8,18 +8,16 @@ package analysis
 // computation is the plain iterative data-flow algorithm over dense
 // bool sets and reachability is a DFS.
 //
-// Two features exist specifically for protocol analyzers:
+// Two features exist for the flow-sensitive clients (ctxcheck's
+// deadline dominance and the Must facts of summary.go):
 //
 //   - Loop heads are duplicated (a zero-trip head and a back-edge
-//     head) so an analysis can choose between exact semantics (a loop
-//     body may run zero times) and at-least-once semantics (prune the
-//     EdgeZeroTrip edges). The simulated-CUDA code paths this serves
-//     iterate over stream fans and block lists that are non-empty by
-//     construction, and requiring a dominating Wait to sit outside
-//     every loop would force contortions in correct code.
-//   - Reachability accepts a condition resolver, letting an analyzer
-//     specialize the graph to one protocol variant (e.g. assume
-//     sch == SchemeEnhanced) without rebuilding it.
+//     head), and the zero-trip head's exit edge is EdgeZeroTrip, so a
+//     loop body that may run zero times neither dominates nor blocks
+//     the code after the loop.
+//   - Reachability takes a barrier predicate, so an analysis can ask
+//     whether the exit is reachable without crossing a node that
+//     carries a fact.
 
 import (
 	"go/ast"

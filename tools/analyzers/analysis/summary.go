@@ -12,8 +12,8 @@ package analysis
 // BuildCallGraph) with every package-local callee's May facts. Must
 // facts are path-sensitive: a fact is established only when every
 // entry-to-exit path of the function's CFG crosses a node carrying it,
-// with zero-trip loop edges kept — exactly goleak's discipline — so a
-// fact established only inside a `for` body is May, never Must.
+// with zero-trip loop edges kept, so a fact established only inside a
+// `for` body is May, never Must.
 
 import (
 	"go/ast"

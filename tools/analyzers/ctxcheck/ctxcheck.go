@@ -9,8 +9,9 @@
 //
 // A function is request-scoped when its signature carries a
 // context.Context or *http.Request parameter; function literals it
-// builds inherit that status, except literals launched with `go` —
-// those have their own lifecycle, and goleak owns proving their joins.
+// builds inherit that status, except literals launched with `go` or
+// passed to guard.Group.Go — those run on their own goroutine, which
+// the Group's Wait joins.
 // Within request-scoped code, in non-test files:
 //
 //	R1: context.Background() / context.TODO() never appears. Minting a
@@ -26,9 +27,9 @@
 //	R4: a loop whose body blocks (channel ops outside
 //	    select-with-default, blocking selects, or calls that block:
 //	    Scheduler.Execute, http.Client.Do, campaign.Run,
-//	    WaitGroup.Wait, or a package-local callee whose May summary
-//	    blocks) must observe cancellation each iteration via
-//	    ctx.Err(), ctx.Done(), or an R2-satisfying select.
+//	    WaitGroup.Wait, guard.Group.Wait, or a package-local callee
+//	    whose May summary blocks) must observe cancellation each
+//	    iteration via ctx.Err(), ctx.Done(), or an R2-satisfying select.
 //
 // One rule applies to all non-test code in scope, request-scoped or
 // not: R5 — net/http requests must be built with
@@ -86,7 +87,7 @@ func run(pass *analysis.Pass) error {
 			if !requestScoped(pass.TypesInfo, fd) {
 				continue
 			}
-			for _, body := range gatherUnits(fd.Body) {
+			for _, body := range gatherUnits(pass.TypesInfo, fd.Body) {
 				c := &checker{pass: pass, info: pass.TypesInfo, sums: sums, body: body}
 				c.check()
 			}
@@ -112,10 +113,10 @@ func requestScoped(info *types.Info, fd *ast.FuncDecl) bool {
 }
 
 // gatherUnits returns the function body plus every function literal
-// body that runs on the same goroutine: literals launched with `go`
-// (and everything inside them) are excluded — their joins are
-// goleak's concern, not the request path's.
-func gatherUnits(body *ast.BlockStmt) []*ast.BlockStmt {
+// body that runs on the same goroutine: literals launched with `go` or
+// passed to (*guard.Group).Go (and everything inside them) are
+// excluded — they are joined by a Wait, not bound to the request.
+func gatherUnits(info *types.Info, body *ast.BlockStmt) []*ast.BlockStmt {
 	units := []*ast.BlockStmt{body}
 	spawned := map[*ast.FuncLit]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -124,9 +125,15 @@ func gatherUnits(body *ast.BlockStmt) []*ast.BlockStmt {
 			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
 				spawned[lit] = true
 			}
+		case *ast.CallExpr:
+			if callee := analysis.CalleeOf(info, n); callee != nil && callee.FullName() == "(*abftchol/internal/guard.Group).Go" {
+				if lit, ok := n.Args[0].(*ast.FuncLit); ok {
+					spawned[lit] = true
+				}
+			}
 		case *ast.FuncLit:
 			if !spawned[n] {
-				units = append(units, gatherUnits(n.Body)...)
+				units = append(units, gatherUnits(info, n.Body)...)
 			}
 			return false
 		}
@@ -433,6 +440,7 @@ func blockingCallable(callee *types.Func) bool {
 	switch callee.FullName() {
 	case "(*net/http.Client).Do",
 		"(*sync.WaitGroup).Wait",
+		"(*abftchol/internal/guard.Group).Wait",
 		"(*abftchol/internal/experiments.Scheduler).Execute",
 		"abftchol/internal/reliability/campaign.Run":
 		return true

@@ -8,6 +8,8 @@ import (
 	"context"
 	"net/http"
 	"time"
+
+	"abftchol/internal/guard"
 )
 
 // handlerBackground mints a root context on a request path (R1).
@@ -141,12 +143,40 @@ func summaryLoop(ctx context.Context, ch chan int) int {
 }
 
 // spawns launches a goroutine: the literal has its own lifecycle, and
-// goleak — not ctxcheck — owns proving its join.
+// whoever joins it — not the request — bounds it.
 func spawns(ctx context.Context, ch chan int, done chan struct{}) {
 	go func() {
 		<-ch
 		close(done)
 	}()
+}
+
+// groupSpawns hands a blocking loop to a Group: the literal runs on
+// the Group's goroutine, so it is not request-scoped.
+func groupSpawns(ctx context.Context, g *guard.Group, ch chan int) {
+	g.Go(func() {
+		for range 3 {
+			<-ch
+		}
+	})
+}
+
+// groupNotSpawned builds the same literal without handing it to Go; it
+// runs on the request goroutine and inherits request scope.
+func groupNotSpawned(ctx context.Context, ch chan int) func() {
+	f := func() {
+		for range 3 { // want "loop with blocking operations does not observe cancellation"
+			<-ch // want "bare channel receive on a request path"
+		}
+	}
+	return f
+}
+
+// groupWaitLoop joins Groups in a loop that never checks ctx (R4).
+func groupWaitLoop(ctx context.Context, gs []*guard.Group) {
+	for _, g := range gs { // want "loop with blocking operations does not observe cancellation"
+		g.Wait()
+	}
 }
 
 // inherits shows literals that stay on the request goroutine inherit
@@ -169,7 +199,7 @@ func fetch(url string) (*http.Response, error) {
 }
 
 // notRequestScoped has no request to honor; worker internals may
-// block (their joins are goleak's concern).
+// block (whoever spawned the worker joins it).
 func notRequestScoped(ch chan int) int {
 	return <-ch
 }

@@ -14,7 +14,6 @@ import (
 	"abftchol/tools/analyzers/determinism"
 	"abftchol/tools/analyzers/errflow"
 	"abftchol/tools/analyzers/floateq"
-	"abftchol/tools/analyzers/goleak"
 	"abftchol/tools/analyzers/matindex"
 )
 
@@ -22,7 +21,7 @@ import (
 // (abftlint -json emits it in the header line). Bump it whenever the
 // analyzer set, a diagnostic format, or the JSON wire format changes,
 // so CI artifact consumers can detect incomparable runs.
-const Version = "0.15.0"
+const Version = "0.16.0"
 
 // Suite lists every analyzer the abftlint driver runs. The order is
 // load-bearing — it fixes the sequence of findings in -json output and
@@ -34,7 +33,6 @@ var Suite = []*analysis.Analyzer{
 	determinism.Analyzer,
 	errflow.Analyzer,
 	floateq.Analyzer,
-	goleak.Analyzer,
 	matindex.Analyzer,
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -467,10 +468,12 @@ func TestParallelTrsmMatchesSerial(t *testing.T) {
 
 // TestParallelChunksAlignToTile pins parallelColumns' split: chunks
 // cover [0, n) in order, every boundary but n is a multiple of align,
-// and no chunk but the last is shorter than minChunk.
+// and no chunk but the last is shorter than minChunk. GOMAXPROCS is
+// raised to the largest worker count, which the split is capped at.
 func TestParallelChunksAlignToTile(t *testing.T) {
 	saved := Workers
 	defer func() { Workers = saved }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	for _, tc := range []struct {
 		n, minChunk, align, workers int
 		want                        [][2]int
@@ -493,6 +496,28 @@ func TestParallelChunksAlignToTile(t *testing.T) {
 		slices.SortFunc(got, func(x, y [2]int) int { return x[0] - y[0] })
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("n=%d minChunk=%d align=%d workers=%d: chunks %v, want %v", tc.n, tc.minChunk, tc.align, tc.workers, got, tc.want)
+		}
+	}
+}
+
+// TestParallelColumnsCappedAtGOMAXPROCS pins the cap: at GOMAXPROCS 1
+// a call runs as one chunk over (0, n) whatever Workers says, and at 2
+// it splits in two.
+func TestParallelColumnsCappedAtGOMAXPROCS(t *testing.T) {
+	saved := Workers
+	defer func() { Workers = saved }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	Workers = 8
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		var chunks guard.Mutex[[][2]int]
+		parallelColumns(64, 8, kernNR, func(j0, j1 int) {
+			chunks.Do(func(c *[][2]int) { *c = append(*c, [2]int{j0, j1}) })
+		})
+		var got [][2]int
+		chunks.Do(func(c *[][2]int) { got = *c })
+		if len(got) != procs || (procs == 1 && got[0] != [2]int{0, 64}) {
+			t.Errorf("GOMAXPROCS=%d, Workers=8: chunks %v, want %d", procs, got, procs)
 		}
 	}
 }

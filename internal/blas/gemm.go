@@ -98,6 +98,11 @@ func gemmPacked(lower bool, transA, transB Transpose, m, n, k int, alpha float64
 	if readB {
 		alphaA, alphaB = alpha, 1
 	}
+	// A's micro-panels go outer only where its kb lines, lda apart,
+	// spread over every L1 set: at an lda that is a multiple of 16 they
+	// share at most 32 sets (one at 4 KiB), the panel cannot stay, and
+	// B's packed panel, which can, goes outer instead.
+	aOuter := readA && lda%16 != 0
 	p := panelPool.Get().(*panels)
 	var oa, ob block
 	oa.edge, oa.edgeStep = p.ea[:], kernMR
@@ -132,7 +137,7 @@ func gemmPacked(lower bool, transA, transB Transpose, m, n, k int, alpha float64
 					oa.buf, oa.ds, oa.rs, oa.whole = p.a[:], kernMR, kb, mb
 					packA(transA, alphaA, a, lda, i0, mb, l0, kb, p.a[:])
 				}
-				macroKernel(lower, mb, nb, kb, &oa, &ob, c, ldc, i0, j0)
+				macroKernel(lower, aOuter, mb, nb, kb, &oa, &ob, c, ldc, i0, j0)
 			}
 		}
 	}
@@ -141,22 +146,32 @@ func gemmPacked(lower bool, transA, transB Transpose, m, n, k int, alpha float64
 
 // macroKernel sweeps the micro-kernel over the mb x nb block of C whose
 // top-left element is C[i0, j0], at depth kb, with A's and B's panels
-// located by oa and ob.
+// located by oa and ob. With aOuter, A is read in place and its
+// micro-panels are the outer loop, so one kernMR x kb panel, kb lines
+// a leading dimension apart, stays in L1 across every packed panel of
+// B; otherwise B's panels are, as in the usual GotoBLAS order. The
+// order changes only which tile runs when, not any tile's sums.
 //
 // abft:hotpath
 // abft:bce checks=3
-func macroKernel(lower bool, mb, nb, kb int, oa, ob *block, c []float64, ldc, i0, j0 int) {
-	for jr := 0; jr < nb; jr += kernNR {
-		nrr := min(kernNR, nb-jr)
-		bp, sb := ob.panel(jr)
-		col := j0 + jr
-		for ir := 0; ir < mb; ir += kernMR {
-			mrr := min(kernMR, mb-ir)
-			row := i0 + ir
+func macroKernel(lower, aOuter bool, mb, nb, kb int, oa, ob *block, c []float64, ldc, i0, j0 int) {
+	outer, inner, outerStep, innerStep := nb, mb, kernNR, kernMR
+	if aOuter {
+		outer, inner, outerStep, innerStep = mb, nb, kernMR, kernNR
+	}
+	for o := 0; o < outer; o += outerStep {
+		for in := 0; in < inner; in += innerStep {
+			ir, jr := in, o
+			if aOuter {
+				ir, jr = o, in
+			}
+			mrr, nrr := min(kernMR, mb-ir), min(kernNR, nb-jr)
+			row, col := i0+ir, j0+jr
 			if lower && row+mrr <= col {
 				continue // every element above the diagonal
 			}
 			ap, sa := oa.panel(ir)
+			bp, sb := ob.panel(jr)
 			cc := c[row+col*ldc:]
 			if mrr == kernMR && nrr == kernNR && (!lower || row >= col+kernNR-1) {
 				kern8x8(kb, ap, sa, bp, sb, cc, ldc)

@@ -1,5 +1,9 @@
 #include "textflag.h"
 
+// Every loop head sits behind PCALIGN $64, so it starts a 64-byte
+// line however the linker places the file: a kernel's speed then does
+// not move with the size of the code linked before it.
+
 // One depth step of the 8x4 tile: load A's 8 rows (two vectors) from
 // a0 and a1, broadcast B's 4 values from b0..b3, and fold the 32
 // products into the accumulators Y0..Y7 (column c in Y(2c), Y(2c+1)).
@@ -60,6 +64,8 @@ TEXT ·kern8x4AVX2(SB), NOSPLIT, $0-56
 	SHRQ $2, BX
 	JZ   tail
 
+	PCALIGN $64
+
 loop4:
 	STEP((SI), 32(SI), (DI), 8(DI), 16(DI), 24(DI))
 	STEP((SI)(R9*1), 32(SI)(R9*1), (DI)(R10*1), 8(DI)(R10*1), 16(DI)(R10*1), 24(DI)(R10*1))
@@ -73,6 +79,8 @@ loop4:
 tail:
 	ANDQ $3, CX
 	JZ   store
+
+	PCALIGN $64
 
 loop1:
 	STEP((SI), 32(SI), (DI), 8(DI), 16(DI), 24(DI))
@@ -139,6 +147,8 @@ TEXT ·kern8x8AVX512(SB), NOSPLIT, $0-56
 	SHRQ $2, BX
 	JZ   tail8
 
+	PCALIGN $64
+
 loop8x4:
 	STEP8((SI), (DI), 8(DI), 16(DI), 24(DI), 32(DI), 40(DI), 48(DI), 56(DI))
 	STEP8((SI)(R9*1), (DI)(R10*1), 8(DI)(R10*1), 16(DI)(R10*1), 24(DI)(R10*1), 32(DI)(R10*1), 40(DI)(R10*1), 48(DI)(R10*1), 56(DI)(R10*1))
@@ -152,6 +162,8 @@ loop8x4:
 tail8:
 	ANDQ $3, CX
 	JZ   store8
+
+	PCALIGN $64
 
 loop8x1:
 	STEP8((SI), (DI), 8(DI), 16(DI), 24(DI), 32(DI), 40(DI), 48(DI), 56(DI))
@@ -222,6 +234,8 @@ TEXT ·subScaledColsAVX2(SB), NOSPLIT, $0-64
 	SHLQ         $3, R10
 	VXORPD       X15, X15, X15
 
+	PCALIGN $64
+
 rows16:
 	CMPQ    CX, $16
 	JLT     rest
@@ -232,6 +246,8 @@ rows16:
 	MOVQ    R9, AX
 	MOVQ    SI, DX
 	MOVQ    R11, BX
+
+	PCALIGN $64
 
 term16:
 	ALPHA(next16)
@@ -280,6 +296,8 @@ rest:
 	MOVQ       R9, AX
 	MOVQ       SI, DX
 	MOVQ       R11, BX
+
+	PCALIGN $64
 
 termrest:
 	ALPHA(nextrest)
@@ -383,6 +401,8 @@ TEXT ·colChecksums8AVX2(SB), NOSPLIT, $0-48
 	VXORPD       Y11, Y11, Y11
 	VXORPD       Y12, Y12, Y12
 	VXORPD       Y13, Y13, Y13
+
+	PCALIGN $64
 
 chkloop:
 	CHKLOAD(SI, Y2, Y3)

@@ -3,6 +3,7 @@ package blas
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -248,6 +249,7 @@ func TestBlockedFactorBitIdentical(t *testing.T) {
 	}
 	saved := Workers
 	defer func() { Workers = saved }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	Workers = 1
 	want := factor()
 	for _, w := range []int{2, 3, 8} {
@@ -564,4 +566,63 @@ func TestColChecksumsMaxIgnoresNaN(t *testing.T) {
 	}
 	t.Run("asm", check)
 	t.Run("go", func(t *testing.T) { withGoKernel(func() { check(t) }) })
+}
+
+// TestLevel3BitsIndependentOfStride pins what a padded working copy
+// relies on: Dgemm, Dsyrk and Dtrsm(Right, Trans) give the same bits on
+// operands stored at lda 512 and at lda 520, on every micro-kernel the
+// host has. Where A is read in place (m >= n, or alpha not ±1), lda
+// 520 runs macroKernel with A's panels outer and lda 512 with B's, so
+// the two leading dimensions also compare the two loop orders; the
+// m < n Dgemm reads B in place, with B's panels outer at both.
+func TestLevel3BitsIndependentOfStride(t *testing.T) {
+	const n = 512
+	// at stores the n x n matrix randSlice(n*n, seed) at leading
+	// dimension ld, with junk in the pad rows.
+	at := func(seed int64, ld int) []float64 {
+		src, w := randSlice(n*n, seed), randSlice(ld*n, seed+100)
+		for j := 0; j < n; j++ {
+			copy(w[j*ld:][:n], src[j*n:][:n])
+		}
+		return w
+	}
+	lower := lowerWithGoodDiag(64, 8)
+	calls := []struct {
+		name string
+		fn   func(a, b, c []float64, ld int)
+	}{
+		{"dgemm NT A in place", func(a, b, c []float64, ld int) { Dgemm(NoTrans, Trans, 448, 64, 384, -1, a, ld, b, ld, 1, c, ld) }},
+		{"dgemm NT B in place", func(a, b, c []float64, ld int) { Dgemm(NoTrans, Trans, 64, 448, 384, -1, a, ld, b, ld, 1, c, ld) }},
+		{"dgemm NT alpha 2.5", func(a, b, c []float64, ld int) { Dgemm(NoTrans, Trans, 64, 448, 300, 2.5, a, ld, b, ld, 1, c, ld) }},
+		{"dgemm NN", func(a, b, c []float64, ld int) { Dgemm(NoTrans, NoTrans, 200, 130, 512, -1, a, ld, b, ld, 1, c, ld) }},
+		{"dsyrk", func(a, _, c []float64, ld int) { Dsyrk(448, 384, -1, a, ld, 1, c, ld) }},
+		{"dtrsm right trans", func(a, _, c []float64, ld int) {
+			for j := 0; j < 64; j++ { // L in a's leading 64 x 64 block
+				copy(a[j*ld:][:64], lower[j*64:][:64])
+			}
+			Dtrsm(Right, Trans, 448, 64, 1, a, ld, c, ld)
+		}},
+	}
+	for _, call := range calls {
+		run := func(ld int) []float64 {
+			a, b, c := at(1, ld), at(2, ld), at(3, ld)
+			call.fn(a, b, c, ld)
+			out := make([]float64, 0, n*n)
+			for j := 0; j < n; j++ {
+				out = append(out, c[j*ld:][:n]...)
+			}
+			return out
+		}
+		want := run(n)
+		for _, kernel := range hostKernels() {
+			for _, ld := range []int{n, n + 8} {
+				var got []float64
+				withKernel(kernel, func() { got = run(ld) })
+				if i := firstDiff(got, want); i >= 0 {
+					t.Errorf("%s, %s kernel, lda %d: element (%d, %d) is %v, the default kernel at lda %d gave %v",
+						call.name, kernel, ld, i%n, i/n, got[i], n, want[i])
+				}
+			}
+		}
+	}
 }

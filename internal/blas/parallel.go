@@ -9,7 +9,9 @@ import (
 // Workers is the goroutine fan-out used by the parallel Level-3 front
 // ends. It defaults to the machine's core count and may be lowered in
 // tests for determinism of scheduling (results are identical either
-// way; only wall time changes).
+// way; only wall time changes). Each call caps it at GOMAXPROCS: a
+// goroutine past the number of Ps only runs after another one, and
+// re-reads the operand the others read.
 var Workers = runtime.NumCPU()
 
 // parallelColumns splits the n columns of an output into contiguous
@@ -17,13 +19,10 @@ var Workers = runtime.NumCPU()
 // Chunks never overlap, so no synchronization beyond the join is
 // needed as long as fn only writes columns [j0, j1). Every chunk
 // boundary is a multiple of align, so only the last chunk can end in a
-// ragged micro tile.
+// ragged micro tile. It runs at most min(Workers, GOMAXPROCS) chunks.
 func parallelColumns(n, minChunk, align int, fn func(j0, j1 int)) {
-	workers := Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if n < minChunk*2 || workers == 1 {
+	workers := min(Workers, runtime.GOMAXPROCS(0))
+	if n < minChunk*2 || workers <= 1 {
 		fn(0, n)
 		return
 	}

@@ -125,11 +125,26 @@ func newExec(o *Options, nb int) *exec {
 
 	e.inj = fault.NewInjector(e.led, o.Scenarios...)
 	if o.Data != nil {
-		e.a = o.Data.Clone()
+		e.a = mat.NewStride(e.n, e.n, workingStride(e.n))
+		e.a.CopyFrom(o.Data)
 		e.scratch = mat.New(e.m, e.b)
 		e.inj.Applier = e
 	}
 	return e
+}
+
+// workingStride is the leading dimension of the real plane's working
+// copy: the least odd multiple of 8 that is at least n. Each column is
+// then a whole number of 64-byte lines, and an odd number of them, so
+// the depth steps of an operand the GEMM reads in place (one column
+// apart) walk every L1 set. At a tight power-of-two stride such as 512
+// they all map to one set and evict each other.
+func workingStride(n int) int {
+	ld := (n + 7) &^ 7
+	if ld/8%2 == 0 {
+		ld += 8
+	}
+	return ld
 }
 
 // reset restores the pristine input for a restart after an

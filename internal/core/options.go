@@ -261,7 +261,8 @@ type Result struct {
 	CPUStats hetsim.Stats
 
 	// L is the computed factor (real plane only). It is the run's own
-	// matrix: it shares no storage with Options.Data.
+	// matrix: it shares no storage with Options.Data. Its Stride is the
+	// working copy's padded leading dimension, which may exceed N.
 	L *mat.Matrix
 
 	// Trace is the recorded timeline (only when Options.Trace is set).

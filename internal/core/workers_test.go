@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"abftchol/internal/blas"
+	"abftchol/internal/cholesky"
 	"abftchol/internal/hetsim"
 	"abftchol/internal/mat"
 )
@@ -13,12 +15,15 @@ import (
 // that the parallel front ends change only wall time: the factor of a
 // real-plane run has the same bits for every blas.Workers. The worker
 // counts split a 64-wide block into whole, ragged (3) and narrow (8)
-// column chunks.
+// column chunks; GOMAXPROCS is raised to the largest, which the split
+// is capped at. The factor carries the working copy's padded stride,
+// and the residual and a solve read it through that stride.
 func TestFactorBitIdenticalAcrossWorkers(t *testing.T) {
 	const n, b = 512, 64
 	a := mat.RandSPD(n, 7)
 	saved := blas.Workers
 	defer func() { blas.Workers = saved }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	for _, scheme := range []Scheme{SchemeNone, SchemeEnhanced} {
 		o := Options{Profile: hetsim.Laptop(), N: n, BlockSize: b, Scheme: scheme, ConcurrentRecalc: true, Data: a}
 		var want *mat.Matrix
@@ -37,6 +42,36 @@ func TestFactorBitIdenticalAcrossWorkers(t *testing.T) {
 					}
 				}
 			}
+		}
+		if want.Stride != workingStride(n) || want.Stride <= n {
+			t.Fatalf("%s: Result.L.Stride = %d, want the padded %d", scheme, want.Stride, workingStride(n))
+		}
+		if r := mat.CholeskyResidual(a, want); r > 1e-15 {
+			t.Fatalf("%s: scaled residual %.3g of the strided factor", scheme, r)
+		}
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = float64(i%7) - 3
+		}
+		rhs := make([]float64, n)
+		blas.Dgemv(blas.NoTrans, n, n, 1, a.Data, a.Stride, x, 0, rhs)
+		if err := cholesky.Solve(want, rhs); err != nil {
+			t.Fatal(err)
+		}
+		for i := range x {
+			if math.Abs(rhs[i]-x[i]) > 1e-10 {
+				t.Fatalf("%s: solve through the strided factor gave x[%d] = %v, want %v", scheme, i, rhs[i], x[i])
+			}
+		}
+	}
+}
+
+// TestWorkingStride pins the working copy's leading dimension: the
+// least odd multiple of 8 that is at least n.
+func TestWorkingStride(t *testing.T) {
+	for _, c := range [][2]int{{1, 8}, {8, 8}, {9, 24}, {64, 72}, {100, 104}, {120, 120}, {512, 520}, {1984, 1992}, {2048, 2056}, {2112, 2120}} {
+		if got := workingStride(c[0]); got != c[1] {
+			t.Errorf("workingStride(%d) = %d, want %d", c[0], got, c[1])
 		}
 	}
 }

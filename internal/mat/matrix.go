@@ -26,15 +26,19 @@ type Matrix struct {
 var ErrShape = errors.New("mat: dimension mismatch")
 
 // New allocates a zeroed Rows x Cols matrix with a tight stride.
-func New(rows, cols int) *Matrix {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("mat: negative dimension %dx%d", rows, cols))
+func New(rows, cols int) *Matrix { return NewStride(rows, cols, rows) }
+
+// NewStride allocates a zeroed Rows x Cols matrix with leading
+// dimension stride, which must be at least rows.
+func NewStride(rows, cols, stride int) *Matrix {
+	if rows < 0 || cols < 0 || stride < rows {
+		panic(fmt.Sprintf("mat: dimension %dx%d with stride %d", rows, cols, stride))
 	}
 	return &Matrix{
 		Rows:   rows,
 		Cols:   cols,
-		Stride: rows,
-		Data:   make([]float64, rows*cols),
+		Stride: stride,
+		Data:   make([]float64, stride*cols),
 	}
 }
 

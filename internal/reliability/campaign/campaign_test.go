@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -416,5 +417,33 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if len(norm.Machines) != 1 || len(norm.Schemes) != 3 || len(norm.Classes) != 5 {
 		t.Fatalf("default axes: %+v", norm)
+	}
+}
+
+// TestConfigBoundsPlanSize pins the plan-size bounds: a body asking for
+// 10^9 one-trial shards, or more shards than MaxShards within the trial
+// bound, is rejected before NewPlan builds anything, and a campaign at
+// both bounds passes.
+func TestConfigBoundsPlanSize(t *testing.T) {
+	var huge Config
+	if err := json.Unmarshal([]byte(`{"trials_per_cell": 1000000000, "shard_trials": 1}`), &huge); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{
+		huge,
+		{TrialsPerCell: MaxShards + 1, ShardTrials: 1, Schemes: []string{"magma"}, Classes: []string{"storage-offset"}},
+		{TrialsPerCell: MaxTrials/15 + 1, ShardTrials: MaxTrials}, // 15 default cells
+	} {
+		if _, err := cfg.Normalize(); err == nil {
+			t.Errorf("trials_per_cell %d, shard_trials %d over %d cells accepted", cfg.TrialsPerCell, cfg.ShardTrials,
+				max(len(cfg.Schemes), 3)*max(len(cfg.Classes), 5))
+		}
+		if _, err := NewPlan(cfg); err == nil {
+			t.Errorf("NewPlan accepted trials_per_cell %d", cfg.TrialsPerCell)
+		}
+	}
+	atBounds := Config{TrialsPerCell: MaxTrials, ShardTrials: MaxTrials / MaxShards, Schemes: []string{"magma"}, Classes: []string{"storage-offset"}}
+	if _, err := atBounds.Normalize(); err != nil {
+		t.Errorf("a campaign at both bounds: %v", err)
 	}
 }

@@ -69,6 +69,15 @@ type Config struct {
 	Seed int64 `json:"seed"`
 }
 
+// The bounds on one campaign's size. NewPlan builds every shard up
+// front, about 160 B each, so MaxShards caps a plan near 16 MB; a
+// million-trial campaign at the default 50 trials per shard plans
+// 20,000 shards. MaxTrials caps the trials over all cells.
+const (
+	MaxTrials = 10_000_000
+	MaxShards = 100_000
+)
+
 // DefaultSchemes is the default scheme axis: the unprotected baseline
 // plus the paper's two online schemes.
 func DefaultSchemes() []string { return []string{"magma", "online", "enhanced"} }
@@ -118,6 +127,21 @@ func (c Config) Normalize() (Config, error) {
 		c.RatePerIteration < 0 || c.Delta < 0 || c.BurstSize < 0 ||
 		c.TrialsPerCell < 0 || c.ShardTrials <= 0 {
 		return Config{}, fmt.Errorf("campaign: negative config field")
+	}
+	// A saturating product: no factor or partial product passes
+	// MaxTrials+1, so none overflows. With trials in bounds, cells and
+	// shards are at most trials.
+	trials := 1
+	for _, f := range []int{len(c.Machines), len(c.Schemes), len(c.Classes), c.TrialsPerCell} {
+		trials = min(trials*min(f, MaxTrials+1), MaxTrials+1)
+	}
+	if trials > MaxTrials {
+		return Config{}, fmt.Errorf("campaign: %d machines × %d schemes × %d classes × %d trials exceed the bound of %d trials",
+			len(c.Machines), len(c.Schemes), len(c.Classes), c.TrialsPerCell, MaxTrials)
+	}
+	cells := len(c.Machines) * len(c.Schemes) * len(c.Classes)
+	if shards := cells * ((c.TrialsPerCell + c.ShardTrials - 1) / c.ShardTrials); shards > MaxShards {
+		return Config{}, fmt.Errorf("campaign: %d shards of %d trials exceed the bound of %d shards", shards, c.ShardTrials, MaxShards)
 	}
 	for _, m := range c.Machines {
 		if _, err := hetsim.ProfileByName(m); err != nil {

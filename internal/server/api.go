@@ -323,7 +323,7 @@ type ErrorCode struct {
 // docs/SERVICE.md renders this table and a drift test pins the two
 // together.
 var ErrorCodes = []ErrorCode{
-	{"invalid_request", 400, "the request body is not valid JSON, names unknown fields, or fails option validation (unknown scheme, missing machine, conflicting inject/scenarios)"},
+	{"invalid_request", 400, "the request body is not valid JSON, names unknown fields, or fails option validation (unknown scheme, missing machine, conflicting inject/scenarios, a campaign past `campaign.MaxTrials` or `campaign.MaxShards`)"},
 	{"unknown_job", 404, "no job with this ID exists (IDs are not persisted across daemon restarts)"},
 	{"unknown_campaign", 404, "no campaign with this ID exists (IDs are not persisted across daemon restarts)"},
 	{"no_trace", 404, "the job was submitted without \"trace\": true, so no timeline was recorded"},

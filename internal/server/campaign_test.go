@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -181,5 +183,26 @@ func TestCampaignSpawnOrderedBeforeShutdownWait(t *testing.T) {
 		if state != StateDone {
 			t.Fatalf("round %d: campaign %s is %s after Shutdown returned", round, cj.id, state)
 		}
+	}
+}
+
+// TestCampaignSubmitRejectsOversizedPlan: a body asking for 10^9
+// one-trial shards is a 400, not a plan the daemon tries to build.
+func TestCampaignSubmitRejectsOversizedPlan(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	resp, err := http.Post(c.Base+"/v1/campaigns", "application/json",
+		strings.NewReader(`{"trials_per_cell": 1000000000, "shard_trials": 1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "invalid_request") {
+		t.Fatalf("status %d, body %s; want 400 invalid_request", resp.StatusCode, body)
+	}
+	var n int
+	s.st.Do(func(sh *shared) { n = len(sh.campaigns) })
+	if n != 0 {
+		t.Fatalf("%d campaigns registered after a rejected submit", n)
 	}
 }

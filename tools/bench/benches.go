@@ -14,7 +14,9 @@ import (
 
 	"abftchol/internal/blas"
 	"abftchol/internal/checksum"
+	"abftchol/internal/core"
 	"abftchol/internal/experiments"
+	"abftchol/internal/hetsim"
 	"abftchol/internal/mat"
 	"abftchol/internal/obs"
 	"abftchol/internal/reliability/campaign"
@@ -35,13 +37,25 @@ import (
 // (the weighted scalar loop), Dpotf2, and UpdatePOTF2 at m = 2. Each
 // takes microseconds, so it gets level2Reps samples of one call, its
 // set-up left out of the timing.
+//
+// The magma entries time a whole real-plane factorization (MAGMA's
+// Algorithm 1, no fault tolerance) on the laptop profile at B = 32, at
+// n = 2048 and its neighbours n ± 64. The cliff_2048_vs_neighbours rate
+// is n = 2048's GFLOPS over the mean of theirs: a power-of-two leading
+// dimension maps every depth step of an operand read in place to the
+// same cache sets, and the rate reads well below 1 when that hurts.
 const (
 	blasN, blasK = 256, 128
 	blasReps     = 20
 	level2N      = 512
 	level2B      = 64
 	level2Reps   = 200
+	magmaB       = 32
+	magmaReps    = 9
 )
+
+// magmaNs are the magma entries' orders: 2048 between its neighbours.
+var magmaNs = [...]int{1984, 2048, 2112}
 
 func benchBLAS(r *Report) error {
 	n, k := blasN, blasK
@@ -115,7 +129,51 @@ func benchBLAS(r *Report) error {
 	}
 	r.setExact("n", n)
 	r.setExact("k", k)
-	return benchLevel2(r)
+	if err := benchLevel2(r); err != nil {
+		return err
+	}
+	return benchMagma(r)
+}
+
+func benchMagma(r *Report) error {
+	var gflops [len(magmaNs)]float64
+	for i, n := range magmaNs {
+		o := core.Options{Profile: hetsim.Laptop(), N: n, BlockSize: magmaB, Scheme: core.SchemeNone, Data: dominantSPD(n)}
+		name := fmt.Sprintf("magma/n=%d", n)
+		run := func() error { _, err := core.Run(o); return err }
+		if err := run(); err != nil { // warm-up
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		for range magmaReps {
+			if err := r.time(name, run); err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+		}
+		gflops[i] = float64(n) * float64(n) * float64(n) / 3 / r.entry(name).MinMS / 1e6
+		r.Rates["gflops/"+name] = gflops[i]
+	}
+	r.Rates["cliff_2048_vs_neighbours"] = gflops[1] / ((gflops[0] + gflops[2]) / 2)
+	r.setExact("magma_n", magmaNs)
+	r.setExact("magma_b", magmaB)
+	return nil
+}
+
+// dominantSPD is a symmetric n x n matrix with off-diagonal elements in
+// [-0.5, 0.5) and n on the diagonal: strictly diagonally dominant, so
+// positive definite, and built in O(n²) where mat.RandSPD takes O(n³).
+func dominantSPD(n int) *mat.Matrix {
+	a := mat.New(n, n)
+	for j := range n {
+		for i := j; i < n; i++ {
+			v := float64((i*7+j*3)%13)/13 - 0.5
+			if i == j {
+				v = float64(n)
+			}
+			a.Set(i, j, v)
+			a.Set(j, i, v)
+		}
+	}
+	return a
 }
 
 func benchLevel2(r *Report) error {

@@ -3,56 +3,83 @@ package main
 import (
 	"bufio"
 	"encoding/json"
-	"io"
 	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"abftchol/tools/analyzers"
 )
 
-// TestRepositoryIsClean runs the whole suite over the module exactly
-// as CI does; the tree must lint clean (intentional violations carry
-// //nolint justifications).
+// moduleLint runs the whole suite over the module once, exactly as CI
+// does, the analyzers' own implementation and this driver included, in
+// -json mode. TestRepositoryIsClean, TestSelfLint and TestJSONOutput
+// each check one side of that single run, so the module is loaded and
+// type-checked once per test binary.
+var moduleLint = sync.OnceValues(func() (int, string) {
+	var sb strings.Builder
+	code := run(&sb, []string{"../../..."}, true)
+	return code, sb.String()
+})
+
+// TestRepositoryIsClean requires the module run to exit 0: the tree
+// must lint clean (intentional violations carry //nolint
+// justifications).
 func TestRepositoryIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the entire module")
 	}
-	if code := run(io.Discard, []string{"../../..."}, false); code != 0 {
+	if code, _ := moduleLint(); code != 0 {
 		t.Fatalf("abftlint exited %d on the repository; run 'go run ./cmd/abftlint ./...' for the findings", code)
 	}
 }
 
-// TestSelfLint runs the suite over its own implementation — the
-// analyzers, their framework, and this driver. Linting tools that do
-// not survive their own gate are not trustworthy gates.
+// TestSelfLint requires the module run to report no unsuppressed
+// finding in the suite's own implementation — the analyzers, their
+// framework, and this driver. Linting tools that do not survive their
+// own gate are not trustworthy gates.
 func TestSelfLint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the tool packages")
 	}
-	if code := run(io.Discard, []string{"../../tools/...", "../../cmd/..."}, false); code != 0 {
-		t.Fatalf("abftlint exited %d on its own implementation", code)
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, out := moduleLint()
+	sc := bufio.NewScanner(strings.NewReader(out))
+	sc.Scan() // suite header; TestJSONOutput checks its shape
+	for sc.Scan() {
+		var f jsonFinding
+		if err := json.Unmarshal([]byte(sc.Text()), &f); err != nil {
+			t.Fatalf("-json emitted a non-JSON line %q: %v", sc.Text(), err)
+		}
+		rel, err := filepath.Rel(root, f.File)
+		if err != nil {
+			t.Fatalf("finding outside the module: %s: %v", f.File, err)
+		}
+		rel = filepath.ToSlash(rel)
+		if !f.Suppressed && (strings.HasPrefix(rel, "tools/") || strings.HasPrefix(rel, "cmd/")) {
+			t.Errorf("abftlint reports an unsuppressed finding in its own implementation: %s:%d [%s] %s", f.File, f.Line, f.Analyzer, f.Message)
+		}
 	}
 }
 
-// TestJSONOutput checks the -json mode on the analyzer testdata trees:
-// the first line must identify the suite revision, every following
-// line must be a well-formed diagnostic object in (file, line, column,
-// analyzer) order, and the deliberately suppressed findings must
-// appear marked rather than vanish.
+// TestJSONOutput checks the -json shape of the module run: the first
+// line must identify the suite revision, every following line must be
+// a well-formed diagnostic object in (file, line, column, analyzer)
+// order, and the deliberately suppressed findings must appear marked
+// rather than vanish.
 func TestJSONOutput(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loads and type-checks testdata packages")
+		t.Skip("loads and type-checks the entire module")
 	}
-	// The analyzer testdata packages hold true positives and //nolint
-	// escapes, but they only trigger when loaded in scope. The
-	// repository run above proves the tree clean, so drive the JSON
-	// path through the repository too and assert shape, not content.
-	var sb strings.Builder
-	if code := run(&sb, []string{"../../..."}, true); code != 0 {
-		t.Fatalf("abftlint -json exited %d on the repository", code)
+	code, out := moduleLint()
+	if code != 0 {
+		t.Fatalf("abftlint -json exited %d on the repository; run 'go run ./cmd/abftlint ./...' for the findings", code)
 	}
-	sc := bufio.NewScanner(strings.NewReader(sb.String()))
+	sc := bufio.NewScanner(strings.NewReader(out))
 	if !sc.Scan() {
 		t.Fatal("-json emitted no output; want a suite header line")
 	}
@@ -114,12 +141,12 @@ func findingLess(a, b *jsonFinding) bool {
 }
 
 // TestDriverOnSeededBugs points the driver at a self-contained fixture
-// module carrying seeded bugs — a map-range streamed into a JSON encoder and a wall-clock read in the
-// numeric core (determinism), a %v wrap severing a sentinel chain
-// (errflow), and a handler minting context.Background() instead of
-// inheriting the request context (ctxcheck) — and asserts the
-// end-to-end pipeline (loader, suite, driver formatting, exit code)
-// reports every one of them.
+// module carrying seeded bugs — a map-range streamed into a JSON
+// encoder and a wall-clock read in the numeric core (determinism), and
+// a handler minting context.Background() instead of inheriting the
+// request context (ctxcheck) — and asserts the end-to-end pipeline
+// (loader, suite, driver formatting, exit code) reports every one of
+// them.
 func TestDriverOnSeededBugs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the fixture module")
@@ -144,7 +171,6 @@ func TestDriverOnSeededBugs(t *testing.T) {
 	for _, want := range []string{
 		"[determinism] emit inside a range over a map",
 		"[determinism] time.Now reads the wall clock",
-		"[errflow] fmt.Errorf without %w severs a classified error chain",
 		"[ctxcheck] context.Background() in request-scoped code",
 	} {
 		if !strings.Contains(out, want) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -505,9 +506,10 @@ func TestResultTimingMonotoneInN(t *testing.T) {
 }
 
 func TestErrUncorrectableMessage(t *testing.T) {
-	e := &errUncorrectable{BI: 3, BJ: 2, Cause: errFailStop}
-	if !strings.Contains(e.Error(), "(3,2)") {
-		t.Fatalf("message %q", e.Error())
+	e := new(exec)
+	err := e.uncorrectable(3, 2, errors.New("inconsistent syndrome"))
+	if !strings.Contains(err.Error(), "(3,2)") || e.failure != FailureUncorrectable {
+		t.Fatalf("message %q, class %d", err, e.failure)
 	}
 }
 

@@ -48,6 +48,7 @@ func Run(o Options) (Result, error) {
 		Corrections:    e.corrected,
 		VerifiedBlocks: e.verified,
 		FailStop:       e.failstop,
+		Failure:        e.failure,
 		GPUStats:       e.plat.GPU.Stats(),
 		CPUStats:       e.plat.CPU.Stats(),
 		Trace:          e.trace,
@@ -177,7 +178,8 @@ func (e *exec) finalCheck() error {
 		}
 	}
 	if sch.FaultTolerant() && e.led.AnyCorrupt() {
-		return fmt.Errorf("core: %w: %d block(s) still corrupted", ErrResultRejected, e.led.CorruptBlocks())
+		e.failure = FailureRejected
+		return fmt.Errorf("core: final result rejected: %d block(s) still corrupted", e.led.CorruptBlocks())
 	}
 	return nil
 }

@@ -65,6 +65,7 @@ type exec struct {
 	verifyBatches int
 	corrected     int
 	failstop      int
+	failure       Failure // class of this attempt's failure, if it failed
 }
 
 func newExec(o *Options, nb int) *exec {
@@ -160,6 +161,7 @@ func (e *exec) reset() {
 		e.a.CopyFrom(e.opts.Data)
 	}
 	e.led.Reset()
+	e.failure = FailureNone
 }
 
 // Corrupt implements fault.Applier on the real plane.
@@ -248,26 +250,19 @@ func (e *exec) markPropagation(op fault.Op, j int) {
 
 // ---- verification -------------------------------------------------
 
-// errUncorrectable is returned when verification finds corruption the
-// m-vector checksum code cannot repair; the driver restarts.
-type errUncorrectable struct {
-	BI, BJ int
-	Cause  error
+// uncorrectable fails the attempt when verification finds corruption
+// in block (bi, bj) the m-vector checksum code cannot repair; the
+// driver restarts.
+func (e *exec) uncorrectable(bi, bj int, cause error) error {
+	e.failure = FailureUncorrectable
+	return fmt.Errorf("core: block (%d,%d) corrupted beyond checksum correction: %v", bi, bj, cause)
 }
-
-func (e *errUncorrectable) Error() string {
-	return fmt.Sprintf("core: block (%d,%d) corrupted beyond checksum correction: %v", e.BI, e.BJ, e.Cause)
-}
-
-// Unwrap exposes the verification cause so outcome predicates
-// (FailStop in particular) see through the uncorrectable verdict.
-func (e *errUncorrectable) Unwrap() error { return e.Cause }
 
 // verifyBlocks runs one pre-/post-operation verification batch over
 // the given blocks: a checksum-recalculation kernel per block (fanned
 // over the Optimization 1 streams when enabled), a compare, and any
-// needed corrections. It returns errUncorrectable when a block cannot
-// be repaired.
+// needed corrections. It fails the attempt as FailureUncorrectable
+// when a block cannot be repaired.
 func (e *exec) verifyBlocks(blocks [][2]int) error {
 	if len(blocks) == 0 {
 		return nil
@@ -332,7 +327,7 @@ func (e *exec) verifyOne(bi, bj int) error {
 		if err != nil {
 			// A block that fails counts no corrections, as on the
 			// model plane: the restart redoes its work.
-			return &errUncorrectable{BI: bi, BJ: bj, Cause: err}
+			return e.uncorrectable(bi, bj, err)
 		}
 		e.corrected += len(corrs)
 		return nil
@@ -392,8 +387,7 @@ func (e *exec) verifyOne(bi, bj int) error {
 		worst = max(worst, load)
 	}
 	if worst > e.m/2 {
-		return &errUncorrectable{BI: bi, BJ: bj,
-			Cause: fmt.Errorf("%d errors in one block column exceed the %d-vector code", worst, e.m)}
+		return e.uncorrectable(bi, bj, fmt.Errorf("%d errors in one block column exceed the %d-vector code", worst, e.m))
 	}
 	e.corrected += detected
 	return nil

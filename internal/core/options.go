@@ -242,6 +242,9 @@ type Result struct {
 	VerifiedBlocks int
 	// FailStop counts POTF2 positive-definiteness failures hit.
 	FailStop int
+	// Failure is the class of the failure Run returned (its last
+	// attempt's), FailureNone when Run returned nil or an options error.
+	Failure Failure
 
 	// Injections is everything the injector fired (all attempts).
 	Injections []fault.Injection

@@ -1,122 +1,52 @@
-// Outcome inspection: exported predicates over the errors Run can
-// return, so reliability campaigns can classify a trial without
-// string-matching messages. Run wraps the terminal cause with %w at
-// every layer, so these survive the attempt/scheme prefixes.
+// Failure classes: how a protected run ended when it did not finish
+// clean. Run records the class where the failure is made and returns it
+// as Result.Failure, so a classifier reads a field instead of
+// inspecting the error chain.
 
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"strings"
 )
 
-// ErrResultRejected is the final-check failure: a fault-tolerant
-// scheme finished the factorization but the model-plane ledger still
-// records corrupted blocks, i.e. detection happened too late for
-// correction. Campaigns count a run that ends here as silent
-// corruption *of the factorization output* caught only by the offline
-// audit.
-var ErrResultRejected = errors.New("final result rejected")
+// Failure is the class of a failed run's last attempt; FailureNone
+// when the run succeeded or failed outside the fault taxonomy (an
+// options error).
+type Failure uint8
 
-// Rejected reports whether err is (or wraps) the final-check
-// rejection.
-func Rejected(err error) bool {
-	return errors.Is(err, ErrResultRejected)
-}
-
-// Uncorrectable reports whether err is (or wraps) a verification
-// failure where corruption was detected but exceeded the checksum
-// code's correction capability (more than ⌊m/2⌋ errors in one block
-// column, or an inconsistent syndrome).
-func Uncorrectable(err error) bool {
-	var u *errUncorrectable
-	return errors.As(err, &u)
-}
-
-// FailStop reports whether err is (or wraps) a POTF2 fail-stop: the
-// diagonal block lost positive definiteness, which the paper treats as
-// an immediately detected, non-correctable abort.
-func FailStop(err error) bool {
-	return errors.Is(err, errFailStop)
-}
-
-// Wire codes for the outcome taxonomy. The abftd daemon stores and
-// serves job failures as these codes (JobInfo.ErrorCode) so remote
-// clients can reconstruct a typed error with ErrorFromCode instead of
-// matching message text; the spellings are part of the HTTP API and
-// must stay stable.
 const (
-	// CodeRejected is the final-audit rejection (ErrResultRejected).
-	CodeRejected = "result_rejected"
-	// CodeUncorrectable is detected-but-uncorrectable corruption.
-	CodeUncorrectable = "uncorrectable"
-	// CodeFailStop is the POTF2 positive-definiteness abort.
-	CodeFailStop = "fail_stop"
-	// CodeCanceled marks work stopped by cancellation (context.Canceled
-	// or the daemon's own cancel paths).
-	CodeCanceled = "canceled"
-	// CodeTimeout marks work stopped by a deadline
-	// (context.DeadlineExceeded or the daemon's job deadlines).
-	CodeTimeout = "timeout"
+	// FailureNone: no classified failure.
+	FailureNone Failure = iota
+	// FailureRejected: a fault-tolerant scheme finished the
+	// factorization but the model-plane ledger still records corrupted
+	// blocks, i.e. detection happened too late for correction.
+	// Campaigns count a run that ends here as silent corruption *of the
+	// factorization output* caught only by the offline audit.
+	FailureRejected
+	// FailureUncorrectable: verification detected corruption beyond the
+	// checksum code's correction capability (more than ⌊m/2⌋ errors in
+	// one block column, or an inconsistent syndrome).
+	FailureUncorrectable
+	// FailureFailStop: POTF2 found a diagonal block that lost positive
+	// definiteness, which the paper treats as an immediately detected,
+	// non-correctable abort.
+	FailureFailStop
 )
 
-// OutcomeCode maps an error onto its wire code, or "" when no typed
-// predicate matches (an unclassified failure). Precedence mirrors
-// reliability.Classify: an uncorrectable verdict wrapping a fail-stop
-// cause codes as uncorrectable.
-func OutcomeCode(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case Rejected(err):
-		return CodeRejected
-	case Uncorrectable(err):
-		return CodeUncorrectable
-	case FailStop(err):
-		return CodeFailStop
-	case errors.Is(err, context.Canceled):
-		return CodeCanceled
-	case errors.Is(err, context.DeadlineExceeded):
-		return CodeTimeout
+// Code returns the class's wire spelling, "" for FailureNone. The abftd
+// daemon serves a failed job's class as this code (JobInfo.ErrorCode);
+// the spellings are part of the HTTP API and must stay stable.
+func (f Failure) Code() string {
+	switch f {
+	case FailureRejected:
+		return "result_rejected"
+	case FailureUncorrectable:
+		return "uncorrectable"
+	case FailureFailStop:
+		return "fail_stop"
 	}
 	return ""
-}
-
-// codedError is a reconstructed remote error: it renders the original
-// message byte-for-byte (campaign and job wire bodies must not change
-// under reconstruction) while unwrapping to the sentinel chain the
-// code names, so the typed predicates classify it like the original.
-type codedError struct {
-	msg   string
-	class error
-}
-
-func (e *codedError) Error() string { return e.msg }
-func (e *codedError) Unwrap() error { return e.class }
-
-// ErrorFromCode rebuilds a classified error from a wire code and the
-// original message. The result satisfies the same typed predicate the
-// original did (Rejected/Uncorrectable/FailStop, or errors.Is against
-// context.Canceled/DeadlineExceeded) and renders msg exactly.
-func ErrorFromCode(code, msg string) error {
-	if msg == "" && code == "" {
-		return nil
-	}
-	switch code {
-	case CodeRejected:
-		return &codedError{msg: msg, class: ErrResultRejected}
-	case CodeUncorrectable:
-		return &codedError{msg: msg, class: &errUncorrectable{Cause: errors.New(msg)}}
-	case CodeFailStop:
-		return &codedError{msg: msg, class: errFailStop}
-	case CodeCanceled:
-		return &codedError{msg: msg, class: context.Canceled}
-	case CodeTimeout:
-		return &codedError{msg: msg, class: context.DeadlineExceeded}
-	}
-	return errors.New(msg) //nolint:errflow // unknown or empty wire code: the caller accepts an unclassifiable reconstruction
 }
 
 // ParseScheme resolves the external spelling of a fault-tolerance

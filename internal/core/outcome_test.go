@@ -1,37 +1,56 @@
 package core
 
 import (
-	"fmt"
+	"strings"
 	"testing"
+
+	"abftchol/internal/fault"
+	"abftchol/internal/hetsim"
 )
 
-func TestOutcomePredicates(t *testing.T) {
-	rej := fmt.Errorf("core: %w: 3 block(s) still corrupted", ErrResultRejected)
-	wrapped := fmt.Errorf("core: online failed after 1 attempts: %w", rej)
-	if !Rejected(rej) || !Rejected(wrapped) {
-		t.Fatal("Rejected must see through Run's attempt wrapper")
+// TestRunSetsFailureClass: each way a single-attempt run can fail sets
+// exactly its class in Result.Failure, with the error text the class
+// has always carried, and a clean run sets none. The fault cases are
+// the ones reliability's TestClassifyAgainstCore files by class.
+func TestRunSetsFailureClass(t *testing.T) {
+	model := func(scheme Scheme, scns ...fault.Scenario) Options {
+		return Options{
+			N: 256, BlockSize: 32, K: 2, Scheme: scheme, Profile: hetsim.Laptop(),
+			MaxAttempts: 1, ConcurrentRecalc: true, Scenarios: scns,
+		}
 	}
-	if Uncorrectable(wrapped) || FailStop(wrapped) {
-		t.Fatal("rejection misclassified")
-	}
+	storage := fault.Scenario{Kind: fault.Storage, Iter: 4, BI: 5, BJ: 2, Row: 3, Col: 7, Delta: 100}
+	second := storage
+	second.Row = 6
+	notPD := laptopOpts(128, SchemeOnline)
+	notPD.MaxAttempts = 1
+	notPD.Data.Set(0, 0, -1)
 
-	unc := error(&errUncorrectable{BI: 3, BJ: 2, Cause: errFailStop})
-	wrapped = fmt.Errorf("core: enhanced failed after 2 attempts: %w", unc)
-	if !Uncorrectable(unc) || !Uncorrectable(wrapped) {
-		t.Fatal("Uncorrectable must match through wrapping")
+	cases := []struct {
+		name string
+		o    Options
+		want Failure
+		text string // in the error Run returns; "" for a clean run
+	}{
+		{"clean", model(SchemeEnhanced), FailureNone, ""},
+		{"online storage fault", model(SchemeOnline, storage), FailureRejected,
+			"core: online-abft failed after 1 attempts: core: final result rejected: "},
+		{"enhanced burst", model(SchemeEnhanced, storage, second), FailureUncorrectable,
+			"corrupted beyond checksum correction: 2 errors in one block column exceed the 2-vector code"},
+		{"not positive definite", notPD, FailureFailStop,
+			"core: POTF2 failed (matrix block not positive definite): block 0: "},
 	}
-	// A fail-stop cause inside an uncorrectable verdict is still a
-	// fail-stop for classification purposes; both predicates hold.
-	if !FailStop(wrapped) {
-		t.Fatal("FailStop must see the wrapped POTF2 cause")
-	}
-
-	fs := fmt.Errorf("%w: block 4: not PD", errFailStop)
-	if !FailStop(fs) || Uncorrectable(fs) || Rejected(fs) {
-		t.Fatal("fail-stop misclassified")
-	}
-	if Rejected(nil) || Uncorrectable(nil) || FailStop(nil) {
-		t.Fatal("nil error must match nothing")
+	for _, tc := range cases {
+		res, err := Run(tc.o)
+		if res.Failure != tc.want {
+			t.Errorf("%s: Failure = %d (%q), want %d (%q)", tc.name, res.Failure, res.Failure.Code(), tc.want, tc.want.Code())
+		}
+		switch {
+		case tc.text == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		case tc.text != "" && (err == nil || !strings.Contains(err.Error(), tc.text)):
+			t.Errorf("%s: error %v, want it to contain %q", tc.name, err, tc.text)
+		}
 	}
 }
 

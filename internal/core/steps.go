@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"abftchol/internal/blas"
@@ -17,11 +16,6 @@ import (
 // name these methods; the interpreter (driver.go) places the
 // verifications around them and gives the injector its chance to fire
 // on the blocks each one writes.
-
-// errFailStop marks a POTF2 positive-definiteness failure: the paper's
-// fail-stop outcome of an uncorrected error reaching the unblocked
-// factorization.
-var errFailStop = errors.New("core: POTF2 failed (matrix block not positive definite)")
 
 // ship copies bytes over the link on the transfer stream once after
 // (the producer's event) has fired, and makes every consumer stream
@@ -128,12 +122,13 @@ func (e *exec) xferDiagD2H(j int) error {
 }
 
 // potf2 factors the diagonal block on the host. On the real plane it
-// returns errFailStop when the block is not positive definite — the
-// paper's fail-stop outcome when a large uncorrected error reaches the
-// unblocked factorization. On the model plane corruption rides through
-// (matching a moderate-magnitude error that leaves the block positive
-// definite) but any detectable smear is widened: the factorization's
-// row mixing spreads it beyond single-row correctability.
+// fails the attempt as FailureFailStop when the block is not positive
+// definite — the paper's fail-stop outcome when a large uncorrected
+// error reaches the unblocked factorization. On the model plane
+// corruption rides through (matching a moderate-magnitude error that
+// leaves the block positive definite) but any detectable smear is
+// widened: the factorization's row mixing spreads it beyond single-row
+// correctability.
 func (e *exec) potf2(j int) error {
 	var failed error
 	var body func()
@@ -141,7 +136,8 @@ func (e *exec) potf2(j int) error {
 		diag := e.block(j, j)
 		body = func() {
 			if err := blas.Dpotf2(e.b, diag.Data, diag.Stride); err != nil {
-				failed = fmt.Errorf("%w: block %d: %v", errFailStop, j, err)
+				e.failure = FailureFailStop
+				failed = fmt.Errorf("core: POTF2 failed (matrix block not positive definite): block %d: %v", j, err)
 				return
 			}
 			diag.LowerFromFull()

@@ -178,9 +178,9 @@ func ScrubFigure(prof hetsim.Profile, cfg Config) *Figure {
 // `-exp` users the same coverage shape at a glance.
 //
 // Trials run in-line rather than as scheduler points: a trial's
-// verdict travels in its typed error (MaxAttempts=1 surfaces the
-// rejection instead of retrying past it), and typed errors do not
-// round-trip the sweep's disk cache — a warm-cache replay would
+// verdict travels in its run error and Result.Failure (MaxAttempts=1
+// surfaces the rejection instead of retrying past it), and neither
+// round-trips the sweep's disk cache — a warm-cache replay would
 // reclassify every detected fault as clean. The campaign engine makes
 // the same call: it runs cache-less and persists to its journal.
 func ReliabilityTable(prof hetsim.Profile, cfg Config) *Table {

@@ -108,9 +108,10 @@ func NewRemoteScheduler(workers int, runFn func(core.Options) (core.Result, erro
 func (s *Scheduler) Workers() int { return s.workers }
 
 // Remote reports whether points execute on a remote daemon rather
-// than in-process. Remote execution flattens typed errors to strings,
-// so work that classifies errors (reliability campaigns) must refuse
-// remote schedulers and run server-side instead.
+// than in-process. Remote execution returns a failed point's error as
+// text, without its Result.Failure, so work that classifies trials
+// (reliability campaigns) must refuse remote schedulers and run
+// server-side instead.
 func (s *Scheduler) Remote() bool { return s.remote }
 
 // StoreErr returns the first cache-write failure, if any. Stores are

@@ -48,11 +48,12 @@ func Run(ctx context.Context, cfg Config, sched *experiments.Scheduler, opts Run
 		return nil, fmt.Errorf("campaign: nil scheduler")
 	}
 	if sched.Remote() {
-		// Classified error codes survive the wire now (JobInfo.ErrorCode
-		// reconstructs the typed chain client-side), but a campaign's
-		// trials still run server-side as one job kind: shipping ~10⁴
-		// individual trial jobs over HTTP would swamp the admission
-		// queue, and the shard journal could not checkpoint them.
+		// A remote trial comes back without its Result.Failure (a
+		// failed job carries only its error text and wire code), and a
+		// campaign's trials run server-side as one job kind anyway:
+		// shipping ~10⁴ individual trial jobs over HTTP would swamp the
+		// admission queue, and the shard journal could not checkpoint
+		// them.
 		return nil, fmt.Errorf("campaign: cannot classify trials through a remote scheduler; submit a campaign job to the daemon instead")
 	}
 	plan, err := NewPlan(cfg)

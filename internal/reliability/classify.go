@@ -1,8 +1,8 @@
 // Trial classification for reliability campaigns: map one core.Run
 // outcome (result + error) onto the four-way taxonomy the paper's
 // coverage statistics are computed over. Classification is purely a
-// function of the typed error chain and the model-plane ledger
-// accounting in the Result — no message parsing — so it is stable
+// function of the Result: the failure class core.Run set and the
+// model-plane ledger accounting — no message parsing — so it is stable
 // across error-text changes and identical on every campaign plane.
 
 package reliability
@@ -79,7 +79,8 @@ func (o Outcome) Describe() string {
 }
 
 // Classify maps one single-attempt trial (core.Run with MaxAttempts=1)
-// onto the taxonomy. It returns an error only for outcomes a campaign
+// onto the taxonomy; a failed trial is filed by res.Failure, the class
+// core.Run set where the run ended. It returns an error only for outcomes a campaign
 // trial cannot legitimately produce — an option-validation failure, or
 // a multi-attempt run, both of which mean the campaign was misplanned
 // rather than the trial went badly.
@@ -89,13 +90,13 @@ func Classify(res core.Result, runErr error) (Outcome, error) {
 	}
 	struck := len(res.Injections) > 0
 	if runErr != nil {
-		switch {
-		case core.Rejected(runErr):
+		switch res.Failure {
+		case core.FailureRejected:
 			// The scheme finished but the final audit found corruption
 			// the online protocol missed: the defining silent-error
 			// escape (Online's storage-fault gap in the paper).
 			return OutcomeSilentCorruption, nil
-		case core.Uncorrectable(runErr), core.FailStop(runErr):
+		case core.FailureUncorrectable, core.FailureFailStop:
 			return OutcomeDetectedUncorrectable, nil
 		default:
 			return 0, fmt.Errorf("reliability: trial failed outside the fault taxonomy: %w", runErr)

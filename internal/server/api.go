@@ -251,9 +251,8 @@ type JobInfo struct {
 	// concurrent) submission or the on-disk cache served it.
 	Executed *bool `json:"executed,omitempty"`
 	// Error carries the failure or cancellation reason as rendered
-	// text; ErrorCode carries its classification (see JobErrorCodes).
-	// Clients reconstruct a typed error from the pair with
-	// core.ErrorFromCode rather than matching message text.
+	// text; ErrorCode carries its classification (see JobErrorCodes),
+	// so a client branches on the code rather than matching the text.
 	Error     string `json:"error,omitempty"`
 	ErrorCode string `json:"error_code,omitempty"`
 }
@@ -335,10 +334,17 @@ var ErrorCodes = []ErrorCode{
 	{"draining", 503, "the daemon is shutting down and no longer accepts submissions"},
 }
 
-// CodeInternalError is the job error code for daemon-side failures
-// outside the outcome taxonomy (e.g. a metrics snapshot that failed to
-// encode). It reconstructs to an unclassified error client-side.
-const CodeInternalError = "internal"
+// The job error codes the daemon sets itself. A failed run's code is
+// its core.Failure's Code, or CodeInternalError when it has none.
+const (
+	// CodeCanceled marks work stopped by the client or the daemon.
+	CodeCanceled = "canceled"
+	// CodeTimeout marks work stopped by a job deadline.
+	CodeTimeout = "timeout"
+	// CodeInternalError marks daemon-side failures outside the outcome
+	// taxonomy (e.g. a metrics snapshot that failed to encode).
+	CodeInternalError = "internal"
+)
 
 // JobErrorCode documents one job-level error code for docs/SERVICE.md.
 type JobErrorCode struct {
@@ -349,15 +355,14 @@ type JobErrorCode struct {
 // JobErrorCodes is the closed set of values JobInfo.ErrorCode and
 // CampaignInfo.ErrorCode can carry — the classification of *job
 // outcomes*, distinct from the HTTP envelope codes above. The first
-// five are core's wire codes, so core.ErrorFromCode rebuilds an error
-// that satisfies the same typed predicate the daemon-side error did;
-// docs/SERVICE.md renders this table and a drift test pins the two
-// together.
+// three are the codes of core's failure classes, read from the run's
+// Result.Failure; docs/SERVICE.md renders this table and a drift test
+// pins the two together.
 var JobErrorCodes = []JobErrorCode{
-	{core.CodeRejected, "the factorization finished but the offline audit rejected the result (core.Rejected matches)"},
-	{core.CodeUncorrectable, "corruption was detected but exceeded the checksum code's correction capability (core.Uncorrectable matches)"},
-	{core.CodeFailStop, "a diagonal block lost positive definiteness — the POTF2 fail-stop abort (core.FailStop matches)"},
-	{core.CodeCanceled, "the job was canceled — by the client while queued, or by the daemon when a shutdown deadline expired first"},
-	{core.CodeTimeout, "the job exceeded its deadline, while queued or while running"},
+	{core.FailureRejected.Code(), "the factorization finished but the offline audit rejected the result (Result.Failure is core.FailureRejected)"},
+	{core.FailureUncorrectable.Code(), "corruption was detected but exceeded the checksum code's correction capability (core.FailureUncorrectable)"},
+	{core.FailureFailStop.Code(), "a diagonal block lost positive definiteness — the POTF2 fail-stop abort (core.FailureFailStop)"},
+	{CodeCanceled, "the job was canceled — by the client while queued, or by the daemon when a shutdown deadline expired first"},
+	{CodeTimeout, "the job exceeded its deadline, while queued or while running"},
 	{CodeInternalError, "a daemon-side failure outside the outcome taxonomy; the error text carries the detail"},
 }

@@ -42,7 +42,8 @@ type campaignJob struct {
 type campaignStatus struct {
 	*campaignJob
 	state    State
-	err      error // terminal cause; classified via ErrorCodeOf
+	errCode  string // a JobErrorCodes code, set with errText when it fails or is canceled
+	errText  string
 	finished time.Time
 	attached int // follower submissions deduped onto this campaign
 	report   []byte
@@ -108,10 +109,10 @@ func (s *Server) execCampaign(ctx context.Context, cj *campaignJob) {
 		switch {
 		case errors.Is(err, context.Canceled):
 			cs.state = StateCanceled
-			cs.err = fmt.Errorf("%w: %w", errCanceled, err)
+			cs.errCode, cs.errText = CodeCanceled, "canceled: "+err.Error()
 		case err != nil:
 			cs.state = StateFailed
-			cs.err = err
+			cs.errCode, cs.errText = CodeInternalError, err.Error()
 		default:
 			cs.state = StateDone
 			cs.report = data
@@ -130,8 +131,8 @@ func (sh *shared) campaignInfo(cs *campaignStatus) CampaignInfo {
 		Config:      cs.cfg,
 		Attached:    cs.attached,
 		SubmittedAt: cs.submitted,
-		Error:       errorText(cs.err),
-		ErrorCode:   ErrorCodeOf(cs.err),
+		Error:       cs.errText,
+		ErrorCode:   cs.errCode,
 	}
 	if !cs.finished.IsZero() {
 		t := cs.finished
@@ -216,46 +217,10 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var wait time.Duration
-	if wq := r.URL.Query().Get("wait"); wq != "" {
-		d, err := time.ParseDuration(wq)
-		if err != nil || d < 0 {
-			failJSON(w, http.StatusBadRequest, "invalid_request", "bad wait %q: want a duration like 30s", wq)
-			return
-		}
-		if d > maxWait {
-			d = maxWait
-		}
-		wait = d
-	}
-	var expired <-chan time.Time
-	if wait > 0 {
-		expired = s.cfg.Clock.After(wait)
-	}
-	for {
-		var info CampaignInfo
-		var ch chan struct{}
-		s.st.Do(func(sh *shared) {
-			cs := sh.campaigns[cj.id]
-			info, ch = sh.campaignInfo(cs), cs.changed
-		})
-		if wait == 0 || info.State.Terminal() {
-			writeJSON(w, http.StatusOK, info)
-			return
-		}
-		select {
-		case <-ch:
-			// state moved; re-snapshot
-		case <-expired:
-			writeJSON(w, http.StatusOK, info)
-			return
-		case <-s.quit:
-			writeJSON(w, http.StatusOK, info)
-			return
-		case <-r.Context().Done():
-			return
-		}
-	}
+	longPoll(s, w, r, func(sh *shared) (CampaignInfo, bool, chan struct{}) {
+		cs := sh.campaigns[cj.id]
+		return sh.campaignInfo(cs), cs.state.Terminal(), cs.changed
+	})
 }
 
 func (s *Server) handleCampaignReport(w http.ResponseWriter, r *http.Request) {
@@ -268,7 +233,7 @@ func (s *Server) handleCampaignReport(w http.ResponseWriter, r *http.Request) {
 	var report []byte
 	s.st.Do(func(sh *shared) {
 		cs := sh.campaigns[cj.id]
-		state, errMsg, report = cs.state, errorText(cs.err), cs.report
+		state, errMsg, report = cs.state, cs.errText, cs.report
 	})
 	switch {
 	case state == StateFailed:

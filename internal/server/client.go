@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -213,10 +214,8 @@ func (c *Client) RunCampaign(cfg campaign.Config) ([]byte, error) {
 		return nil, fmt.Errorf("wait campaign %s: %w", info.ID, err)
 	}
 	if info.State != StateDone {
-		// Rebuild the classified chain the daemon stored, so a caller's
-		// errors.Is(err, context.Canceled) works across the wire.
-		if cause := core.ErrorFromCode(info.ErrorCode, info.Error); cause != nil {
-			return nil, fmt.Errorf("campaign %s: %w", info.ID, cause)
+		if info.Error != "" {
+			return nil, fmt.Errorf("campaign %s: %s", info.ID, info.Error)
 		}
 		return nil, fmt.Errorf("campaign %s ended %s", info.ID, info.State)
 	}
@@ -226,8 +225,10 @@ func (c *Client) RunCampaign(cfg campaign.Config) ([]byte, error) {
 // RunPoint resolves one options point through the daemon: submit,
 // wait, fetch. It is the runFn for experiments.NewRemoteScheduler —
 // a remote sweep is a local sweep whose kernel invocations happen on
-// the other side of this call. A failed job surfaces as the run
-// error, exactly as core.Run would have returned it locally.
+// the other side of this call. A failed job surfaces as an error with
+// the text core.Run returned there; its Result.Failure does not cross
+// the wire (campaign.Run, the one classifier, refuses a remote
+// scheduler).
 func (c *Client) RunPoint(o core.Options) (core.Result, error) {
 	req, err := RequestFromOptions(o)
 	if err != nil {
@@ -242,12 +243,8 @@ func (c *Client) RunPoint(o core.Options) (core.Result, error) {
 		return core.Result{}, fmt.Errorf("wait %s: %w", info.ID, err)
 	}
 	if info.State != StateDone {
-		// ErrorFromCode rebuilds an error satisfying the same typed
-		// predicate the daemon-side failure did, while rendering the
-		// wire text byte-for-byte — reliability.Classify sees a remote
-		// trial exactly as it would a local one.
-		if cause := core.ErrorFromCode(info.ErrorCode, info.Error); cause != nil {
-			return core.Result{}, cause
+		if info.Error != "" {
+			return core.Result{}, errors.New(info.Error)
 		}
 		return core.Result{}, fmt.Errorf("job %s ended %s", info.ID, info.State)
 	}

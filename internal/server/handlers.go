@@ -197,6 +197,18 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	longPoll(s, w, r, func(sh *shared) (JobInfo, bool, chan struct{}) {
+		js := sh.jobs[j.id]
+		return sh.info(js), js.state.Terminal(), js.changed
+	})
+}
+
+// longPoll serves a status body under the request's ?wait= bound
+// (clamped to maxWait; absent means answer now). snapshot reads the
+// body, whether its state is terminal, and the channel the next
+// transition closes; the body is written once it is terminal, the wait
+// expires or the daemon quits, re-snapshotting on every transition.
+func longPoll[T any](s *Server, w http.ResponseWriter, r *http.Request, snapshot func(*shared) (body T, terminal bool, changed chan struct{})) {
 	var wait time.Duration
 	if wq := r.URL.Query().Get("wait"); wq != "" {
 		d, err := time.ParseDuration(wq)
@@ -214,24 +226,22 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		expired = s.cfg.Clock.After(wait)
 	}
 	for {
-		var info JobInfo
+		var body T
+		var terminal bool
 		var ch chan struct{}
-		s.st.Do(func(sh *shared) {
-			js := sh.jobs[j.id]
-			info, ch = sh.info(js), js.changed
-		})
-		if wait == 0 || info.State.Terminal() {
-			writeJSON(w, http.StatusOK, info)
+		s.st.Do(func(sh *shared) { body, terminal, ch = snapshot(sh) })
+		if wait == 0 || terminal {
+			writeJSON(w, http.StatusOK, body)
 			return
 		}
 		select {
 		case <-ch:
 			// state moved; re-snapshot
 		case <-expired:
-			writeJSON(w, http.StatusOK, info)
+			writeJSON(w, http.StatusOK, body)
 			return
 		case <-s.quit:
-			writeJSON(w, http.StatusOK, info)
+			writeJSON(w, http.StatusOK, body)
 			return
 		case <-r.Context().Done():
 			return
@@ -253,7 +263,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		js.state = StateCanceled
-		js.err = fmt.Errorf("%w by client", errCanceled)
+		js.errCode, js.errText = CodeCanceled, "canceled by client"
 		js.finished = now
 		sh.broadcast(js)
 		info = sh.info(js)
@@ -320,7 +330,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	var errMsg string
 	s.st.Do(func(sh *shared) {
 		js := sh.jobs[j.id]
-		state, executed, res, errMsg = js.state, js.executed, js.result, errorText(js.err)
+		state, executed, res, errMsg = js.state, js.executed, js.result, js.errText
 	})
 	switch {
 	case state == StateDone:
@@ -345,7 +355,7 @@ func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 	var errMsg string
 	s.st.Do(func(sh *shared) {
 		js := sh.jobs[j.id]
-		snap, state, errMsg = js.metrics, js.state, errorText(js.err)
+		snap, state, errMsg = js.metrics, js.state, js.errText
 	})
 	switch {
 	case snap != nil:

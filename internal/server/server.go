@@ -71,52 +71,11 @@ type Config struct {
 	MetricsPath string
 }
 
-// errCanceled and errTimeout root the daemon's own terminal reasons.
-// Every cancellation or deadline failure the request plane produces
-// wraps one of these with %w, so the stored cause stays a classified
-// chain (ErrorCodeOf maps it onto a wire code) while the rendered
-// message keeps its historical spelling. They are deliberately fresh
-// sentinels, not wrappers around context.Canceled/DeadlineExceeded:
-// daemon-initiated cancellation is a policy decision, not a context
-// tree collapsing, and the two must stay distinguishable in tests.
-var (
-	errCanceled = errors.New("canceled")
-	errTimeout  = errors.New("timeout")
-)
-
 // errDraining and errQueueFull are enqueue's refusals.
 var (
 	errDraining  = errors.New("draining")
 	errQueueFull = errors.New("queue full")
 )
-
-// errorText renders a job's stored cause for wire bodies; a nil error
-// is the empty string (the job has not failed).
-func errorText(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
-}
-
-// ErrorCodeOf maps a job's stored cause onto its wire code: the
-// daemon's own sentinels first (canceled/timeout), then the core
-// outcome taxonomy, then "internal" for anything unclassified. Nil
-// maps to "" (no failure).
-func ErrorCodeOf(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, errCanceled):
-		return core.CodeCanceled
-	case errors.Is(err, errTimeout):
-		return core.CodeTimeout
-	}
-	if code := core.OutcomeCode(err); code != "" {
-		return code
-	}
-	return CodeInternalError
-}
 
 // stateEvent is one lifecycle transition, kept per job for the SSE
 // stream.
@@ -146,7 +105,8 @@ type job struct {
 type jobStatus struct {
 	*job
 	state    State
-	err      error // terminal cause; classified via ErrorCodeOf
+	errCode  string // a JobErrorCodes code, set with errText when it fails or is canceled
+	errText  string
 	started  time.Time
 	finished time.Time
 	executed bool
@@ -296,7 +256,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// Deadline expired: stop campaign shard loops at their next
 		// boundary and cancel still-queued jobs.
 		s.cancelExec()
-		s.cancelQueued(fmt.Errorf("%w: daemon shutdown deadline expired before the job started", errCanceled))
+		s.cancelQueued("canceled: daemon shutdown deadline expired before the job started")
 	}
 	// The join converges: factorizations always terminate and canceled
 	// campaigns stop at the next shard boundary.
@@ -304,7 +264,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.cancelExec()
 	// Anything still queued lost the submit/drain race and will never
 	// be picked up; give it a terminal state so watchers unblock.
-	s.cancelQueued(fmt.Errorf("%w: daemon shut down before the job started", errCanceled))
+	s.cancelQueued("canceled: daemon shut down before the job started")
 
 	if s.cfg.MetricsPath != "" {
 		snap, err := s.reg.Snapshot()
@@ -381,7 +341,7 @@ func (s *Server) process(j *job) {
 	if s.cfg.JobTimeout > 0 {
 		deadline = j.submitted.Add(s.cfg.JobTimeout)
 		if !now.Before(deadline) {
-			s.fail(j, StateQueued, fmt.Errorf("%w: job expired while queued", errTimeout))
+			s.timeOut(j, StateQueued, "job expired while queued")
 			return
 		}
 	}
@@ -396,7 +356,7 @@ func (s *Server) process(j *job) {
 	select {
 	case <-j.execDone:
 	case <-s.cfg.Clock.After(deadline.Sub(now)):
-		s.fail(j, StateRunning, fmt.Errorf("%w: exceeded the %s job deadline", errTimeout, s.cfg.JobTimeout))
+		s.timeOut(j, StateRunning, fmt.Sprintf("exceeded the %s job deadline", s.cfg.JobTimeout))
 	}
 }
 
@@ -432,13 +392,15 @@ func (s *Server) execJob(j *job) {
 		switch {
 		case snapErr != nil:
 			js.state = StateFailed
-			js.err = fmt.Errorf("metrics snapshot: %w", snapErr)
+			js.errCode, js.errText = CodeInternalError, "metrics snapshot: "+snapErr.Error()
 		case pr.Err != nil:
-			// Stored as the error itself, not its rendered text, so the
-			// core taxonomy predicates still classify it (ErrorCodeOf
-			// derives the wire code at serving time).
+			// The run's class is a field of its result; a failure
+			// outside the fault taxonomy has none.
 			js.state = StateFailed
-			js.err = pr.Err
+			js.errCode, js.errText = pr.Result.Failure.Code(), pr.Err.Error()
+			if js.errCode == "" {
+				js.errCode = CodeInternalError
+			}
 		default:
 			js.state = StateDone
 		}
@@ -447,7 +409,7 @@ func (s *Server) execJob(j *job) {
 	})
 
 	if !transitioned {
-		return // lost a timeout race; fail() already accounted it
+		return // lost a timeout race; timeOut already accounted it
 	}
 	switch {
 	case state == StateDone && pr.Executed:
@@ -476,10 +438,10 @@ func (s *Server) claimRunning(j *job, now time.Time) (claimed bool) {
 	return claimed
 }
 
-// fail moves a job from the given state to failed with the cause;
-// a job already past that state is left alone (e.g. the execution
+// timeOut fails a job that passed its deadline in the given state; a
+// job already past that state is left alone (e.g. the execution
 // finished in the instant the deadline fired).
-func (s *Server) fail(j *job, from State, cause error) {
+func (s *Server) timeOut(j *job, from State, why string) {
 	now := s.cfg.Clock.Now()
 	var failed bool
 	s.st.Do(func(sh *shared) {
@@ -488,7 +450,7 @@ func (s *Server) fail(j *job, from State, cause error) {
 			return
 		}
 		js.state = StateFailed
-		js.err = cause
+		js.errCode, js.errText = CodeTimeout, "timeout: "+why
 		js.finished = now
 		sh.broadcast(js)
 		failed = true
@@ -498,16 +460,16 @@ func (s *Server) fail(j *job, from State, cause error) {
 	}
 }
 
-// cancelQueued cancels every still-queued job (the shutdown-deadline
-// path).
-func (s *Server) cancelQueued(cause error) {
+// cancelQueued cancels every still-queued job with the given text (the
+// shutdown paths).
+func (s *Server) cancelQueued(text string) {
 	now := s.cfg.Clock.Now()
 	var n int64
 	s.st.Do(func(sh *shared) {
 		for _, js := range sh.jobs {
 			if js.state == StateQueued {
 				js.state = StateCanceled
-				js.err = cause
+				js.errCode, js.errText = CodeCanceled, text
 				js.finished = now
 				sh.broadcast(js)
 				n++
@@ -525,7 +487,7 @@ func (sh *shared) broadcast(js *jobStatus) {
 	if js.state.Terminal() {
 		t = js.finished
 	}
-	js.history = append(js.history, stateEvent{State: js.state, Time: t, Error: errorText(js.err)})
+	js.history = append(js.history, stateEvent{State: js.state, Time: t, Error: js.errText})
 	close(js.changed)
 	js.changed = make(chan struct{})
 }
@@ -540,8 +502,8 @@ func (sh *shared) info(js *jobStatus) JobInfo {
 		Machine:     js.req.Machine,
 		N:           js.opts.N,
 		SubmittedAt: js.submitted,
-		Error:       errorText(js.err),
-		ErrorCode:   ErrorCodeOf(js.err),
+		Error:       js.errText,
+		ErrorCode:   js.errCode,
 	}
 	if info.Machine == "" && js.req.Profile != nil {
 		info.Machine = js.req.Profile.Name

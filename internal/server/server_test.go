@@ -462,6 +462,51 @@ func TestInvalidScenariosFailTheJob(t *testing.T) {
 	}
 }
 
+// TestJobErrorCodeIsResultFailure: a failed job's error_code is the
+// code of the Result.Failure its run set, its error text is the run's
+// error, and the client's RunPoint error renders that text exactly. An
+// options error has no class and codes as internal.
+func TestJobErrorCodeIsResultFailure(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	storage := fault.Scenario{Kind: fault.Storage, Iter: 4, BI: 5, BJ: 2, Row: 3, Col: 7, Delta: 100}
+	second := storage
+	second.Row = 6
+	for _, tc := range []struct {
+		scheme string
+		scns   []fault.Scenario
+		n      int
+		want   string
+	}{
+		{"online", []fault.Scenario{storage}, 256, core.FailureRejected.Code()},
+		{"enhanced", []fault.Scenario{storage, second}, 256, core.FailureUncorrectable.Code()},
+		{"enhanced", nil, 250, CodeInternalError}, // not a block multiple
+	} {
+		req := JobRequest{Machine: "laptop", N: tc.n, BlockSize: 32, Scheme: tc.scheme, K: 2, MaxAttempts: 1, Scenarios: tc.scns}
+		o, err := req.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, runErr := core.Run(o)
+		if runErr == nil {
+			t.Fatalf("%s n=%d: local run did not fail", tc.scheme, tc.n)
+		}
+		if code := res.Failure.Code(); code != tc.want && !(code == "" && tc.want == CodeInternalError) {
+			t.Fatalf("%s n=%d: local Result.Failure codes as %q, want %q", tc.scheme, tc.n, code, tc.want)
+		}
+		done, err := c.Wait(mustSubmit(t, c, req).ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done.State != StateFailed || done.ErrorCode != tc.want || done.Error != runErr.Error() {
+			t.Fatalf("%s n=%d: job ended %s with %q / %q, want failed with %q / %q",
+				tc.scheme, tc.n, done.State, done.ErrorCode, done.Error, tc.want, runErr)
+		}
+		if _, err := c.RunPoint(o); err == nil || err.Error() != done.Error {
+			t.Fatalf("%s n=%d: RunPoint error %v, want the text %q", tc.scheme, tc.n, err, done.Error)
+		}
+	}
+}
+
 func TestEventsStreamReplaysLifecycle(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	info := mustSubmit(t, c, smallReq())

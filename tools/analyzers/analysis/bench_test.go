@@ -51,10 +51,9 @@ func BenchmarkSuite(b *testing.B) {
 }
 
 // BenchmarkSummaries isolates the summary-construction phase the
-// interprocedural analyzers (errflow, ctxcheck) pay on top of the
-// per-function passes: building every package's call graph, condensing its SCCs,
-// and propagating May/Must facts bottom-up with a representative
-// classifier. Reported separately in docs/LINTING.md so a regression
+// interprocedural analyzer (ctxcheck) pays on top of the per-function
+// passes: building every package's call graph, condensing its SCCs,
+// and propagating facts bottom-up with a representative classifier. Reported separately in docs/LINTING.md so a regression
 // here is not smeared across the whole-suite number.
 func BenchmarkSummaries(b *testing.B) {
 	pkgs := loadRepo(b)
@@ -75,7 +74,7 @@ func BenchmarkSummaries(b *testing.B) {
 				TypesInfo:  pkg.TypesInfo,
 			}
 			cg := analysis.BuildCallGraph(pass)
-			summarySink += len(cg.Summarize(pkg.TypesInfo, classify))
+			summarySink += len(cg.Summarize(classify))
 		}
 	}
 }

@@ -2,22 +2,15 @@ package analysis
 
 // This file grows the framework from per-file syntax checking into
 // flow-aware analysis: a per-function control-flow graph at statement
-// granularity, dominator sets over it, and a guided reachability
-// primitive. The shapes deliberately stay small — functions in this
-// repository are a few hundred statements at most — so the dominator
-// computation is the plain iterative data-flow algorithm over dense
-// bool sets and reachability is a DFS.
+// granularity and dominator sets over it. The shapes deliberately stay
+// small — functions in this repository are a few hundred statements at
+// most — so the dominator computation is the plain iterative data-flow
+// algorithm over dense bool sets.
 //
-// Two features exist for the flow-sensitive clients (ctxcheck's
-// deadline dominance and the Must facts of summary.go):
-//
-//   - Loop heads are duplicated (a zero-trip head and a back-edge
-//     head), and the zero-trip head's exit edge is EdgeZeroTrip, so a
-//     loop body that may run zero times neither dominates nor blocks
-//     the code after the loop.
-//   - Reachability takes a barrier predicate, so an analysis can ask
-//     whether the exit is reachable without crossing a node that
-//     carries a fact.
+// Loop heads are duplicated for the flow-sensitive client (ctxcheck's
+// deadline dominance): a zero-trip head and a back-edge head, and the
+// zero-trip head's exit edge is EdgeZeroTrip, so a loop body that may
+// run zero times does not dominate the code after the loop.
 
 import (
 	"go/ast"
@@ -402,29 +395,6 @@ func (b *builder) switchClauses(s ast.Stmt, clauses []ast.Stmt, exhaustive bool,
 }
 
 // ---- queries -------------------------------------------------------
-
-// Reachable returns every node reachable from `from`. `from` itself is
-// included only if a cycle returns to it. When barrier is non-nil,
-// traversal does not continue through a node it marks; barrier nodes
-// themselves still appear in the reachable set.
-func (g *CFG) Reachable(from *Node, barrier func(*Node) bool) map[*Node]bool {
-	seen := map[*Node]bool{}
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		for _, e := range n.Succs {
-			if seen[e.To] {
-				continue
-			}
-			seen[e.To] = true
-			if barrier != nil && barrier(e.To) {
-				continue
-			}
-			walk(e.To)
-		}
-	}
-	walk(from)
-	return seen
-}
 
 // Dominators computes, for every node, the set of nodes that lie on
 // every path from entry to it (including itself), by the standard

@@ -59,6 +59,24 @@ func reachesAvoiding(g *CFG, to, avoid *Node) bool {
 	return false
 }
 
+// reachable returns every node reachable from g's entry (the entry
+// itself only through a cycle).
+func reachable(g *CFG) map[*Node]bool {
+	seen := map[*Node]bool{}
+	stack := []*Node{g.Entry}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range n.Succs {
+			if !seen[e.To] {
+				seen[e.To] = true
+				stack = append(stack, e.To)
+			}
+		}
+	}
+	return seen
+}
+
 // callNode finds the CFG node of the statement calling the named
 // function.
 func callNode(g *CFG, body *ast.BlockStmt, name string) *Node {
@@ -195,7 +213,7 @@ func TestCFGBreak(t *testing.T) {
 	body := parseBody(t, cfgSrc, "breaks")
 	g := BuildCFG(body)
 	na, nb := callNode(g, body, "a"), callNode(g, body, "b")
-	reach := g.Reachable(g.Entry, nil)
+	reach := reachable(g)
 	if !reach[na] || !reach[nb] {
 		t.Fatal("all statements should be reachable")
 	}
@@ -209,7 +227,7 @@ func TestCFGLabeledContinue(t *testing.T) {
 	body := parseBody(t, cfgSrc, "labeled")
 	g := BuildCFG(body)
 	na, nb, nc := callNode(g, body, "a"), callNode(g, body, "b"), callNode(g, body, "c")
-	reach := g.Reachable(g.Entry, nil)
+	reach := reachable(g)
 	for _, n := range []*Node{na, nb, nc} {
 		if !reach[n] {
 			t.Fatal("all statements should be reachable")
@@ -230,7 +248,7 @@ func TestCFGSwitch(t *testing.T) {
 	if dom[nc.Index][na] || dom[nc.Index][nb] {
 		t.Error("no single clause dominates the statement after a switch")
 	}
-	reach := g.Reachable(g.Entry, nil)
+	reach := reachable(g)
 	if !reach[na] || !reach[nb] || !reach[nc] {
 		t.Error("all clauses and the join should be reachable")
 	}
@@ -240,7 +258,7 @@ func TestCFGGoto(t *testing.T) {
 	body := parseBody(t, cfgSrc, "jumpy")
 	g := BuildCFG(body)
 	na, nb := callNode(g, body, "a"), callNode(g, body, "b")
-	reach := g.Reachable(g.Entry, nil)
+	reach := reachable(g)
 	if reach[na] {
 		t.Error("statement jumped over by goto should be unreachable")
 	}
@@ -249,28 +267,12 @@ func TestCFGGoto(t *testing.T) {
 	}
 }
 
-func TestReachableBarrier(t *testing.T) {
-	body := parseBody(t, cfgSrc, "linear")
-	g := BuildCFG(body)
-	na, nb, nc := callNode(g, body, "a"), callNode(g, body, "b"), callNode(g, body, "c")
-	reach := g.Reachable(na, func(n *Node) bool { return n == nb })
-	if !reach[nb] {
-		t.Error("a barrier node itself is reachable")
-	}
-	if reach[nc] {
-		t.Error("traversal must not continue through a barrier")
-	}
-	if reach[na] {
-		t.Error("the start node is only reachable via a cycle")
-	}
-}
-
 func TestCFGNilBody(t *testing.T) {
 	g := BuildCFG(nil)
 	if g.Entry == nil || g.Exit == nil {
 		t.Fatal("nil body still yields entry and exit")
 	}
-	if !g.Reachable(g.Entry, nil)[g.Exit] {
+	if !reachable(g)[g.Exit] {
 		t.Error("exit should be reachable from entry")
 	}
 }

@@ -1,19 +1,14 @@
 package analysis
 
 // Interprocedural function summaries over the package call graph: per
-// function, which facts (analyzer-defined bits: a sentinel error use,
-// a blocking operation) it can establish (May) and which it
-// establishes on every execution (Must). The framework only knows how
-// to propagate them bottom-up through strongly connected components
-// of the call graph; errflow and ctxcheck are its clients.
+// function, the facts (analyzer-defined bits, e.g. a blocking
+// operation) some path through it can establish. The framework only
+// knows how to propagate them bottom-up through strongly connected
+// components of the call graph; ctxcheck is its client.
 //
-// May facts union the function's own syntactic facts (closures
+// A function's summary unions its own syntactic facts (closures
 // included — kernel bodies are folded into their launcher, matching
-// BuildCallGraph) with every package-local callee's May facts. Must
-// facts are path-sensitive: a fact is established only when every
-// entry-to-exit path of the function's CFG crosses a node carrying it,
-// with zero-trip loop edges kept, so a fact established only inside a
-// `for` body is May, never Must.
+// BuildCallGraph) with every package-local callee's summary.
 
 import (
 	"go/ast"
@@ -28,130 +23,31 @@ type Facts uint64
 // Any reports whether at least one bit of q is set in f.
 func (f Facts) Any(q Facts) bool { return f&q != 0 }
 
-// Summary is the interprocedural effect summary of one function.
-type Summary struct {
-	// May holds every fact some path through the function (or a
-	// package-local callee, or a closure it builds) can establish.
-	May Facts
-	// Must holds the facts established on every entry-to-exit path of
-	// the function itself, counting a direct callee's Must facts at the
-	// call site. Zero-trip loop edges are honored: facts only
-	// established inside a loop body are not Must.
-	Must Facts
-}
-
-// Summarize computes May/Must summaries for every declared function.
-// local classifies one AST node with the facts its own syntax
-// establishes (a sentinel error, a channel send); it is invoked for every node of every declaration,
-// closures included, and must not recurse itself. Summaries are
-// propagated callee-to-caller in reverse topological order of the
-// call graph's SCCs; mutually recursive functions share one May set
-// and iterate their Must sets to a fixpoint from the sound
-// under-approximation of zero.
-func (cg *CallGraph) Summarize(info *types.Info, local func(ast.Node) Facts) map[*types.Func]*Summary {
-	direct := make(map[*types.Func]Facts, len(cg.decls))
-	for fn, fd := range cg.decls {
-		var f Facts
-		ast.Inspect(fd, func(n ast.Node) bool {
-			f |= local(n)
-			return true
-		})
-		direct[fn] = f
-	}
-
-	sums := make(map[*types.Func]*Summary, len(cg.decls))
+// Summarize computes the summary of every declared function. local
+// classifies one AST node with the facts its own syntax establishes (a
+// channel send, a blocking call); it is invoked for every node of
+// every declaration, closures included, and must not recurse itself.
+// Summaries are propagated callee-to-caller in reverse topological
+// order of the call graph's SCCs; mutually recursive functions share
+// one summary.
+func (cg *CallGraph) Summarize(local func(ast.Node) Facts) map[*types.Func]Facts {
+	sums := make(map[*types.Func]Facts, len(cg.decls))
 	for _, scc := range cg.sccs() {
 		var may Facts
 		for _, fn := range scc {
-			may |= direct[fn]
+			ast.Inspect(cg.decls[fn], func(n ast.Node) bool {
+				may |= local(n)
+				return true
+			})
 			for callee := range cg.callees[fn] {
-				if s := sums[callee]; s != nil {
-					may |= s.May
-				}
+				may |= sums[callee]
 			}
 		}
 		for _, fn := range scc {
-			sums[fn] = &Summary{May: may}
-		}
-		// Within the SCC, Must starts at zero (recursion may establish
-		// nothing) and grows monotonically to its fixpoint.
-		for changed := true; changed; {
-			changed = false
-			for _, fn := range scc {
-				if m := cg.mustFacts(fn, info, sums, local); m != sums[fn].Must {
-					sums[fn].Must = m
-					changed = true
-				}
-			}
+			sums[fn] = may
 		}
 	}
 	return sums
-}
-
-// mustFacts computes the Must set of one function against the current
-// summaries: a fact bit is Must when the function exit is unreachable
-// from entry once nodes carrying the bit are barriers.
-func (cg *CallGraph) mustFacts(fn *types.Func, info *types.Info, sums map[*types.Func]*Summary, local func(ast.Node) Facts) Facts {
-	fd := cg.decls[fn]
-	if fd == nil || fd.Body == nil {
-		return 0
-	}
-	g := BuildCFG(fd.Body)
-	nf := nodeFacts(g, info, sums, local)
-	var all Facts
-	for _, f := range nf {
-		all |= f
-	}
-	var must Facts
-	for bit := Facts(1); bit != 0 && bit <= all; bit <<= 1 {
-		if !all.Any(bit) {
-			continue
-		}
-		reach := g.Reachable(g.Entry, func(n *Node) bool { return nf[n].Any(bit) })
-		if !reach[g.Exit] {
-			must |= bit
-		}
-	}
-	return must
-}
-
-// nodeFacts annotates each CFG node with the facts its statement (or
-// branch condition) establishes when executed: the node's own
-// syntactic facts — function literals excluded, since a closure built
-// here runs elsewhere — plus, for every direct package-local call, the
-// callee's Must facts.
-func nodeFacts(g *CFG, info *types.Info, sums map[*types.Func]*Summary, local func(ast.Node) Facts) map[*Node]Facts {
-	nf := make(map[*Node]Facts, len(g.Nodes))
-	for _, n := range g.Nodes {
-		var root ast.Node
-		switch {
-		case n.Kind == NodeStmt && n.Stmt != nil:
-			root = n.Stmt
-		case n.Kind == NodeCond && n.Cond != nil:
-			root = n.Cond
-		default:
-			continue
-		}
-		var f Facts
-		ast.Inspect(root, func(x ast.Node) bool {
-			if _, ok := x.(*ast.FuncLit); ok {
-				return false
-			}
-			f |= local(x)
-			if call, ok := x.(*ast.CallExpr); ok {
-				if callee := CalleeOf(info, call); callee != nil {
-					if s := sums[callee]; s != nil {
-						f |= s.Must
-					}
-				}
-			}
-			return true
-		})
-		if f != 0 {
-			nf[n] = f
-		}
-	}
-	return nf
 }
 
 // sccs returns the strongly connected components of the call graph in

@@ -20,8 +20,7 @@ func maybe(b bool) {
 	}
 }
 
-// looped establishes it only inside a loop body: zero-trip semantics
-// make it May but not Must.
+// looped establishes it only inside a loop body.
 func looped(n int) {
 	for i := 0; i < n; i++ {
 		mark()
@@ -35,15 +34,14 @@ func ranged(xs []int) {
 	}
 }
 
-// viaCallee inherits Must from an unconditional callee.
+// viaCallee inherits it from an unconditional callee.
 func viaCallee() { always() }
 
-// viaMaybe inherits only May from a conditional callee.
+// viaMaybe inherits it from a conditional callee.
 func viaMaybe(b bool) { maybe(b) }
 
 // inClosure builds a closure that marks; the closure is folded into
-// the declaration for May, but the statement node itself establishes
-// nothing, so Must stays empty.
+// the declaration.
 func inClosure() {
 	f := func() { mark() }
 	_ = f
@@ -84,43 +82,27 @@ func markClassifier(n ast.Node) Facts {
 	return 0
 }
 
-func summarizeSrc(t *testing.T) (*Pass, *CallGraph, map[string]*Summary) {
+func summarizeSrc(t *testing.T) map[string]Facts {
 	t.Helper()
 	pass := typecheckPass(t, sumSrc)
-	cg := BuildCallGraph(pass)
-	sums := cg.Summarize(pass.TypesInfo, markClassifier)
-	byName := map[string]*Summary{}
+	sums := BuildCallGraph(pass).Summarize(markClassifier)
+	byName := map[string]Facts{}
 	for fn, s := range sums {
 		byName[fn.Name()] = s
 	}
-	return pass, cg, byName
+	return byName
 }
 
 func TestSummarizeMay(t *testing.T) {
-	_, _, sums := summarizeSrc(t)
+	sums := summarizeSrc(t)
 	for _, name := range []string{"always", "maybe", "looped", "ranged", "viaCallee", "viaMaybe", "inClosure", "earlyReturn", "recurA", "recurB"} {
-		if !sums[name].May.Any(factMark) {
+		if !sums[name].Any(factMark) {
 			t.Errorf("%s should May-establish the fact", name)
 		}
 	}
 	for _, name := range []string{"clean", "other"} {
-		if sums[name].May.Any(factMark) {
+		if sums[name].Any(factMark) {
 			t.Errorf("%s must not May-establish the fact", name)
-		}
-	}
-}
-
-func TestSummarizeMust(t *testing.T) {
-	_, _, sums := summarizeSrc(t)
-	for _, name := range []string{"always", "viaCallee", "recurB"} {
-		if !sums[name].Must.Any(factMark) {
-			t.Errorf("%s should Must-establish the fact", name)
-		}
-	}
-	// Zero-trip loop edges and conditional paths demote the fact to May.
-	for _, name := range []string{"maybe", "looped", "ranged", "viaMaybe", "inClosure", "earlyReturn", "recurA", "clean"} {
-		if sums[name].Must.Any(factMark) {
-			t.Errorf("%s must not Must-establish the fact (some path skips it)", name)
 		}
 	}
 }

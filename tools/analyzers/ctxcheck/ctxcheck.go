@@ -28,7 +28,7 @@
 //	    select-with-default, blocking selects, or calls that block:
 //	    Scheduler.Execute, http.Client.Do, campaign.Run,
 //	    WaitGroup.Wait, guard.Group.Wait, or a package-local callee
-//	    whose May summary blocks) must observe cancellation each
+//	    whose summary blocks) must observe cancellation each
 //	    iteration via ctx.Err(), ctx.Done(), or an R2-satisfying select.
 //
 // One rule applies to all non-test code in scope, request-scoped or
@@ -36,10 +36,10 @@
 // NewRequestWithContext, never NewRequest/Get/Post/Head/PostForm,
 // so the transport can abandon the round-trip on cancellation.
 //
-// The blocking-call summaries reuse the SCC-condensed May facts of
+// The blocking-call summaries reuse the SCC-condensed facts of
 // analysis.Summarize; they deliberately overcount (a send inside a
 // callee's select-with-default still marks the callee blocking) —
-// May facts are a sound over-approximation, and the escape hatch for
+// the summaries are a sound over-approximation, and the escape hatch for
 // a loop proven convergent by other means is //nolint:ctxcheck with a
 // justification.
 package ctxcheck
@@ -76,7 +76,7 @@ const factBlocking analysis.Facts = 1
 
 func run(pass *analysis.Pass) error {
 	cg := analysis.BuildCallGraph(pass)
-	sums := cg.Summarize(pass.TypesInfo, blockingLocal(pass.TypesInfo))
+	sums := cg.Summarize(blockingLocal(pass.TypesInfo))
 	for _, f := range pass.NonTestFiles() {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -147,7 +147,7 @@ func gatherUnits(info *types.Info, body *ast.BlockStmt) []*ast.BlockStmt {
 type checker struct {
 	pass *analysis.Pass
 	info *types.Info
-	sums map[*types.Func]*analysis.Summary
+	sums map[*types.Func]analysis.Facts
 	body *ast.BlockStmt
 
 	g   *analysis.CFG
@@ -417,21 +417,13 @@ func (c *checker) isCtxObserve(call *ast.CallExpr) bool {
 }
 
 // isBlockingCall matches the curated blocking callables plus any
-// package-local callee whose May summary blocks.
+// package-local callee whose summary blocks.
 func (c *checker) isBlockingCall(call *ast.CallExpr) bool {
 	callee := analysis.CalleeOf(c.info, call)
 	if callee == nil {
 		return false
 	}
-	if blockingCallable(callee) {
-		return true
-	}
-	if callee.Pkg() == c.pass.Pkg {
-		if s := c.sums[callee]; s != nil && s.May.Any(factBlocking) {
-			return true
-		}
-	}
-	return false
+	return blockingCallable(callee) || callee.Pkg() == c.pass.Pkg && c.sums[callee].Any(factBlocking)
 }
 
 // blockingCallable is the curated cross-package table of calls that

@@ -126,7 +126,7 @@ func pollLoopChecked(ctx context.Context, c *http.Client, req *http.Request) err
 	}
 }
 
-// blockingHelper is not request-scoped itself; its May summary marks
+// blockingHelper is not request-scoped itself; its summary marks
 // it blocking for callers.
 func blockingHelper(ch chan int) int {
 	return <-ch

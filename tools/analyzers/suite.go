@@ -12,7 +12,6 @@ import (
 	"abftchol/tools/analyzers/analysis"
 	"abftchol/tools/analyzers/ctxcheck"
 	"abftchol/tools/analyzers/determinism"
-	"abftchol/tools/analyzers/errflow"
 	"abftchol/tools/analyzers/floateq"
 	"abftchol/tools/analyzers/matindex"
 )
@@ -21,7 +20,7 @@ import (
 // (abftlint -json emits it in the header line). Bump it whenever the
 // analyzer set, a diagnostic format, or the JSON wire format changes,
 // so CI artifact consumers can detect incomparable runs.
-const Version = "0.16.0"
+const Version = "0.17.0"
 
 // Suite lists every analyzer the abftlint driver runs. The order is
 // load-bearing — it fixes the sequence of findings in -json output and
@@ -31,7 +30,6 @@ const Version = "0.16.0"
 var Suite = []*analysis.Analyzer{
 	ctxcheck.Analyzer,
 	determinism.Analyzer,
-	errflow.Analyzer,
 	floateq.Analyzer,
 	matindex.Analyzer,
 }

@@ -65,7 +65,7 @@ lint:
 
 # Time the analyzer suite itself: one full module load/type-check
 # (BenchmarkLoadRepo) and one pass of all registered analyzers over it
-# (BenchmarkSuite). The current figures live in docs/LINTING.md; rerun
+# (BenchmarkSuite). The committed figures live in BENCH_lint.json; rerun
 # this when adding an analyzer to keep them honest. `tools/bench -check
 # lint` then gates the load and per-analyzer times against the
 # committed BENCH_lint.json (fail past 3x, or on a changed suite version
@@ -76,7 +76,7 @@ lint:
 # artifacts/BENCH_lint.json.
 lint-bench:
 	mkdir -p artifacts
-	$(GO) test -run '^$$' -bench 'BenchmarkLoadRepo|BenchmarkSuite|BenchmarkSummaries' -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkLoadRepo|BenchmarkSuite' -benchmem \
 		./tools/analyzers/analysis | tee artifacts/lint-bench.txt
 	$(GO) run ./tools/bench -check lint
 

@@ -54,10 +54,14 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	if *nolintReport {
-		os.Exit(auditNolint(os.Stdout, patterns))
+	pkgs := load(patterns)
+	if pkgs == nil {
+		os.Exit(2)
 	}
-	os.Exit(run(os.Stdout, patterns, *jsonOut))
+	if *nolintReport {
+		os.Exit(auditNolint(os.Stdout, pkgs))
+	}
+	os.Exit(run(os.Stdout, pkgs, *jsonOut))
 }
 
 // load resolves the patterns into type-checked packages, or returns
@@ -115,11 +119,9 @@ type jsonFinding struct {
 	Suppressed bool   `json:"suppressed"`
 }
 
-func run(out io.Writer, patterns []string, asJSON bool) int {
-	pkgs := load(patterns)
-	if pkgs == nil {
-		return 2
-	}
+// run lints the loaded packages, printing findings to out; it returns
+// the process exit code.
+func run(out io.Writer, pkgs []*analysis.Package, asJSON bool) int {
 	findings, timings, err := analysis.RunAllTimed(pkgs, analyzers.Suite)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "abftlint:", err)
@@ -174,11 +176,9 @@ func run(out io.Writer, patterns []string, asJSON bool) int {
 // or when one is stale: no analyzer reports anything on its line
 // anymore, so the directive outlived the violation it was written for
 // and should be deleted before it silences a future, different one.
-func auditNolint(out io.Writer, patterns []string) int {
-	pkgs := load(patterns)
-	if pkgs == nil {
-		return 2
-	}
+// It takes packages already loaded, so a caller that has just linted
+// them audits them without loading the module again.
+func auditNolint(out io.Writer, pkgs []*analysis.Package) int {
 	findings, err := analysis.RunAll(pkgs, analyzers.Suite)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "abftlint:", err)

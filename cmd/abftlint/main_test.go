@@ -10,16 +10,26 @@ import (
 	"testing"
 
 	"abftchol/tools/analyzers"
+	"abftchol/tools/analyzers/analysis"
 )
 
+// modulePkgs loads and type-checks the whole module once per test
+// binary, the analyzers' own implementation and this driver included.
+var modulePkgs = sync.OnceValue(func() []*analysis.Package {
+	return load([]string{"../../..."})
+})
+
 // moduleLint runs the whole suite over the module once, exactly as CI
-// does, the analyzers' own implementation and this driver included, in
-// -json mode. TestRepositoryIsClean, TestSelfLint and TestJSONOutput
-// each check one side of that single run, so the module is loaded and
-// type-checked once per test binary.
+// does, in -json mode. TestRepositoryIsClean, TestSelfLint and
+// TestJSONOutput each check one side of that single run, and
+// TestNolintReport audits the same packages.
 var moduleLint = sync.OnceValues(func() (int, string) {
+	pkgs := modulePkgs()
+	if pkgs == nil {
+		return 2, ""
+	}
 	var sb strings.Builder
-	code := run(&sb, []string{"../../..."}, true)
+	code := run(&sb, pkgs, true)
 	return code, sb.String()
 })
 
@@ -142,11 +152,9 @@ func findingLess(a, b *jsonFinding) bool {
 
 // TestDriverOnSeededBugs points the driver at a self-contained fixture
 // module carrying seeded bugs — a map-range streamed into a JSON
-// encoder and a wall-clock read in the numeric core (determinism), and
-// a handler minting context.Background() instead of inheriting the
-// request context (ctxcheck) — and asserts the end-to-end pipeline
-// (loader, suite, driver formatting, exit code) reports every one of
-// them.
+// encoder and a wall-clock read in the numeric core (determinism) —
+// and asserts the end-to-end pipeline (loader, suite, driver
+// formatting, exit code) reports every one of them.
 func TestDriverOnSeededBugs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the fixture module")
@@ -164,14 +172,17 @@ func TestDriverOnSeededBugs(t *testing.T) {
 		}
 	}()
 	var sb strings.Builder
-	if code := run(&sb, []string{"./..."}, false); code != 1 {
+	pkgs := load([]string{"./..."})
+	if pkgs == nil {
+		t.Fatal("the seeded-bug module does not load")
+	}
+	if code := run(&sb, pkgs, false); code != 1 {
 		t.Fatalf("driver exited %d on the seeded-bug module, want 1; output:\n%s", code, sb.String())
 	}
 	out := sb.String()
 	for _, want := range []string{
 		"[determinism] emit inside a range over a map",
 		"[determinism] time.Now reads the wall clock",
-		"[ctxcheck] context.Background() in request-scoped code",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("driver output carries no %q finding on the seeded bug:\n%s", want, out)
@@ -181,13 +192,17 @@ func TestDriverOnSeededBugs(t *testing.T) {
 
 // TestNolintReport audits the repository's escape hatches: the mode
 // must list each directive and pass only while every one carries a
-// justification.
+// justification. It audits the packages moduleLint loaded.
 func TestNolintReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the entire module")
 	}
+	pkgs := modulePkgs()
+	if pkgs == nil {
+		t.Fatal("the module does not load")
+	}
 	var sb strings.Builder
-	if code := auditNolint(&sb, []string{"../../internal/..."}); code != 0 {
+	if code := auditNolint(&sb, pkgs); code != 0 {
 		t.Fatalf("abftlint -nolint-report exited %d:\n%s", code, sb.String())
 	}
 	out := sb.String()

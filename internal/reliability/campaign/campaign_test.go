@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -379,6 +380,21 @@ func TestZeroConfigJournalRoundTrip(t *testing.T) {
 	}
 	if f3, _ := again.Fingerprint(); f3 != fp {
 		t.Fatal("Normalize not idempotent under fingerprinting")
+	}
+}
+
+// TestRunHonorsCanceledContext: the shard loop checks its context
+// before each shard, so a context canceled before the call runs no
+// shard and returns the cancellation.
+func TestRunHonorsCanceledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	metrics := obs.NewRegistry()
+	if _, err := Run(ctx, quickConfig(), experiments.NewScheduler(2, nil), RunOptions{Metrics: metrics}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run under a canceled context returned %v, want context.Canceled", err)
+	}
+	if got := metrics.Counter("campaign.shards.executed"); got != 0 {
+		t.Fatalf("executed %d shards under a canceled context", got)
 	}
 }
 

@@ -18,7 +18,8 @@ import (
 // experiments.NewRemoteScheduler so whole sweeps execute remotely.
 // Polling is server-side (?wait= long-poll), so the client never
 // sleeps — it stays within the determinism analyzer's no-wall-clock
-// discipline.
+// discipline. It is a root caller (a CLI), not itself on a request
+// path, so its requests carry context.Background().
 type Client struct {
 	// Base is the daemon root, e.g. "http://127.0.0.1:8787".
 	Base string
@@ -27,18 +28,6 @@ type Client struct {
 	// Name, when set, is sent as the X-Client header — the daemon's
 	// rate-limit key.
 	Name string
-	// Ctx, when set, scopes every request this client issues —
-	// canceling it aborts in-flight exchanges and long-polls. Nil means
-	// context.Background(): the client is a root caller (a CLI), not
-	// itself on a request path.
-	Ctx context.Context
-}
-
-func (c *Client) context() context.Context {
-	if c.Ctx != nil {
-		return c.Ctx
-	}
-	return context.Background()
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -48,20 +37,21 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// do runs one exchange, decoding the response into out (unless nil)
-// and turning error envelopes into *APIError values.
-func (c *Client) do(method, path string, body, out interface{}) error {
+// exchange runs one request and returns the response body, turning
+// error envelopes into *APIError values. It builds every request the
+// client sends.
+func (c *Client) exchange(method, path string, body interface{}) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
 		data, err := json.Marshal(body)
 		if err != nil {
-			return fmt.Errorf("server client: encode %s %s: %w", method, path, err)
+			return nil, fmt.Errorf("server client: encode %s %s: %w", method, path, err)
 		}
 		rd = bytes.NewReader(data)
 	}
-	req, err := http.NewRequestWithContext(c.context(), method, c.Base+path, rd)
+	req, err := http.NewRequestWithContext(context.Background(), method, c.Base+path, rd)
 	if err != nil {
-		return fmt.Errorf("server client: %w", err)
+		return nil, fmt.Errorf("server client: %w", err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -71,27 +61,46 @@ func (c *Client) do(method, path string, body, out interface{}) error {
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return fmt.Errorf("server client: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("server client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return fmt.Errorf("server client: read %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("server client: read %s %s: %w", method, path, err)
 	}
 	if resp.StatusCode >= 400 {
 		var envelope APIError
 		if json.Unmarshal(data, &envelope) == nil && envelope.Err.Code != "" {
-			return &envelope
+			return nil, &envelope
 		}
-		return fmt.Errorf("server client: %s %s: HTTP %d: %s", method, path, resp.StatusCode, bytes.TrimSpace(data))
+		return nil, fmt.Errorf("server client: %s %s: HTTP %d: %s", method, path, resp.StatusCode, bytes.TrimSpace(data))
 	}
-	if out == nil {
-		return nil
+	return data, nil
+}
+
+// do runs one exchange and decodes the response into out (unless nil).
+func (c *Client) do(method, path string, body, out interface{}) error {
+	data, err := c.exchange(method, path, body)
+	if err != nil || out == nil {
+		return err
 	}
 	if err := json.Unmarshal(data, out); err != nil {
 		return fmt.Errorf("server client: decode %s %s: %w", method, path, err)
 	}
 	return nil
+}
+
+// waitTerminal long-polls a status path until state reports a terminal
+// state. Each round trip asks the daemon to hold the request up to the
+// server's wait cap; a response in a non-terminal state (wait expired,
+// or the daemon is draining) simply polls again.
+func waitTerminal[T any](c *Client, path string, state func(T) State) (T, error) {
+	for {
+		var info T
+		if err := c.do(http.MethodGet, path+"?wait=60s", nil, &info); err != nil || state(info).Terminal() {
+			return info, err
+		}
+	}
 }
 
 // Submit posts one job.
@@ -101,20 +110,9 @@ func (c *Client) Submit(req JobRequest) (JobInfo, error) {
 	return info, err
 }
 
-// Wait long-polls the job until it is terminal. Each round trip asks
-// the daemon to hold the request up to the server's wait cap; a
-// response in a non-terminal state (wait expired, or the daemon is
-// draining) simply polls again.
+// Wait long-polls the job until it is terminal.
 func (c *Client) Wait(id string) (JobInfo, error) {
-	for {
-		var info JobInfo
-		if err := c.do(http.MethodGet, "/v1/jobs/"+id+"?wait=60s", nil, &info); err != nil {
-			return info, err
-		}
-		if info.State.Terminal() {
-			return info, nil
-		}
-	}
+	return waitTerminal(c, "/v1/jobs/"+id, func(i JobInfo) State { return i.State })
 }
 
 // Result fetches a done job's result.
@@ -127,17 +125,17 @@ func (c *Client) Result(id string) (JobResult, error) {
 // JobMetrics fetches a job's private metrics snapshot — the bytes a
 // local run of the same options would have written with -metrics-out.
 func (c *Client) JobMetrics(id string) ([]byte, error) {
-	return c.raw("/v1/jobs/" + id + "/metrics")
+	return c.exchange(http.MethodGet, "/v1/jobs/"+id+"/metrics", nil)
 }
 
 // Metrics fetches the daemon's global metrics snapshot.
 func (c *Client) Metrics() ([]byte, error) {
-	return c.raw("/metrics")
+	return c.exchange(http.MethodGet, "/metrics", nil)
 }
 
 // Trace fetches a job's Chrome trace-event timeline.
 func (c *Client) Trace(id string) ([]byte, error) {
-	return c.raw("/v1/jobs/" + id + "/trace")
+	return c.exchange(http.MethodGet, "/v1/jobs/"+id+"/trace", nil)
 }
 
 // Health fetches the daemon health summary.
@@ -145,34 +143,6 @@ func (c *Client) Health() (Health, error) {
 	var h Health
 	err := c.do(http.MethodGet, "/healthz", nil, &h)
 	return h, err
-}
-
-// raw fetches a non-envelope body (snapshots, traces).
-func (c *Client) raw(path string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(c.context(), http.MethodGet, c.Base+path, nil)
-	if err != nil {
-		return nil, fmt.Errorf("server client: %w", err)
-	}
-	if c.Name != "" {
-		req.Header.Set("X-Client", c.Name)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("server client: GET %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("server client: read %s: %w", path, err)
-	}
-	if resp.StatusCode >= 400 {
-		var envelope APIError
-		if json.Unmarshal(data, &envelope) == nil && envelope.Err.Code != "" {
-			return nil, &envelope
-		}
-		return nil, fmt.Errorf("server client: GET %s: HTTP %d", path, resp.StatusCode)
-	}
-	return data, nil
 }
 
 // SubmitCampaign submits a reliability campaign config.
@@ -185,21 +155,13 @@ func (c *Client) SubmitCampaign(cfg campaign.Config) (CampaignInfo, error) {
 // WaitCampaign long-polls until the campaign reaches a terminal
 // state.
 func (c *Client) WaitCampaign(id string) (CampaignInfo, error) {
-	for {
-		var info CampaignInfo
-		if err := c.do(http.MethodGet, "/v1/campaigns/"+id+"?wait=60s", nil, &info); err != nil {
-			return info, err
-		}
-		if info.State.Terminal() {
-			return info, nil
-		}
-	}
+	return waitTerminal(c, "/v1/campaigns/"+id, func(i CampaignInfo) State { return i.State })
 }
 
 // CampaignReport fetches a done campaign's raw report bytes —
 // byte-identical to a local campaign.Run of the same config.
 func (c *Client) CampaignReport(id string) ([]byte, error) {
-	return c.raw("/v1/campaigns/" + id + "/report")
+	return c.exchange(http.MethodGet, "/v1/campaigns/"+id+"/report", nil)
 }
 
 // RunCampaign resolves one campaign through the daemon: submit, wait,

@@ -206,8 +206,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // longPoll serves a status body under the request's ?wait= bound
 // (clamped to maxWait; absent means answer now). snapshot reads the
 // body, whether its state is terminal, and the channel the next
-// transition closes; the body is written once it is terminal, the wait
-// expires or the daemon quits, re-snapshotting on every transition.
+// transition closes; the body is written once it is terminal or the
+// wait ends (expiry, drain, or a client that went away, which reads
+// nothing), re-snapshotting on every transition.
 func longPoll[T any](s *Server, w http.ResponseWriter, r *http.Request, snapshot func(*shared) (body T, terminal bool, changed chan struct{})) {
 	var wait time.Duration
 	if wq := r.URL.Query().Get("wait"); wq != "" {
@@ -230,23 +231,27 @@ func longPoll[T any](s *Server, w http.ResponseWriter, r *http.Request, snapshot
 		var terminal bool
 		var ch chan struct{}
 		s.st.Do(func(sh *shared) { body, terminal, ch = snapshot(sh) })
-		if wait == 0 || terminal {
+		if wait == 0 || terminal || !s.await(r, ch, expired) {
 			writeJSON(w, http.StatusOK, body)
-			return
-		}
-		select {
-		case <-ch:
-			// state moved; re-snapshot
-		case <-expired:
-			writeJSON(w, http.StatusOK, body)
-			return
-		case <-s.quit:
-			writeJSON(w, http.StatusOK, body)
-			return
-		case <-r.Context().Done():
 			return
 		}
 	}
+}
+
+// await blocks until changed closes, reporting true, or until the
+// wait ends without a transition: expired fires, the daemon quits, or
+// the client goes away. It is the only select in the handlers, so
+// every handler wait ends on a client disconnect and on drain. A nil
+// expired never fires.
+func (s *Server) await(r *http.Request, changed <-chan struct{}, expired <-chan time.Time) bool {
+	select {
+	case <-changed:
+		return true
+	case <-expired:
+	case <-s.quit:
+	case <-r.Context().Done():
+	}
+	return false
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -306,14 +311,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if len(events) > 0 && canFlush {
 			fl.Flush()
 		}
-		if terminal {
-			return
-		}
-		select {
-		case <-ch:
-		case <-s.quit:
-			return
-		case <-r.Context().Done():
+		if terminal || !s.await(r, ch, nil) {
 			return
 		}
 	}

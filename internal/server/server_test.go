@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -563,6 +564,151 @@ func TestLongPollReturnsOnCompletion(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("long-poll never returned after completion")
+	}
+}
+
+// TestHandlerWaitsEndOnClientCancel opens a ?wait= long-poll and an
+// SSE stream on a job that stays queued, cancels each request's
+// context, and requires both handlers to return and the goroutines
+// they held to be joined. The wait's expiry never fires and the daemon
+// does not drain, so the client going away is the only way out.
+func TestHandlerWaitsEndOnClientCancel(t *testing.T) {
+	asked := make(chan time.Duration, 1)
+	clock := Clock{Now: time.Now, After: func(d time.Duration) <-chan time.Time {
+		asked <- d
+		return nil
+	}}
+	s, err := New(Config{Workers: 1, QueueDepth: 4, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	gatedSched(s, 1, gate)
+	returned := make(chan string, 2)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.Handler().ServeHTTP(w, r)
+		if r.URL.RawQuery != "" || strings.HasSuffix(r.URL.Path, "/events") {
+			returned <- r.URL.String()
+		}
+	}))
+	defer func() {
+		close(gate)
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		ts.Close()
+	}()
+	c := &Client{Base: ts.URL}
+	running := mustSubmit(t, c, smallReq())
+	waitState(t, c, running.ID, StateRunning)
+	queued := mustSubmit(t, c, smallReq())
+	before := runtime.NumGoroutine()
+
+	pollCtx, cancelPoll := context.WithCancel(context.Background())
+	defer cancelPoll()
+	pollReq, err := http.NewRequestWithContext(pollCtx, http.MethodGet, ts.URL+"/v1/jobs/"+queued.ID+"?wait=60s", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pollErr := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(pollReq)
+		if err == nil {
+			resp.Body.Close()
+		}
+		pollErr <- err
+	}()
+	select {
+	case <-asked: // the long-poll holds its expiry and is about to wait
+	case <-time.After(5 * time.Second):
+		t.Fatal("long-poll never asked the clock for its expiry")
+	}
+
+	sseCtx, cancelSSE := context.WithCancel(context.Background())
+	defer cancelSSE()
+	sseReq, err := http.NewRequestWithContext(sseCtx, http.MethodGet, ts.URL+"/v1/jobs/"+queued.ID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(sseReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	// The queued event is flushed before the stream waits.
+	if line, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil || line != "event: queued\n" {
+		t.Fatalf("first SSE line %q (%v), want the queued event", line, err)
+	}
+
+	cancelPoll()
+	cancelSSE()
+	for range 2 {
+		select {
+		case <-returned:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a handler still waits after its client canceled the request")
+		}
+	}
+	if err := <-pollErr; err == nil {
+		t.Fatal("canceled long-poll returned a response")
+	}
+	assertGoroutinesJoined(t, before)
+}
+
+// TestLongPollWaitBoundary covers the ?wait= parser that the job and
+// campaign status routes share: a malformed or negative wait is a 400
+// invalid_request, and a wait past maxWait is clamped to it before the
+// clock is asked for the expiry.
+func TestLongPollWaitBoundary(t *testing.T) {
+	asked := make(chan time.Duration, 1)
+	fired := make(chan time.Time)
+	close(fired)
+	clock := Clock{Now: time.Now, After: func(d time.Duration) <-chan time.Time {
+		asked <- d
+		return fired
+	}}
+	s, c := newTestServer(t, Config{Workers: 1, Clock: clock})
+	gatedSched(s, 1, closedGate())
+	job := mustSubmit(t, c, smallReq())
+	camp, err := c.SubmitCampaign(testCampaignConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, route := range []string{"/v1/jobs/" + job.ID, "/v1/campaigns/" + camp.ID} {
+		for _, tc := range []struct {
+			wait    string
+			status  int
+			message string
+		}{
+			{"abc", http.StatusBadRequest, `bad wait "abc": want a duration like 30s`},
+			{"-1s", http.StatusBadRequest, `bad wait "-1s": want a duration like 30s`},
+			{"10m", http.StatusOK, ""},
+		} {
+			resp, err := http.Get(c.Base + route + "?wait=" + tc.wait)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var envelope APIError
+			err = json.NewDecoder(resp.Body).Decode(&envelope)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != tc.status {
+				t.Fatalf("%s?wait=%s: HTTP %d (%v), want %d", route, tc.wait, resp.StatusCode, err, tc.status)
+			}
+			if tc.status != http.StatusOK {
+				if envelope.Err.Code != "invalid_request" || envelope.Err.Message != tc.message {
+					t.Fatalf("%s?wait=%s: error %+v, want invalid_request %q", route, tc.wait, envelope.Err, tc.message)
+				}
+				continue
+			}
+			select {
+			case d := <-asked:
+				if d != maxWait {
+					t.Fatalf("%s?wait=%s asked the clock for %v, want the %v cap", route, tc.wait, d, maxWait)
+				}
+			default:
+				t.Fatalf("%s?wait=%s answered without asking the clock for an expiry", route, tc.wait)
+			}
+		}
 	}
 }
 

@@ -104,3 +104,19 @@ func PathNotIn(paths ...string) func(string) bool {
 	in := PathIn(paths...)
 	return func(p string) bool { return !in(p) }
 }
+
+// CalleeOf resolves the static callee of a call, or nil when the call
+// is through a function value, a conversion, or a builtin.
+func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}

@@ -2,8 +2,10 @@ package analysis
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"strings"
 	"testing"
 )
@@ -120,6 +122,40 @@ func TestRunScope(t *testing.T) {
 	}
 	if len(findings) != 0 {
 		t.Fatalf("out-of-scope analyzer fired: %v", findings)
+	}
+}
+
+func TestCalleeOf(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", `package p
+
+type dev struct{}
+
+func (dev) tick() {}
+
+func mid(d dev) { d.tick() }
+func top(d dev) { mid(d); f := func() {}; f() }
+`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	if _, err := (&types.Config{Importer: importer.Default()}).Check("p", fset, []*ast.File{f}, info); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if fn := CalleeOf(info, call); fn != nil {
+				got[fn.Name()] = true
+			} else {
+				got["<dynamic>"] = true
+			}
+		}
+		return true
+	})
+	if !got["tick"] || !got["mid"] || !got["<dynamic>"] || len(got) != 3 {
+		t.Fatalf("callees = %v, want the method tick, the function mid, and one dynamic call", got)
 	}
 }
 

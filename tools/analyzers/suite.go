@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"abftchol/tools/analyzers/analysis"
-	"abftchol/tools/analyzers/ctxcheck"
 	"abftchol/tools/analyzers/determinism"
 	"abftchol/tools/analyzers/floateq"
 	"abftchol/tools/analyzers/matindex"
@@ -20,7 +19,7 @@ import (
 // (abftlint -json emits it in the header line). Bump it whenever the
 // analyzer set, a diagnostic format, or the JSON wire format changes,
 // so CI artifact consumers can detect incomparable runs.
-const Version = "0.17.0"
+const Version = "0.18.0"
 
 // Suite lists every analyzer the abftlint driver runs. The order is
 // load-bearing — it fixes the sequence of findings in -json output and
@@ -28,7 +27,6 @@ const Version = "0.17.0"
 // order at init and pinned by a drift test, keeping the artifact
 // stable as analyzers are added.
 var Suite = []*analysis.Analyzer{
-	ctxcheck.Analyzer,
 	determinism.Analyzer,
 	floateq.Analyzer,
 	matindex.Analyzer,

@@ -1,6 +1,8 @@
-# Single source of truth for the verification gates. CI
-# (.github/workflows/ci.yml) runs exactly these targets, so a green
-# `make ci` locally means a green pipeline.
+# The verification gates. `make ci` is build, lint, perfbench-check,
+# race and fuzz. CI (.github/workflows/ci.yml) runs those and more:
+# lint-bench, a scheduler race battery, `go run ./tools/bench -check
+# sweep|blas|reliability`, serve-smoke, campaign-smoke and trace-demo.
+# A green `make ci` locally is not a green pipeline until those pass.
 
 GO ?= go
 

@@ -9,7 +9,6 @@ import (
 
 	"abftchol/internal/experiments"
 	"abftchol/internal/reliability/campaign"
-	"abftchol/internal/server"
 )
 
 // campaignArgs bundles the -campaign mode's flags. The grid axes get
@@ -68,12 +67,7 @@ func runCampaign(a campaignArgs) error {
 
 	var data []byte
 	if a.server != "" {
-		addr := a.server
-		if !strings.Contains(addr, "://") {
-			addr = "http://" + addr
-		}
-		cl := &server.Client{Base: strings.TrimRight(addr, "/"), Name: "abftchol"}
-		if data, err = cl.RunCampaign(cfg); err != nil {
+		if data, err = newClient(a.server).RunCampaign(cfg); err != nil {
 			return err
 		}
 	} else {

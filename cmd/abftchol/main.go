@@ -189,11 +189,16 @@ func newSched(addr string, workers int, cache *experiments.Cache) *experiments.S
 	if addr == "" {
 		return experiments.NewScheduler(workers, cache)
 	}
+	return experiments.NewRemoteScheduler(workers, newClient(addr).RunPoint)
+}
+
+// newClient turns a -server address ("host:port" or a URL) into the
+// daemon's reference client.
+func newClient(addr string) *server.Client {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
-	cl := &server.Client{Base: strings.TrimRight(addr, "/"), Name: "abftchol"}
-	return experiments.NewRemoteScheduler(workers, cl.RunPoint)
+	return &server.Client{Base: strings.TrimRight(addr, "/"), Name: "abftchol"}
 }
 
 // checkRemoteFlags rejects flag combinations that need local

@@ -28,10 +28,14 @@ func TestTableIIIValues(t *testing.T) {
 func TestTableIVAndV(t *testing.T) {
 	p := Params{N: 10240, B: 512, K: 3}
 	n, b, k := 10240.0, 512.0, 3.0
+	pot, trsm, syrk, gemm := p.RecalcFlopsOnline()
+	if pot != 4*b*n || trsm != 2*n*n || syrk != 4*b*n || gemm != 2*n*n {
+		t.Fatal("Table IV per-op terms wrong")
+	}
 	if math.Abs(p.RecalcOnlineRelative()-12/n) > 1e-15 {
 		t.Fatal("Table IV total wrong")
 	}
-	_, trsm, syrk, gemm := p.RecalcFlopsEnhanced()
+	_, trsm, syrk, gemm = p.RecalcFlopsEnhanced()
 	if trsm != 2*n*n || math.Abs(syrk-2*n*n/k) > 1e-6 {
 		t.Fatal("Table V per-op terms wrong")
 	}
@@ -136,17 +140,26 @@ func TestVerifiedBlocksMatchSimulator(t *testing.T) {
 }
 
 func TestRecalcFlopsTrackSimulatorCounts(t *testing.T) {
-	// The dominant Table V term: the enhanced scheme's recalculated
-	// blocks x 4B² flops should approach 2n³/(3BK) + lower-order
-	// terms. Check the model total is within 35% of blocks*4B² for a
-	// moderate N (the closed forms drop O(n²) terms).
+	// Each recalculated block costs 4B² flops. The dominant Table V
+	// term: the enhanced scheme's blocks x 4B² should approach
+	// 2n³/(3BK) + lower-order terms; Online's should approach Table
+	// IV's sum. Check each model total is within 35% of blocks*4B²
+	// for a moderate N (the closed forms drop O(n²) terms).
 	p := Params{N: 20480, B: 256, K: 1}
-	blocks := float64(p.VerifiedBlocksEnhanced())
-	exact := blocks * 4 * 256 * 256
-	pot, tr, sy, ge := p.RecalcFlopsEnhanced()
-	model := pot + tr + sy + ge
-	if ratio := exact / model; ratio < 0.65 || ratio > 1.35 {
-		t.Fatalf("model %g vs exact %g (ratio %g)", model, exact, ratio)
+	for _, c := range []struct {
+		table  string
+		blocks int
+		recalc func() (potf2, trsm, syrk, gemm float64)
+	}{
+		{"Table V", p.VerifiedBlocksEnhanced(), p.RecalcFlopsEnhanced},
+		{"Table IV", p.VerifiedBlocksOnline(), p.RecalcFlopsOnline},
+	} {
+		exact := float64(c.blocks) * 4 * 256 * 256
+		pot, tr, sy, ge := c.recalc()
+		model := pot + tr + sy + ge
+		if ratio := exact / model; ratio < 0.65 || ratio > 1.35 {
+			t.Fatalf("%s: model %g vs exact %g (ratio %g)", c.table, model, exact, ratio)
+		}
 	}
 }
 
@@ -162,9 +175,7 @@ func TestOverallRelativeAgainstSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Params{N: n, B: prof.BlockSize, K: 1}
-	ftFlops := res.GPUStats.BusyOf(hetsim.ClassChkRecalc) // time, not flops; skip
-	_ = ftFlops
-	// Count verified blocks instead: each costs 4B² flops; updates add
+	// Count verified blocks: each costs 4B² flops; updates add
 	// the Table III total.
 	recalc := float64(res.VerifiedBlocks) * 4 * float64(prof.BlockSize) * float64(prof.BlockSize)
 	update := p.UpdateTotalRelative() * p.CholeskyFlops()

@@ -1,12 +1,12 @@
 # The verification gates. `make ci` is build, lint, perfbench-check,
-# race and fuzz. CI (.github/workflows/ci.yml) runs those and more:
-# lint-bench, a scheduler race battery, `go run ./tools/bench -check
+# race and fuzz. CI (.github/workflows/ci.yml) runs those and more: a
+# scheduler race battery, `go run ./tools/bench -check
 # sweep|blas|reliability`, serve-smoke, campaign-smoke and trace-demo.
 # A green `make ci` locally is not a green pipeline until those pass.
 
 GO ?= go
 
-.PHONY: build test race fuzz lint lint-bench perfbench-check ci fmt bench trace-demo serve-smoke campaign-smoke
+.PHONY: build test race fuzz lint perfbench-check ci fmt bench trace-demo serve-smoke campaign-smoke
 
 # The arm64 vet pass type-checks the tree without the amd64 assembly,
 # so the portable micro-kernel (internal/blas/kern_other.go) keeps
@@ -48,10 +48,12 @@ fuzz:
 	$(GO) test ./internal/server $(FUZZ) -fuzz '^FuzzSubmitBodies$$'
 
 # lint = formatting + go vet + the repository's own analyzer suite
-# (cmd/abftlint — see docs/LINTING.md for the current roster; the
-# `./...` pattern covers internal/, cmd/, and tools/, so the analyzers
-# lint their own implementation too). The -nolint-report pass audits
-# every //nolint escape and fails on missing justifications.
+# (tools/analyzers — see docs/LINTING.md for the current roster). Its
+# gate tests load the whole module once: TestRepositoryIsClean fails on
+# each unsuppressed finding in internal/, cmd/ and tools/ (the analyzers
+# lint their own implementation too), TestNolintReport fails on a
+# //nolint escape without a justification or on a stale one, and
+# TestSeededBugs shows every analyzer firing on a fixture module.
 # escapecheck rebuilds internal/blas, checksum, mat and fault with the
 # compiler's escape, inlining and bounds-check diagnostics and fails on
 # any abft:hotpath or abft:bce claim they contradict.
@@ -61,26 +63,8 @@ lint:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/abftlint ./...
-	$(GO) run ./cmd/abftlint -nolint-report ./...
+	$(GO) test -count=1 -run '^(TestRepositoryIsClean|TestNolintReport|TestSeededBugs)$$' ./tools/analyzers
 	$(GO) run ./tools/escapecheck
-
-# Time the analyzer suite itself: one full module load/type-check
-# (BenchmarkLoadRepo) and one pass of all registered analyzers over it
-# (BenchmarkSuite). The committed figures live in BENCH_lint.json; rerun
-# this when adding an analyzer to keep them honest. `tools/bench -check
-# lint` then gates the load and per-analyzer times against the
-# committed BENCH_lint.json (fail past 3x, or on a changed suite version
-# or analyzer roster): a suite that quietly tripled its own cost is a
-# regression, not noise. Re-record with `go run ./tools/bench lint`
-# when the roster changes. The gate is not piped through tee, which
-# would hide its exit status; the fresh report is
-# artifacts/BENCH_lint.json.
-lint-bench:
-	mkdir -p artifacts
-	$(GO) test -run '^$$' -bench 'BenchmarkLoadRepo|BenchmarkSuite' -benchmem \
-		./tools/analyzers/analysis | tee artifacts/lint-bench.txt
-	$(GO) run ./tools/bench -check lint
 
 # perfbench (BENCHMARK.json's benchmark) is a Go module of its own
 # that calls the blas, checksum and core APIs directly; `./...` above
@@ -103,7 +87,7 @@ fmt:
 # parallel-cold vs warm-cache (verifying byte-identity, and writing the
 # warm pass's cache-hit metrics to artifacts/sweep-cache-metrics.json);
 # reliability runs the default fault-injection campaign grid serial vs
-# parallel and keeps its coverage report; lint times the analyzer suite.
+# parallel and keeps its coverage report.
 # CI gates each file with `go run ./tools/bench -check <name>`.
 bench:
 	mkdir -p artifacts
@@ -112,7 +96,6 @@ bench:
 	$(GO) run ./tools/bench sweep
 	$(GO) run ./tools/bench blas
 	$(GO) run ./tools/bench reliability
-	$(GO) run ./tools/bench lint
 
 # End-to-end check of the job daemon (docs/SERVICE.md): build abftd,
 # boot it on a random port, drive a submit → poll → fetch session,

@@ -518,19 +518,24 @@ func TestErrUncorrectableMessage(t *testing.T) {
 // panicked on these (at n=128, b=32: "mat: view (288,0)+32x32 out of
 // range 128x128", "mat: index (40,1) out of range 32x32", "fault: bit
 // out of range") and the model plane "corrected" elements that do not
-// exist.
+// exist. A scenario the injector never fires (an iteration outside the
+// grid, or a default-placed storage fault at iteration 0) returned nil
+// with no injection.
 func TestRunRejectsInvalidScenarios(t *testing.T) {
 	const n = 128 // b=32: a 4x4 block grid
 	valid := fault.DefaultStorage(2)
 	bad := map[string]func(*fault.Scenario){
-		"block below the grid": func(s *fault.Scenario) { s.BI, s.BJ = 9, 0 },
-		"upper-triangle block": func(s *fault.Scenario) { s.BI, s.BJ = 1, 2 },
-		"row past the block":   func(s *fault.Scenario) { s.Row = 40 },
-		"negative column":      func(s *fault.Scenario) { s.Col = -1 },
-		"bit past 63":          func(s *fault.Scenario) { s.Bit = 64 },
-		"negative bit":         func(s *fault.Scenario) { s.Bit = -1 },
-		"propagated kind":      func(s *fault.Scenario) { s.Kind = fault.Propagated },
-		"unknown kind":         func(s *fault.Scenario) { s.Kind = 7 },
+		"block below the grid":         func(s *fault.Scenario) { s.BI, s.BJ = 9, 0 },
+		"upper-triangle block":         func(s *fault.Scenario) { s.BI, s.BJ = 1, 2 },
+		"row past the block":           func(s *fault.Scenario) { s.Row = 40 },
+		"negative column":              func(s *fault.Scenario) { s.Col = -1 },
+		"bit past 63":                  func(s *fault.Scenario) { s.Bit = 64 },
+		"negative bit":                 func(s *fault.Scenario) { s.Bit = -1 },
+		"propagated kind":              func(s *fault.Scenario) { s.Kind = fault.Propagated },
+		"unknown kind":                 func(s *fault.Scenario) { s.Kind = 7 },
+		"iteration past the grid":      func(s *fault.Scenario) { s.Iter = 4 },
+		"negative iteration":           func(s *fault.Scenario) { s.Iter = -1 },
+		"default block at iteration 0": func(s *fault.Scenario) { s.Iter = 0 },
 	}
 	for name, mutate := range bad {
 		for _, real := range []bool{false, true} {
@@ -549,9 +554,11 @@ func TestRunRejectsInvalidScenarios(t *testing.T) {
 	}
 	// The edges of every rule still run: one default index, the last
 	// row and column, bit 63, an out-of-range bit an additive delta
-	// ignores, and the last diagonal block.
+	// ignores, the last diagonal block, and an explicitly placed storage
+	// fault at iteration 0.
 	ok := []fault.Scenario{
 		{Kind: fault.Storage, Iter: 2, BI: -1, BJ: 3, Row: 31, Col: 31, Bit: 63},
+		{Kind: fault.Storage, Iter: 0, BI: 2, BJ: 0, Row: 0, Col: 0},
 		{Kind: fault.Computation, Iter: 1, Op: fault.OpGEMM, BI: 3, BJ: 1, Delta: 1e3, Bit: 99},
 		{Kind: fault.Computation, Iter: 3, Op: fault.OpPOTF2, BI: 3, BJ: 3, Delta: 1e3},
 	}

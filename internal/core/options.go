@@ -204,12 +204,19 @@ func (o *Options) normalize() (nb int, err error) {
 
 // checkScenario rejects a fault the factorization cannot host: a
 // block outside the lower block triangle, an element outside the
-// block, a bit outside the float64, or a kind the injector never
-// fires. Left unchecked, the real plane panics on such input and the
-// model plane "corrects" elements that do not exist.
+// block, a bit outside the float64, or a kind or iteration the
+// injector never fires. Left unchecked, the real plane panics on such
+// input, the model plane "corrects" elements that do not exist, and a
+// scenario that never fires reports a clean run with no injection.
 func checkScenario(sc fault.Scenario, nb, b int) error {
 	if sc.Kind != fault.Storage && sc.Kind != fault.Computation {
 		return fmt.Errorf("kind %v, want storage or computation", sc.Kind)
+	}
+	if sc.Iter < 0 || sc.Iter >= nb {
+		return fmt.Errorf("iteration %d outside 0..%d", sc.Iter, nb-1)
+	}
+	if sc.Kind == fault.Storage && (sc.BI < 0 || sc.BJ < 0) && sc.Iter == 0 {
+		return fmt.Errorf("default-placed storage fault at iteration 0, before any block is factored")
 	}
 	if sc.BI >= 0 && sc.BJ >= 0 && (sc.BJ > sc.BI || sc.BI >= nb) {
 		return fmt.Errorf("block (%d,%d) outside the lower triangle of %dx%d blocks", sc.BI, sc.BJ, nb, nb)

@@ -6,8 +6,8 @@ package campaign
 // campaign — config, completed journal, and aggregated report —
 // actually executed in process. Campaign output is a pure function of
 // the config, so the sample in the docs is not prose pretending to be
-// output; it IS the output, byte for byte, and TestReliabilityDocCurrent
-// re-records it on every test run to catch drift.
+// output; it IS the output, byte for byte, and tools/gendoc's
+// TestDocsCurrent re-records it on every test run to catch drift.
 
 //go:generate go run ../../../tools/gendoc reliability
 

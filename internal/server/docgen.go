@@ -6,8 +6,8 @@ package server
 // in-process daemon under a frozen clock. Because every response body
 // the daemon emits is deterministic given a deterministic clock, the
 // session in the docs is not prose pretending to be output — it IS the
-// output, byte for byte, and TestServiceDocCurrent re-records it on
-// every test run to catch drift.
+// output, byte for byte, and tools/gendoc's TestDocsCurrent re-records
+// it on every test run to catch drift.
 
 //go:generate go run ../../tools/gendoc service
 
@@ -182,7 +182,7 @@ func docSteps() []docStep {
 // DocSession boots a daemon under DocClock, drives the scripted
 // exchanges through its real handlers, and renders the captured
 // session as markdown. tools/gendoc embeds the result in
-// docs/SERVICE.md; TestServiceDocCurrent re-records and compares.
+// docs/SERVICE.md; tools/gendoc's TestDocsCurrent re-records it.
 func DocSession() (string, error) {
 	srv, err := New(Config{
 		Workers:    1,

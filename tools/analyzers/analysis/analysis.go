@@ -9,9 +9,9 @@
 // The framework adds one repository-specific extension: an Analyzer
 // may carry an AppliesTo predicate restricting it to the packages
 // where its invariant is load-bearing (e.g. determinism only matters
-// in the numeric core and the packages that emit its output). The
-// driver — not the analyzer body — consults the predicate, so the
-// analyzers themselves stay policy-free.
+// in the numeric core and the packages that emit its output). Run —
+// not the analyzer body — consults the predicate, so the analyzers
+// themselves stay policy-free.
 package analysis
 
 import (
@@ -27,7 +27,7 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //nolint:<name> suppression comments.
 	Name string
-	// Doc is the one-paragraph description printed by the driver.
+	// Doc is the one-line description docs/LINTING.md's table shows.
 	Doc string
 	// Scope names, for humans, where the analyzer runs — the prose
 	// rendering of AppliesTo ("internal/hetsim, internal/core", or

@@ -27,7 +27,7 @@ type Package struct {
 	Types        *types.Package
 	TypesInfo    *types.Info
 	// Errors holds type-checking problems. Analyzers still run on a
-	// package with errors (type info is partial), but drivers should
+	// package with errors (type info is partial), but callers should
 	// surface them: an unsound load must not masquerade as a clean run.
 	Errors []error
 }
@@ -152,7 +152,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			}
 		}
 		// A pattern that names nothing is almost always a typo; a lint
-		// driver that silently checks zero packages would green-light CI
+		// gate that silently checks zero packages would green-light CI
 		// while linting nothing.
 		if matched == 0 {
 			return nil, fmt.Errorf("analysis: pattern %q matched no Go packages", orig)

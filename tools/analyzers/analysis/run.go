@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Finding is one post-attribution diagnostic, positioned and filtered.
@@ -14,8 +13,9 @@ type Finding struct {
 	Pos      token.Position
 	Message  string
 	// Suppressed marks a diagnostic silenced by a //nolint directive on
-	// its line. Run drops suppressed findings; RunAll keeps them so
-	// audit tooling (abftlint -json) can report the escape hatch in use.
+	// its line. Run drops suppressed findings; RunAll keeps them so the
+	// //nolint audit (TestNolintReport) can tell a live escape from a
+	// stale one.
 	Suppressed bool
 }
 
@@ -46,22 +46,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 // returned, with Suppressed set on the ones a //nolint directive
 // silences.
 func RunAll(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	findings, _, err := RunAllTimed(pkgs, analyzers)
-	return findings, err
-}
-
-// RunAllTimed is RunAll plus accounting: the second result maps each
-// analyzer's name to the wall time its Run spent, summed over every
-// package it applied to. The driver's -json header publishes the map
-// and `tools/bench lint` gates each analyzer against a committed
-// baseline, so an analyzer whose cost quietly explodes fails CI instead
-// of taxing every future `make lint`.
-func RunAllTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, map[string]time.Duration, error) {
 	var findings []Finding
-	elapsed := make(map[string]time.Duration, len(analyzers))
-	for _, a := range analyzers {
-		elapsed[a.Name] = 0
-	}
 	for _, pkg := range pkgs {
 		suppressed := nolintLines(pkg)
 		for _, a := range analyzers {
@@ -76,11 +61,8 @@ func RunAllTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, map[string]
 				Pkg:        pkg.Types,
 				TypesInfo:  pkg.TypesInfo,
 			}
-			start := time.Now()
-			err := a.Run(pass)
-			elapsed[a.Name] += time.Since(start)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.ImportPath, err)
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.ImportPath, err)
 			}
 			for _, d := range pass.diagnostics {
 				pos := pkg.Fset.Position(d.Pos)
@@ -111,7 +93,7 @@ func RunAllTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, map[string]
 		// settles the order.
 		return a.Message < b.Message
 	})
-	return findings, elapsed, nil
+	return findings, nil
 }
 
 type lineKey struct {
@@ -153,8 +135,8 @@ type NolintDirective struct {
 	Names []string
 	// Justification is the free text following the directive — the
 	// human argument for why the invariant does not apply here. The
-	// audit mode (abftlint -nolint-report) fails on directives that
-	// leave it empty.
+	// audit (tools/analyzers' TestNolintReport) fails on directives
+	// that leave it empty.
 	Justification string
 }
 

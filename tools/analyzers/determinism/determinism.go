@@ -39,7 +39,7 @@ import (
 	"abftchol/tools/analyzers/analysis"
 )
 
-// Doc explains the analyzer; it is also the driver help text.
+// Doc explains the analyzer; docs/LINTING.md's table shows it.
 const Doc = "forbid wall-clock time and unseeded randomness in the numeric core and the deterministic-output packages, and, in the output packages, map iteration order reaching emitted output (range over map into a print/encode/append sink without a sort) and %p pointer formatting"
 
 // The two rule sets: the numeric core gets the clock and randomness

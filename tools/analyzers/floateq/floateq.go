@@ -32,7 +32,7 @@ import (
 	"abftchol/tools/analyzers/analysis"
 )
 
-// Doc explains the analyzer; it is also the driver help text.
+// Doc explains the analyzer; docs/LINTING.md's table shows it.
 const Doc = "forbid raw float equality outside internal/mat; checksum comparisons need tolerances"
 
 // Analyzer implements the pass.

@@ -17,7 +17,7 @@ import (
 	"abftchol/tools/analyzers/analysis"
 )
 
-// Doc explains the analyzer; it is also the driver help text.
+// Doc explains the analyzer; docs/LINTING.md's table shows it.
 const Doc = "forbid manual mat.Matrix.Data index arithmetic outside internal/mat"
 
 // matrixPkg is the only package allowed to do layout arithmetic.

@@ -28,10 +28,8 @@ func TestSuiteWellFormed(t *testing.T) {
 	}
 }
 
-// TestSuiteSorted pins the registration order to name order. The
-// order is load-bearing: -json findings (and the CI artifact built
-// from them) follow it, so an unsorted registration would reorder
-// existing artifacts every time an analyzer is added.
+// TestSuiteSorted pins the Suite literal to name order, which the
+// generated table in docs/LINTING.md follows.
 func TestSuiteSorted(t *testing.T) {
 	if !sort.SliceIsSorted(analyzers.Suite, func(i, j int) bool {
 		return analyzers.Suite[i].Name < analyzers.Suite[j].Name
@@ -40,7 +38,7 @@ func TestSuiteSorted(t *testing.T) {
 		for i, a := range analyzers.Suite {
 			names[i] = a.Name
 		}
-		t.Fatalf("Suite is not sorted by name: %v; registration order feeds -json output and must stay stable", names)
+		t.Fatalf("Suite is not sorted by name: %v", names)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"abftchol/internal/blas"
 	"abftchol/internal/checksum"
@@ -20,8 +19,6 @@ import (
 	"abftchol/internal/mat"
 	"abftchol/internal/obs"
 	"abftchol/internal/reliability/campaign"
-	"abftchol/tools/analyzers"
-	"abftchol/tools/analyzers/analysis"
 )
 
 // The blas bench times the three kernels the factorization spends its
@@ -341,50 +338,5 @@ func benchReliability(r *Report) error {
 	r.Rates["trials_per_second_parallel"] = float64(trials) / parallel * 1e3
 	r.setExact("byte_identical", true)
 	r.setExact("campaign", json.RawMessage(want))
-	return nil
-}
-
-// The lint bench times the static-analysis suite's own cost: one load
-// and type-check of the module, then every registered analyzer over
-// it (analysis.RunAllTimed, the timings abftlint -json publishes).
-// The suite version and analyzer roster are exact, so a changed roster
-// is re-recorded rather than compared against incomparable times.
-const lintReps = 3
-
-func benchLint(r *Report) error {
-	var roster []string
-	for _, a := range analyzers.Suite {
-		roster = append(roster, a.Name)
-	}
-	for range lintReps {
-		var pkgs []*analysis.Package
-		err := r.time("load", func() error {
-			loader, err := analysis.NewLoader(".")
-			if err == nil {
-				pkgs, err = loader.Load("./...")
-			}
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		for _, pkg := range pkgs {
-			if len(pkg.Errors) > 0 {
-				return fmt.Errorf("%s: %v", pkg.ImportPath, pkg.Errors[0])
-			}
-		}
-		_, timings, err := analysis.RunAllTimed(pkgs, analyzers.Suite)
-		if err != nil {
-			return err
-		}
-		var suite time.Duration
-		for _, name := range roster {
-			r.add("analyzer/"+name, timings[name])
-			suite += timings[name]
-		}
-		r.add("suite", suite)
-	}
-	r.setExact("version", analyzers.Version)
-	r.setExact("analyzers", roster)
 	return nil
 }

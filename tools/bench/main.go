@@ -5,8 +5,8 @@
 // milliseconds), rates derived from those entries, and the exact
 // values any rerun must reproduce.
 //
-//	go run ./tools/bench <blas|sweep|reliability|lint>         # re-record BENCH_<name>.json
-//	go run ./tools/bench -check <blas|sweep|reliability|lint>  # gate against it
+//	go run ./tools/bench <blas|sweep|reliability>         # re-record BENCH_<name>.json
+//	go run ./tools/bench -check <blas|sweep|reliability>  # gate against it
 //
 // With -check the fresh report goes to artifacts/BENCH_<name>.json
 // instead, and the run fails when an exact value differs from the
@@ -44,7 +44,6 @@ var benches = map[string]func(*Report) error{
 	"blas":        benchBLAS,
 	"sweep":       benchSweep,
 	"reliability": benchReliability,
-	"lint":        benchLint,
 }
 
 // Report is the schema of every BENCH_<name>.json.
@@ -85,7 +84,7 @@ func main() {
 	flag.Parse()
 	run, ok := benches[flag.Arg(0)]
 	if flag.NArg() != 1 || !ok {
-		fmt.Fprintln(os.Stderr, "usage: bench [-check] <blas|sweep|reliability|lint>")
+		fmt.Fprintln(os.Stderr, "usage: bench [-check] <blas|sweep|reliability>")
 		os.Exit(2)
 	}
 	if err := record(flag.Arg(0), run, *check); err != nil {

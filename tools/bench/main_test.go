@@ -13,9 +13,9 @@ import (
 	"abftchol/internal/reliability/campaign"
 )
 
-// committed is a baseline as decoded from an indented file, with one
-// exact value from each bench's kind: campaign bytes, an analyzer
-// roster and a sweep counter.
+// committed is a baseline as decoded from an indented file, with an
+// exact value of each JSON shape: an object (campaign bytes), a list
+// and a number (a sweep counter).
 func committed(t *testing.T) *Report {
 	t.Helper()
 	var r Report

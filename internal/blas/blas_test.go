@@ -441,6 +441,36 @@ func TestParallelSyrkMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestSyrkBlocksMatchesGemm pins DsyrkBlocksParallel's contract: in
+// every bs-wide block column c0, rows c0..n get Dgemm's bits, the rows
+// above stay untouched, for every worker count, with a ragged last
+// block.
+func TestSyrkBlocksMatchesGemm(t *testing.T) {
+	const n, k, bs, lda, ldc = 45, 20, 10, 47, 49
+	a := randSlice(lda*k, 82)
+	c0 := randSlice(ldc*n, 83)
+	full := append([]float64(nil), c0...)
+	Dgemm(NoTrans, Trans, n, n, k, -1, a, lda, a, lda, 1, full, ldc)
+	saved := Workers
+	defer func() { Workers = saved }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, w := range []int{1, 2, 3} {
+		Workers = w
+		c := append([]float64(nil), c0...)
+		DsyrkBlocksParallel(n, k, bs, -1, a, lda, c, ldc)
+		for i := range c {
+			r, j := i%ldc, i/ldc
+			want := c0[i]
+			if r < n && j < n && r >= j/bs*bs {
+				want = full[i]
+			}
+			if math.Float64bits(c[i]) != math.Float64bits(want) {
+				t.Fatalf("Workers=%d: element (%d,%d) is %v, want %v", w, r, j, c[i], want)
+			}
+		}
+	}
+}
+
 func TestParallelTrsmMatchesSerial(t *testing.T) {
 	m, n := 50, 8
 	l := lowerWithGoodDiag(n, 90)
@@ -481,8 +511,8 @@ func TestParallelChunksAlignToTile(t *testing.T) {
 		{64, 8, kernNR, 3, [][2]int{{0, 24}, {24, 48}, {48, 64}}}, // not 22-column chunks
 		{64, 8, kernNR, 2, [][2]int{{0, 32}, {32, 64}}},
 		{61, 8, kernNR, 8, [][2]int{{0, 8}, {8, 16}, {16, 24}, {24, 32}, {32, 40}, {40, 48}, {48, 56}, {56, 61}}},
-		{100, 32, kernMR, 3, [][2]int{{0, 40}, {40, 80}, {80, 100}}},
-		{63, 32, kernMR, 2, [][2]int{{0, 63}}}, // under two minimum chunks
+		{100, 32, kernMR, 3, [][2]int{{0, 48}, {48, 96}, {96, 100}}}, // not 34-row chunks
+		{63, 32, kernMR, 2, [][2]int{{0, 63}}},                       // under two minimum chunks
 		{10, 4, 1, 3, [][2]int{{0, 4}, {4, 8}, {8, 10}}},
 		{64, 8, kernNR, 1, [][2]int{{0, 64}}},
 	} {

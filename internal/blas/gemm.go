@@ -21,7 +21,7 @@ import "sync"
 // column split of the parallel front ends, or which micro-kernel runs.
 // Only packKC fixes the summation order.
 const (
-	kernMR = 8   // rows of a micro tile (one 8-wide or two 4-wide vectors)
+	kernMR = 16  // rows of a micro tile (two 8-wide or four 4-wide vectors)
 	kernNR = 8   // columns of a micro tile
 	packKC = 256 // depth of one packed block
 	packMC = 128 // rows of op(A) packed at once (a multiple of kernMR)
@@ -174,7 +174,7 @@ func macroKernel(lower, aOuter bool, mb, nb, kb int, oa, ob *block, c []float64,
 			bp, sb := ob.panel(jr)
 			cc := c[row+col*ldc:]
 			if mrr == kernMR && nrr == kernNR && (!lower || row >= col+kernNR-1) {
-				kern8x8(kb, ap, sa, bp, sb, cc, ldc)
+				kern16x8(kb, ap, sa, bp, sb, cc, ldc)
 			} else {
 				edgeTile(lower, mrr, nrr, kb, ap, sa, bp, sb, cc, ldc, row-col)
 			}
@@ -196,7 +196,7 @@ func edgeTile(lower bool, mrr, nrr, kb int, ap []float64, sa int, bp []float64, 
 	for j := 0; j < nrr; j++ {
 		copy(t[j*kernMR:][:mrr], c[j*ldc:][:mrr])
 	}
-	kern8x8(kb, ap, sa, bp, sb, t[:], kernMR)
+	kern16x8(kb, ap, sa, bp, sb, t[:], kernMR)
 	for j := 0; j < nrr; j++ {
 		lo := 0
 		if lower {
@@ -212,11 +212,11 @@ func edgeTile(lower bool, mrr, nrr, kb int, ap []float64, sa int, bp []float64, 
 // into kernMR-row panels: panel p holds dst[p*kb*kernMR + l*kernMR + r]
 // = alpha*op(A)[i0+p*kernMR+r, l0+l]. Rows past mb are zero.
 // Untransposed A is read down each column, its whole panels moved as
-// eight plain loads and stores (a copy call per 64 bytes costs as much
-// as the kernel).
+// sixteen plain loads and stores (a copy call per 128 bytes costs as
+// much as the kernel).
 //
 // abft:hotpath
-// abft:bce checks=12
+// abft:bce checks=14
 func packA(trans Transpose, alpha float64, a []float64, lda, i0, mb, l0, kb int, dst []float64) {
 	whole := 0 // rows in whole panels of untransposed A, packed first
 	if trans == NoTrans {
@@ -228,6 +228,8 @@ func packA(trans Transpose, alpha float64, a []float64, lda, i0, mb, l0, kb int,
 				s := (*[kernMR]float64)(src[ir:])
 				d[0], d[1], d[2], d[3] = alpha*s[0], alpha*s[1], alpha*s[2], alpha*s[3]
 				d[4], d[5], d[6], d[7] = alpha*s[4], alpha*s[5], alpha*s[6], alpha*s[7]
+				d[8], d[9], d[10], d[11] = alpha*s[8], alpha*s[9], alpha*s[10], alpha*s[11]
+				d[12], d[13], d[14], d[15] = alpha*s[12], alpha*s[13], alpha*s[14], alpha*s[15]
 			}
 		}
 	}
@@ -236,17 +238,18 @@ func packA(trans Transpose, alpha float64, a []float64, lda, i0, mb, l0, kb int,
 		p := dst[ir*kb:][:kb*kernMR]
 		for l := 0; l < kb; l++ {
 			d := p[l*kernMR:][:kernMR]
-			for r := range d {
-				v := 0.0
-				if r < mrr {
-					if trans == NoTrans {
-						v = alpha * a[i0+ir+r+(l0+l)*lda]
-					} else {
-						v = alpha * a[l0+l+(i0+ir+r)*lda]
-					}
+			rows := d[:mrr]
+			if trans == NoTrans {
+				src := a[i0+ir+(l0+l)*lda:][:len(rows)]
+				for r, v := range src {
+					rows[r] = alpha * v
 				}
-				d[r] = v
+			} else {
+				for r := range rows {
+					rows[r] = alpha * a[l0+l+(i0+ir+r)*lda]
+				}
 			}
+			clear(d[mrr:])
 		}
 	}
 }

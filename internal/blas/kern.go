@@ -2,25 +2,25 @@ package blas
 
 import "math"
 
-// kern8x8 is the micro-kernel: C[0:8, 0:8] += A·B, where A's 8 rows at
-// depth l are a[l*sa : l*sa+8] and B's 8 columns at depth l are
-// b[l*sb : l*sb+8], and c is column-major with leading dimension ldc.
-// The depth strides sa and sb let one kernel read a packed panel
+// kern16x8 is the micro-kernel: C[0:16, 0:8] += A·B, where A's 16
+// rows at depth l are a[l*sa : l*sa+16] and B's 8 columns at depth l
+// are b[l*sb : l*sb+8], and c is column-major with leading dimension
+// ldc. The depth strides sa and sb let one kernel read a packed panel
 // (sa = kernMR, sb = kernNR) or an operand where it lies: untransposed
-// A with sa = lda, transposed B with sb = ldb. Each of the 64 sums
+// A with sa = lda, transposed B with sb = ldb. Each of the 128 sums
 // starts at zero, takes one fused multiply-add per depth step in
 // increasing l, and is added to C at the end.
 //
 // Three implementations keep that contract, chosen at init from what
-// the CPU and OS support (cpuWords.kernels): kern8x8AVX512, the tile
-// as two kern8x4AVX2 halves, or kern8x8Go. All three produce the same
-// bits: FMA rounds once per step whatever the vector width.
+// the CPU and OS support (cpuWords.kernels): kern16x8AVX512, the tile
+// as four kern8x4AVX2 quarters, or kern16x8Go. All three produce the
+// same bits: FMA rounds once per step whatever the vector width.
 //
 // abft:hotpath
-// abft:bce checks=7
-func kern8x8(k int, a []float64, sa int, b []float64, sb int, c []float64, ldc int) {
+// abft:bce checks=10
+func kern16x8(k int, a []float64, sa int, b []float64, sb int, c []float64, ldc int) {
 	if !useAsm {
-		kern8x8Go(k, a, sa, b, sb, c, ldc)
+		kern16x8Go(k, a, sa, b, sb, c, ldc)
 		return
 	}
 	// Bound the last element the kernel reads or writes.
@@ -28,19 +28,22 @@ func kern8x8(k int, a []float64, sa int, b []float64, sb int, c []float64, ldc i
 	_ = c[(kernNR-1)*ldc+kernMR-1]
 	a0, b0, c0 := &ap[0], &bp[0], &c[0]
 	if useAVX512 {
-		kern8x8AVX512(k, a0, sa, b0, sb, c0, ldc)
-	} else { // the left and the right four columns
+		kern16x8AVX512(k, a0, sa, b0, sb, c0, ldc)
+	} else { // four 8x4 quarters: rows 0 and 8 by columns 0 and 4
+		a8, b4 := &ap[8], &bp[4]
 		kern8x4AVX2(k, a0, sa, b0, sb, c0, ldc)
-		kern8x4AVX2(k, a0, sa, &bp[4], sb, &c[4*ldc], ldc)
+		kern8x4AVX2(k, a8, sa, b0, sb, &c[8], ldc)
+		kern8x4AVX2(k, a0, sa, b4, sb, &c[4*ldc], ldc)
+		kern8x4AVX2(k, a8, sa, b4, sb, &c[4*ldc+8], ldc)
 	}
 }
 
-// kern8x8Go is the portable micro-kernel and the tests' reference for
+// kern16x8Go is the portable micro-kernel and the tests' reference for
 // the assembly ones.
 //
 // abft:hotpath
 // abft:bce checks=6
-func kern8x8Go(k int, a []float64, sa int, b []float64, sb int, c []float64, ldc int) {
+func kern16x8Go(k int, a []float64, sa int, b []float64, sb int, c []float64, ldc int) {
 	var acc [kernMR * kernNR]float64
 	for l := 0; l < k; l++ {
 		ap := a[l*sa:][:kernMR]
@@ -87,7 +90,7 @@ func (w cpuWords) kernels() (avx2, avx512 bool) {
 }
 
 // Kernel names the micro-kernel this process runs: "avx512", "avx2"
-// (the 8x8 tile as two AVX2 halves) or "go".
+// (the 16x8 tile as four AVX2 quarters) or "go".
 func Kernel() string {
 	switch {
 	case !useAsm:

@@ -19,19 +19,19 @@ func readCPU() (w cpuWords) {
 	return w
 }
 
-// kern8x4AVX2 is the left or right half of kern8x8 in AVX2/FMA
-// assembly: C[0:8, 0:4] += A·B with B's 4 columns at depth l in
-// b[l*sb : l*sb+4]. a, b and c point at the first elements of
-// (k-1)*sa+8, (k-1)*sb+4 and 3*ldc+8 values.
+// kern8x4AVX2 is one quarter of kern16x8 in AVX2/FMA assembly:
+// C[0:8, 0:4] += A·B with A's 8 rows at depth l in a[l*sa : l*sa+8]
+// and B's 4 columns in b[l*sb : l*sb+4]. a, b and c point at the first
+// elements of (k-1)*sa+8, (k-1)*sb+4 and 3*ldc+8 values.
 //
 //go:noescape
 func kern8x4AVX2(k int, a *float64, sa int, b *float64, sb int, c *float64, ldc int)
 
-// kern8x8AVX512 is kern8x8 in AVX-512 assembly. a, b and c point at
-// the first elements of (k-1)*sa+8, (k-1)*sb+8 and 7*ldc+8 values.
+// kern16x8AVX512 is kern16x8 in AVX-512 assembly. a, b and c point at
+// the first elements of (k-1)*sa+16, (k-1)*sb+8 and 7*ldc+16 values.
 //
 //go:noescape
-func kern8x8AVX512(k int, a *float64, sa int, b *float64, sb int, c *float64, ldc int)
+func kern16x8AVX512(k int, a *float64, sa int, b *float64, sb int, c *float64, ldc int)
 
 // subScaledColsAVX2 is SubScaled in AVX2 assembly over n elements of
 // y and nt ≥ 1 terms: term t has α = alpha[t*lda] and reads n values

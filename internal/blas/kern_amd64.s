@@ -97,30 +97,54 @@ store:
 	VZEROUPPER
 	RET
 
-// One depth step of the 8x8 tile: load A's 8 rows from a into Z8 and
-// fold the 64 products into the accumulators Z0..Z7 (column c in Zc),
-// each FMA broadcasting its B value from b0..b7.
-#define STEP8(a, b0, b1, b2, b3, b4, b5, b6, b7) \
-	VMOVUPD          a, Z8      \
-	VFMADD231PD.BCST b0, Z8, Z0 \
-	VFMADD231PD.BCST b1, Z8, Z1 \
-	VFMADD231PD.BCST b2, Z8, Z2 \
-	VFMADD231PD.BCST b3, Z8, Z3 \
-	VFMADD231PD.BCST b4, Z8, Z4 \
-	VFMADD231PD.BCST b5, Z8, Z5 \
-	VFMADD231PD.BCST b6, Z8, Z6 \
-	VFMADD231PD.BCST b7, Z8, Z7
+// One depth step of the 16x8 tile: load A's 16 rows from a0 and a1
+// into Z16 and Z17, broadcast B's 8 values from b0..b7 into Z18..Z25,
+// and fold the 128 products into the accumulators Z0..Z15 (column c in
+// Z(2c) and Z(2c+1)). Each broadcast feeds two FMAs, so a step issues
+// 10 loads for 16 FMAs.
+#define STEP16(a0, a1, b0, b1, b2, b3, b4, b5, b6, b7) \
+	VMOVUPD      a0, Z16       \
+	VMOVUPD      a1, Z17       \
+	VBROADCASTSD b0, Z18       \
+	VBROADCASTSD b1, Z19       \
+	VBROADCASTSD b2, Z20       \
+	VBROADCASTSD b3, Z21       \
+	VFMADD231PD  Z16, Z18, Z0  \
+	VFMADD231PD  Z17, Z18, Z1  \
+	VFMADD231PD  Z16, Z19, Z2  \
+	VFMADD231PD  Z17, Z19, Z3  \
+	VFMADD231PD  Z16, Z20, Z4  \
+	VFMADD231PD  Z17, Z20, Z5  \
+	VFMADD231PD  Z16, Z21, Z6  \
+	VFMADD231PD  Z17, Z21, Z7  \
+	VBROADCASTSD b4, Z22       \
+	VBROADCASTSD b5, Z23       \
+	VBROADCASTSD b6, Z24       \
+	VBROADCASTSD b7, Z25       \
+	VFMADD231PD  Z16, Z22, Z8  \
+	VFMADD231PD  Z17, Z22, Z9  \
+	VFMADD231PD  Z16, Z23, Z10 \
+	VFMADD231PD  Z17, Z23, Z11 \
+	VFMADD231PD  Z16, Z24, Z12 \
+	VFMADD231PD  Z17, Z24, Z13 \
+	VFMADD231PD  Z16, Z25, Z14 \
+	VFMADD231PD  Z17, Z25, Z15
 
-// Add one accumulated column to C at DX and step DX to the next column.
-#define STORE8(acc) \
-	VADDPD  (DX), acc, acc \
-	VMOVUPD acc, (DX)      \
+// Add one accumulated column pair to C at DX and step DX to the next
+// column.
+#define STORE16(lo, hi) \
+	VADDPD  (DX), lo, lo   \
+	VMOVUPD lo, (DX)       \
+	VADDPD  64(DX), hi, hi \
+	VMOVUPD hi, 64(DX)     \
 	ADDQ    R8, DX
 
-// func kern8x8AVX512(k int, a *float64, sa int, b *float64, sb int, c *float64, ldc int)
+// func kern16x8AVX512(k int, a *float64, sa int, b *float64, sb int, c *float64, ldc int)
 //
-// The same loop as kern8x4AVX2, one ZMM accumulator per column.
-TEXT ·kern8x8AVX512(SB), NOSPLIT, $0-56
+// The same loop as kern8x4AVX2 over the whole 16x8 tile: 16 ZMM
+// accumulators, two A vectors and eight broadcasts use 26 of the 32
+// ZMM registers.
+TEXT ·kern16x8AVX512(SB), NOSPLIT, $0-56
 	MOVQ k+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ sa+16(FP), R9
@@ -142,45 +166,53 @@ TEXT ·kern8x8AVX512(SB), NOSPLIT, $0-56
 	VPXORQ Z5, Z5, Z5
 	VPXORQ Z6, Z6, Z6
 	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
 
 	MOVQ CX, BX
 	SHRQ $2, BX
-	JZ   tail8
+	JZ   tail16
 
 	PCALIGN $64
 
-loop8x4:
-	STEP8((SI), (DI), 8(DI), 16(DI), 24(DI), 32(DI), 40(DI), 48(DI), 56(DI))
-	STEP8((SI)(R9*1), (DI)(R10*1), 8(DI)(R10*1), 16(DI)(R10*1), 24(DI)(R10*1), 32(DI)(R10*1), 40(DI)(R10*1), 48(DI)(R10*1), 56(DI)(R10*1))
-	STEP8((SI)(R9*2), (DI)(R10*2), 8(DI)(R10*2), 16(DI)(R10*2), 24(DI)(R10*2), 32(DI)(R10*2), 40(DI)(R10*2), 48(DI)(R10*2), 56(DI)(R10*2))
-	STEP8((SI)(R11*1), (DI)(R12*1), 8(DI)(R12*1), 16(DI)(R12*1), 24(DI)(R12*1), 32(DI)(R12*1), 40(DI)(R12*1), 48(DI)(R12*1), 56(DI)(R12*1))
+loop16x4:
+	STEP16((SI), 64(SI), (DI), 8(DI), 16(DI), 24(DI), 32(DI), 40(DI), 48(DI), 56(DI))
+	STEP16((SI)(R9*1), 64(SI)(R9*1), (DI)(R10*1), 8(DI)(R10*1), 16(DI)(R10*1), 24(DI)(R10*1), 32(DI)(R10*1), 40(DI)(R10*1), 48(DI)(R10*1), 56(DI)(R10*1))
+	STEP16((SI)(R9*2), 64(SI)(R9*2), (DI)(R10*2), 8(DI)(R10*2), 16(DI)(R10*2), 24(DI)(R10*2), 32(DI)(R10*2), 40(DI)(R10*2), 48(DI)(R10*2), 56(DI)(R10*2))
+	STEP16((SI)(R11*1), 64(SI)(R11*1), (DI)(R12*1), 8(DI)(R12*1), 16(DI)(R12*1), 24(DI)(R12*1), 32(DI)(R12*1), 40(DI)(R12*1), 48(DI)(R12*1), 56(DI)(R12*1))
 	LEAQ (SI)(R9*4), SI
 	LEAQ (DI)(R10*4), DI
 	DECQ BX
-	JNZ  loop8x4
+	JNZ  loop16x4
 
-tail8:
+tail16:
 	ANDQ $3, CX
-	JZ   store8
+	JZ   store16
 
 	PCALIGN $64
 
-loop8x1:
-	STEP8((SI), (DI), 8(DI), 16(DI), 24(DI), 32(DI), 40(DI), 48(DI), 56(DI))
+loop16x1:
+	STEP16((SI), 64(SI), (DI), 8(DI), 16(DI), 24(DI), 32(DI), 40(DI), 48(DI), 56(DI))
 	ADDQ R9, SI
 	ADDQ R10, DI
 	DECQ CX
-	JNZ  loop8x1
+	JNZ  loop16x1
 
-store8:
-	STORE8(Z0)
-	STORE8(Z1)
-	STORE8(Z2)
-	STORE8(Z3)
-	STORE8(Z4)
-	STORE8(Z5)
-	STORE8(Z6)
-	STORE8(Z7)
+store16:
+	STORE16(Z0, Z1)
+	STORE16(Z2, Z3)
+	STORE16(Z4, Z5)
+	STORE16(Z6, Z7)
+	STORE16(Z8, Z9)
+	STORE16(Z10, Z11)
+	STORE16(Z12, Z13)
+	STORE16(Z14, Z15)
 	VZEROUPPER
 	RET
 

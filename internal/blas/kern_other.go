@@ -2,7 +2,7 @@
 
 package blas
 
-// useAsm and useAVX512 are always false off amd64: kern8x8Go is the
+// useAsm and useAVX512 are always false off amd64: kern16x8Go is the
 // only micro-kernel.
 var useAsm, useAVX512 = false, false
 
@@ -10,7 +10,7 @@ func kern8x4AVX2(k int, a *float64, sa int, b *float64, sb int, c *float64, ldc 
 	panic("blas: no assembly micro-kernel on this architecture")
 }
 
-func kern8x8AVX512(k int, a *float64, sa int, b *float64, sb int, c *float64, ldc int) {
+func kern16x8AVX512(k int, a *float64, sa int, b *float64, sb int, c *float64, ldc int) {
 	panic("blas: no assembly micro-kernel on this architecture")
 }
 

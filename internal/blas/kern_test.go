@@ -11,7 +11,7 @@ import (
 var hostAVX2, hostAVX512 = useAsm, useAVX512
 
 // hostKernels names every micro-kernel this host can run, widest
-// first: "avx512", "avx2" (the 8x8 tile as two AVX2 halves), "go".
+// first: "avx512", "avx2" (the 16x8 tile as four AVX2 quarters), "go".
 func hostKernels() []string {
 	var ks []string
 	if hostAVX512 {
@@ -103,10 +103,13 @@ func TestKernelChoice(t *testing.T) {
 }
 
 // TestMicroKernelsBitIdentical runs every micro-kernel the host has
-// through kern8x8 on packed panels (sa = sb = 8) and on operands read
-// in place (sa = lda, sb = ldb), checks each against kern8x8Go, and
-// checks that none writes outside the 8x8 tile: not the gap rows of a
-// column when ldc > 8, nor past the tile's last element.
+// ("avx512", "avx2" as four quarters, "go") through kern16x8 on packed
+// panels (sa = 16, sb = 8) and on operands read in place (sa = lda,
+// sb = ldb), checks each against kern16x8Go, and checks that none
+// writes outside the 16x8 tile: not the gap rows of a column when
+// ldc > 16, nor past the tile's last element. A ragged mrr x nrr tile
+// (through edgeTile, which runs the full tile on a copy) must get the
+// full tile's bits in its corner and leave everything else of C alone.
 func TestMicroKernelsBitIdentical(t *testing.T) {
 	const guard = 5 // elements past the tile's last one
 	for _, name := range hostKernels() {
@@ -115,18 +118,33 @@ func TestMicroKernelsBitIdentical(t *testing.T) {
 				for _, sb := range []int{kernNR, 13} {
 					a := randSlice((k-1)*sa+kernMR, int64(k))
 					b := randSlice((k-1)*sb+kernNR, int64(k)+1)
-					for _, ldc := range []int{kernMR, 11} {
+					for _, ldc := range []int{kernMR, 21} {
 						c0 := randSlice((kernNR-1)*ldc+kernMR+guard, 7)
 						got := append([]float64(nil), c0...)
 						ref := append([]float64(nil), c0...)
-						withKernel(name, func() { kern8x8(k, a, sa, b, sb, got, ldc) })
-						kern8x8Go(k, a, sa, b, sb, ref, ldc)
+						withKernel(name, func() { kern16x8(k, a, sa, b, sb, got, ldc) })
+						kern16x8Go(k, a, sa, b, sb, ref, ldc)
 						if i := firstDiff(got, ref); i >= 0 {
 							t.Fatalf("%s k=%d sa=%d sb=%d ldc=%d: element %d is %v, Go %v", name, k, sa, sb, ldc, i, got[i], ref[i])
 						}
 						for i := range got {
 							if r, j := i%ldc, i/ldc; (r >= kernMR || j >= kernNR) && got[i] != c0[i] {
 								t.Fatalf("%s k=%d ldc=%d: wrote element %d, outside the tile", name, k, ldc, i)
+							}
+						}
+						for _, mn := range [][2]int{{1, 1}, {7, 8}, {8, 3}, {9, 7}, {15, 8}, {16, 5}} {
+							mrr, nrr := mn[0], mn[1]
+							got := append([]float64(nil), c0...)
+							withKernel(name, func() { edgeTile(false, mrr, nrr, k, a, sa, b, sb, got, ldc, 0) })
+							for i := range got {
+								r, j := i%ldc, i/ldc
+								want := c0[i]
+								if r < mrr && j < nrr {
+									want = ref[i]
+								}
+								if math.Float64bits(got[i]) != math.Float64bits(want) {
+									t.Fatalf("%s k=%d ldc=%d %dx%d tile: element %d is %v, want %v", name, k, ldc, mrr, nrr, i, got[i], want)
+								}
 							}
 						}
 					}

@@ -74,6 +74,21 @@ func DsyrkParallel(n, k int, alpha float64, a []float64, lda int, beta float64, 
 	})
 }
 
+// DsyrkBlocksParallel is C += alpha·A·Aᵀ over the lower block
+// triangle of the n×n C in bs-wide block columns: block column c0
+// gets rows c0..n, so each diagonal block is updated whole and nothing
+// above the diagonal blocks is written. A is n×k, untransposed. It runs
+// one Dgemm per block column, with whole block columns fanned out over
+// goroutines in one split, so an element gets Dgemm's bits for every
+// Workers.
+func DsyrkBlocksParallel(n, k, bs int, alpha float64, a []float64, lda int, c []float64, ldc int) {
+	parallelColumns(n, bs, bs, func(j0, j1 int) {
+		for c0 := j0; c0 < j1; c0 += bs {
+			Dgemm(NoTrans, Trans, n-c0, min(bs, j1-c0), k, alpha, a[c0:], lda, a[c0:], lda, 1, c[c0+c0*ldc:], ldc)
+		}
+	})
+}
+
 // DtrsmParallel parallelizes the two cases used by the Cholesky panel
 // solves. For Left solves the columns of B are independent; for Right
 // solves the rows of B are independent, so we split rows.

@@ -65,8 +65,13 @@ func Run(o Options) (Result, error) {
 	if e.a != nil && runErr == nil {
 		// The working copy is the run's own and nothing reads it after
 		// this point, so it becomes the factor without another copy.
+		// Its upper blocks are still zero (exec.load); POTF2 cleared each
+		// diagonal block's upper triangle, which a fault may have hit
+		// since.
 		res.L = e.a
-		res.L.LowerFromFull()
+		for k := 0; k < nb; k++ {
+			e.block(k, k).LowerFromFull()
+		}
 	}
 	e.finalizeMetrics(&res)
 	if runErr != nil {

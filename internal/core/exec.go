@@ -127,7 +127,7 @@ func newExec(o *Options, nb int) *exec {
 	e.inj = fault.NewInjector(e.led, o.Scenarios...)
 	if o.Data != nil {
 		e.a = mat.NewStride(e.n, e.n, workingStride(e.n))
-		e.a.CopyFrom(o.Data)
+		e.load()
 		e.scratch = mat.New(e.m, e.b)
 		e.inj.Applier = e
 	}
@@ -148,6 +148,18 @@ func workingStride(n int) int {
 	return ld
 }
 
+// load copies the input's lower block triangle into the working copy,
+// each diagonal block whole, so every block keeps the encoding it had.
+// No step of either variant writes above the diagonal blocks, and
+// Options rejects a fault there, so the copy's upper blocks stay as
+// mat.NewStride left them: zero.
+func (e *exec) load() {
+	for j := 0; j < e.n; j++ {
+		r0 := j - j%e.b // the first row of column j's diagonal block
+		copy(e.a.Col(j)[r0:], e.opts.Data.Col(j)[r0:])
+	}
+}
+
 // reset restores the pristine input for a restart after an
 // unrecoverable error: the host serializes the machine, reloads the
 // data, and (for FT schemes) re-encodes. Injected scenarios stay
@@ -158,7 +170,7 @@ func (e *exec) reset() {
 	e.trace.Mark("restart", t)
 	e.plat.AlignAll(t)
 	if e.a != nil {
-		e.a.CopyFrom(e.opts.Data)
+		e.load()
 	}
 	e.led.Reset()
 	e.failure = FailureNone

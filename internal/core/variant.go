@@ -149,10 +149,11 @@ func (v Variant) plan() *plan {
 }
 
 // trailingUpdate performs A[j+1:, j+1:] -= P·Pᵀ with P the factored
-// panel column j. The real body applies the full symmetric update so
-// diagonal blocks stay consistent with their column checksums; the
-// kernel is charged at SYRK rates (hardware only computes the lower
-// half).
+// panel column j, over the lower blocks only: block column k gets
+// A[k:, k] -= P[k:]·P[k]ᵀ. Each diagonal block gets the full symmetric
+// update, so it stays consistent with its column checksums, and
+// nothing above it is written. The kernel is charged at SYRK rates
+// (hardware only computes the lower half).
 func (e *exec) trailingUpdate(j int) error {
 	m := e.nb - j - 1
 	rows := m * e.b
@@ -160,12 +161,10 @@ func (e *exec) trailingUpdate(j int) error {
 	var body func()
 	if e.a != nil {
 		r0 := (j + 1) * e.b
-		panel := e.a.Off(r0, j*e.b) // A[j+1:, j]
 		body = func() {
-			blas.DgemmParallel(blas.NoTrans, blas.Trans, rows, rows, e.b,
-				-1, panel, e.a.Stride,
-				panel, e.a.Stride,
-				1, e.a.Off(r0, r0), e.a.Stride)
+			blas.DsyrkBlocksParallel(rows, e.b, e.b, -1,
+				e.a.Off(r0, j*e.b), e.a.Stride, // A[j+1:, j]
+				e.a.Off(r0, r0), e.a.Stride)
 		}
 	}
 	e.plat.GPU.Launch(e.sc, hetsim.Kernel{

@@ -7,6 +7,7 @@ import (
 
 	"abftchol/internal/blas"
 	"abftchol/internal/cholesky"
+	"abftchol/internal/fault"
 	"abftchol/internal/hetsim"
 	"abftchol/internal/mat"
 )
@@ -16,16 +17,21 @@ import (
 // real-plane run has the same bits for every blas.Workers. The worker
 // counts split a 64-wide block into whole, ragged (3) and narrow (8)
 // column chunks; GOMAXPROCS is raised to the largest, which the split
-// is capped at. The factor carries the working copy's padded stride,
-// and the residual and a solve read it through that stride.
+// is capped at; the right-looking variant splits its trailing update
+// by block columns. The factor carries the working copy's padded
+// stride, and the residual and a solve read it through that stride.
 func TestFactorBitIdenticalAcrossWorkers(t *testing.T) {
 	const n, b = 512, 64
 	a := mat.RandSPD(n, 7)
 	saved := blas.Workers
 	defer func() { blas.Workers = saved }()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	for _, scheme := range []Scheme{SchemeNone, SchemeEnhanced} {
-		o := Options{Profile: hetsim.Laptop(), N: n, BlockSize: b, Scheme: scheme, ConcurrentRecalc: true, Data: a}
+	for _, sv := range []struct {
+		scheme  Scheme
+		variant Variant
+	}{{SchemeNone, LeftLooking}, {SchemeEnhanced, LeftLooking}, {SchemeNone, RightLooking}} {
+		scheme := sv.scheme.String() + " " + sv.variant.String()
+		o := Options{Profile: hetsim.Laptop(), N: n, BlockSize: b, Scheme: sv.scheme, Variant: sv.variant, ConcurrentRecalc: true, Data: a}
 		var want *mat.Matrix
 		for _, w := range []int{1, 2, 3, 8} {
 			blas.Workers = w
@@ -98,5 +104,44 @@ func TestResultDoesNotAliasInput(t *testing.T) {
 	}
 	if mat.MaxAbsDiff(a, orig) != 0 || mat.MaxAbsDiff(second.L, first.L) == 0 {
 		t.Fatal("writing one run's factor reached the input or the next run's factor")
+	}
+}
+
+// TestFactorUpperTriangleZero pins that Result.L is lower triangular:
+// every element above the diagonal is exactly zero for both variants,
+// after a clean run, after a restart (Online meets a storage error
+// that has propagated) and after a fault that struck above the
+// diagonal inside a diagonal block once POTF2 had cleared it (MAGMA
+// never checks it). The working copy only ever holds the lower block
+// triangle; the last case is what the final clear of the diagonal
+// blocks is for.
+func TestFactorUpperTriangleZero(t *testing.T) {
+	const n, b = 256, 64
+	a := mat.RandSPD(n, 5)
+	potf2Upper := fault.Scenario{Kind: fault.Computation, Iter: 1, Op: fault.OpPOTF2, BI: 1, BJ: 1, Row: 2, Col: 5, Delta: 1e3}
+	for _, v := range []Variant{LeftLooking, RightLooking} {
+		for _, tc := range []struct {
+			name     string
+			scheme   Scheme
+			sc       []fault.Scenario
+			attempts int
+		}{
+			{"clean", SchemeEnhanced, nil, 1},
+			{"restart", SchemeOnline, []fault.Scenario{fault.DefaultStorage(1)}, 2},
+			{"fault above the diagonal", SchemeNone, []fault.Scenario{potf2Upper}, 1},
+		} {
+			o := Options{Profile: hetsim.Laptop(), N: n, BlockSize: b, Variant: v, Scheme: tc.scheme, Data: a, Scenarios: tc.sc}
+			res := mustRun(t, o)
+			if res.Attempts != tc.attempts || len(res.Injections) != len(tc.sc) {
+				t.Fatalf("%s, %s: %d attempts and %d injections, want %d and %d", v, tc.name, res.Attempts, len(res.Injections), tc.attempts, len(tc.sc))
+			}
+			for j := 1; j < n; j++ {
+				for i, x := range res.L.Col(j)[:j] {
+					if math.Float64bits(x) != 0 {
+						t.Fatalf("%s, %s: L[%d,%d] = %v above the diagonal", v, tc.name, i, j, x)
+					}
+				}
+			}
+		}
 	}
 }

@@ -35,6 +35,14 @@ import (
 // takes microseconds, so it gets level2Reps samples of one call, its
 // set-up left out of the timing.
 //
+// The dgemm-nt entries time single C -= A·Bᵀ calls that one
+// factorization (n = 512, B = 64, m = 2) issues at its step j = 3, at
+// its strides: the left-looking panel GEMM, 256 rows of L against the
+// 64-row panel over 192 depth steps (working stride 520, its largest
+// call), and the checksum slab update, the 8 checksum rows of the
+// blocks below the panel (checksum stride 16) against the same panel,
+// under one ragged 16-row tile. Their rates are GFLOP/s from the min.
+//
 // The magma entries time a whole real-plane factorization (MAGMA's
 // Algorithm 1, no fault tolerance) on the laptop profile at B = 32, at
 // n = 2048 and its neighbours n ± 64. The cliff_2048_vs_neighbours rate
@@ -126,6 +134,9 @@ func benchBLAS(r *Report) error {
 	}
 	r.setExact("n", n)
 	r.setExact("k", k)
+	if err := benchTileShapes(r); err != nil {
+		return err
+	}
 	if err := benchLevel2(r); err != nil {
 		return err
 	}
@@ -171,6 +182,39 @@ func dominantSPD(n int) *mat.Matrix {
 		}
 	}
 	return a
+}
+
+func benchTileShapes(r *Report) error {
+	const n, b, j, m = level2N, level2B, 3, 2
+	const ld, chkLd = 520, m * n / b // the working copy's and chk's strides
+	const k, r0 = j * b, (j + 1) * b
+	w := make([]float64, ld*n)
+	fill(w, 8)
+	chk := make([]float64, chkLd*n)
+	fill(chk, 9)
+	panel := w[j*b:] // L[jB:(j+1)B, 0:jB]
+	for _, sh := range []struct {
+		rows int
+		a    []float64
+		lda  int
+		c    []float64
+		ldc  int
+	}{
+		{n - r0, w[r0:], ld, w[r0+j*b*ld:], ld},
+		{m * (n/b - j - 1), chk[m*(j+1):], chkLd, chk[m*(j+1)+j*b*chkLd:], chkLd},
+	} {
+		name := fmt.Sprintf("dgemm-nt/%dx%dx%d", sh.rows, b, k)
+		call := func() error {
+			blas.Dgemm(blas.NoTrans, blas.Trans, sh.rows, b, k, -1, sh.a, sh.lda, panel, ld, 1, sh.c, sh.ldc)
+			return nil
+		}
+		call() // warm-up
+		for range level2Reps {
+			r.time(name, call)
+		}
+		r.Rates["gflops/"+name] = 2 * float64(sh.rows*b*k) / r.entry(name).MinMS / 1e6
+	}
+	return nil
 }
 
 func benchLevel2(r *Report) error {

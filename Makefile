@@ -54,9 +54,11 @@ fuzz:
 # lint their own implementation too), TestNolintReport fails on a
 # //nolint escape without a justification or on a stale one, and
 # TestSeededBugs shows every analyzer firing on a fixture module.
-# escapecheck rebuilds internal/blas, checksum, mat and fault with the
-# compiler's escape, inlining and bounds-check diagnostics and fails on
-# any abft:hotpath or abft:bce claim they contradict.
+# The hot-path prover is not here: tools/escapecheck's
+# TestRepositoryAnnotations, which `test` and `race` run, rebuilds
+# internal/blas, checksum, mat and fault with the compiler's escape,
+# inlining and bounds-check diagnostics and fails on any abft:hotpath or
+# abft:bce claim they contradict.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -64,7 +66,6 @@ lint:
 	fi
 	$(GO) vet ./...
 	$(GO) test -count=1 -run '^(TestRepositoryIsClean|TestNolintReport|TestSeededBugs)$$' ./tools/analyzers
-	$(GO) run ./tools/escapecheck
 
 # perfbench (BENCHMARK.json's benchmark) is a Go module of its own
 # that calls the blas, checksum and core APIs directly; `./...` above

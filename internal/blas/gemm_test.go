@@ -23,8 +23,8 @@ func TestPackedGemmMatchesNaive(t *testing.T) {
 		c1 := randSlice(cs.m*cs.n, 102)
 		c2 := append([]float64(nil), c1...)
 		// Through the public entry.
-		Dgemm(NoTrans, Trans, cs.m, cs.n, cs.k, -1.5, a, cs.m, b, cs.n, 1, c1, cs.m)
-		naiveGemm(NoTrans, Trans, cs.m, cs.n, cs.k, -1.5, a, cs.m, b, cs.n, 1, c2, cs.m)
+		Dgemm(NoTrans, Trans, cs.m, cs.n, cs.k, -1, a, cs.m, b, cs.n, 1, c1, cs.m)
+		naiveGemm(NoTrans, Trans, cs.m, cs.n, cs.k, -1, a, cs.m, b, cs.n, 1, c2, cs.m)
 		for i := range c1 {
 			if math.Abs(c1[i]-c2[i]) > 1e-11 {
 				t.Fatalf("%dx%dx%d: element %d differs: %g vs %g", cs.m, cs.n, cs.k, i, c1[i], c2[i])
@@ -40,8 +40,8 @@ func TestPackedGemmDirectCall(t *testing.T) {
 	b := randSlice(n*k, 111)
 	c1 := randSlice(m*n, 112)
 	c2 := append([]float64(nil), c1...)
-	gemmPacked(false, NoTrans, Trans, m, n, k, 2.5, a, m, b, n, c1, m)
-	naiveGemm(NoTrans, Trans, m, n, k, 2.5, a, m, b, n, 1, c2, m)
+	gemmPacked(m, n, k, a, m, b, n, c1, m)
+	naiveGemm(NoTrans, Trans, m, n, k, -1, a, m, b, n, 1, c2, m)
 	for i := range c1 {
 		if math.Abs(c1[i]-c2[i]) > 1e-12 {
 			t.Fatal("direct packed call differs from naive")
@@ -56,8 +56,8 @@ func TestPackedGemmStrided(t *testing.T) {
 	b := randSlice(ldb*k, 121)
 	c1 := randSlice(ldc*n, 122)
 	c2 := append([]float64(nil), c1...)
-	Dgemm(NoTrans, Trans, m, n, k, 1, a, lda, b, ldb, 1, c1, ldc)
-	naiveGemm(NoTrans, Trans, m, n, k, 1, a, lda, b, ldb, 1, c2, ldc)
+	Dgemm(NoTrans, Trans, m, n, k, -1, a, lda, b, ldb, 1, c1, ldc)
+	naiveGemm(NoTrans, Trans, m, n, k, -1, a, lda, b, ldb, 1, c2, ldc)
 	for i := range c1 {
 		if math.Abs(c1[i]-c2[i]) > 1e-11 {
 			t.Fatal("strided packed gemm mismatch")
@@ -72,8 +72,8 @@ func TestPackedGemmProperty(t *testing.T) {
 		b := randSlice(n*k, seed+1)
 		c1 := make([]float64, m*n)
 		c2 := make([]float64, m*n)
-		Dgemm(NoTrans, Trans, m, n, k, 1, a, m, b, n, 0, c1, m)
-		naiveGemm(NoTrans, Trans, m, n, k, 1, a, m, b, n, 0, c2, m)
+		Dgemm(NoTrans, Trans, m, n, k, -1, a, m, b, n, 1, c1, m)
+		naiveGemm(NoTrans, Trans, m, n, k, -1, a, m, b, n, 1, c2, m)
 		for i := range c1 {
 			if math.Abs(c1[i]-c2[i]) > 1e-11 {
 				return false
@@ -106,6 +106,6 @@ func BenchmarkGemmNTPacked192(b *testing.B) {
 	b.SetBytes(int64(8 * n * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gemmPacked(false, NoTrans, Trans, n, n, n, -1, x, n, y, n, c, n)
+		gemmPacked(n, n, n, x, n, y, n, c, n)
 	}
 }

@@ -135,7 +135,7 @@ func TestMicroKernelsBitIdentical(t *testing.T) {
 						for _, mn := range [][2]int{{1, 1}, {7, 8}, {8, 3}, {9, 7}, {15, 8}, {16, 5}} {
 							mrr, nrr := mn[0], mn[1]
 							got := append([]float64(nil), c0...)
-							withKernel(name, func() { edgeTile(false, mrr, nrr, k, a, sa, b, sb, got, ldc, 0) })
+							withKernel(name, func() { edgeTile(mrr, nrr, k, a, sa, b, sb, got, ldc) })
 							for i := range got {
 								r, j := i%ldc, i/ldc
 								want := c0[i]
@@ -154,34 +154,23 @@ func TestMicroKernelsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPackedGemmKernelsBitIdentical runs every transpose case of
-// Dgemm over ragged shapes and strided operands on each assembly
-// micro-kernel and on the Go one.
+// TestPackedGemmKernelsBitIdentical runs Dgemm over ragged shapes and
+// strided operands on each assembly micro-kernel and on the Go one.
 func TestPackedGemmKernelsBitIdentical(t *testing.T) {
 	eachAsmKernel(t, func(t *testing.T) {
 		const pad = 3 // leading dimensions exceed the row counts
 		for _, m := range []int{1, 2, 7, 14, 384} {
 			for _, n := range []int{1, 5, 12, 64} {
 				for _, k := range []int{1, 37, 300} {
-					for _, tr := range [][2]Transpose{{NoTrans, NoTrans}, {NoTrans, Trans}, {Trans, NoTrans}, {Trans, Trans}} {
-						ar, ac := m, k
-						if tr[0] == Trans {
-							ar, ac = k, m
-						}
-						br, bc := k, n
-						if tr[1] == Trans {
-							br, bc = n, k
-						}
-						lda, ldb, ldc := ar+pad, br+pad, m+pad
-						a := randSlice(lda*ac, int64(m*n+k))
-						b := randSlice(ldb*bc, int64(m+n*k))
-						asm := randSlice(ldc*n, int64(m+n+k))
-						ref := append([]float64(nil), asm...)
-						Dgemm(tr[0], tr[1], m, n, k, -1.25, a, lda, b, ldb, 0.5, asm, ldc)
-						withGoKernel(func() { Dgemm(tr[0], tr[1], m, n, k, -1.25, a, lda, b, ldb, 0.5, ref, ldc) })
-						if i := firstDiff(asm, ref); i >= 0 {
-							t.Fatalf("%v m=%d n=%d k=%d: element %d asm %v, Go %v", tr, m, n, k, i, asm[i], ref[i])
-						}
+					lda, ldb, ldc := m+pad, n+pad, m+pad
+					a := randSlice(lda*k, int64(m*n+k))
+					b := randSlice(ldb*k, int64(m+n*k))
+					asm := randSlice(ldc*n, int64(m+n+k))
+					ref := append([]float64(nil), asm...)
+					Dgemm(NoTrans, Trans, m, n, k, -1, a, lda, b, ldb, 1, asm, ldc)
+					withGoKernel(func() { Dgemm(NoTrans, Trans, m, n, k, -1, a, lda, b, ldb, 1, ref, ldc) })
+					if i := firstDiff(asm, ref); i >= 0 {
+						t.Fatalf("m=%d n=%d k=%d: element %d asm %v, Go %v", m, n, k, i, asm[i], ref[i])
 					}
 				}
 			}
@@ -197,8 +186,8 @@ func TestPackedSyrkTrsmKernelsBitIdentical(t *testing.T) {
 				a := randSlice(ld*k, int64(n+k))
 				asm := randSlice(ld*n, int64(n*k))
 				ref := append([]float64(nil), asm...)
-				Dsyrk(n, k, -1, a, ld, 1, asm, ld)
-				withGoKernel(func() { Dsyrk(n, k, -1, a, ld, 1, ref, ld) })
+				DsyrkBlocksParallel(n, k, 8, a, ld, asm, ld)
+				withGoKernel(func() { DsyrkBlocksParallel(n, k, 8, a, ld, ref, ld) })
 				if i := firstDiff(asm, ref); i >= 0 {
 					t.Fatalf("syrk n=%d k=%d: element %d asm %v, Go %v", n, k, i, asm[i], ref[i])
 				}
@@ -215,33 +204,6 @@ func TestPackedSyrkTrsmKernelsBitIdentical(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestSyrkMatchesGemmBits pins the contract DsyrkParallel's split rests
-// on: Dsyrk gives each lower element Dgemm(NoTrans, Trans)'s bits and
-// never writes the strict upper triangle.
-func TestSyrkMatchesGemmBits(t *testing.T) {
-	for _, n := range []int{3, 9, 14, 45, 133, 300} {
-		for _, k := range []int{2, 64, 257} {
-			a := randSlice(n*k, int64(n+k))
-			syrk := randSlice(n*n, int64(n*k))
-			gemm := append([]float64(nil), syrk...)
-			orig := append([]float64(nil), syrk...)
-			Dsyrk(n, k, -1, a, n, 1, syrk, n)
-			Dgemm(NoTrans, Trans, n, n, k, -1, a, n, a, n, 1, gemm, n)
-			for j := 0; j < n; j++ {
-				for i := 0; i < n; i++ {
-					want := gemm[i+j*n]
-					if i < j {
-						want = orig[i+j*n]
-					}
-					if math.Float64bits(syrk[i+j*n]) != math.Float64bits(want) {
-						t.Fatalf("n=%d k=%d: (%d,%d) = %v, want %v", n, k, i, j, syrk[i+j*n], want)
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestBlockedFactorBitIdentical factors one matrix with every worker
@@ -300,11 +262,11 @@ func transposed(x []float64, rows, cols, ld, pad int) ([]float64, int) {
 }
 
 // TestGemmLayoutInvariant pins the in-place reads against packing:
-// Dgemm(NoTrans, Trans) reads one operand where it lies, and
-// Dgemm(Trans, NoTrans) on transposed copies must pack both, yet the
-// two give the same bits for any alpha, for m < n and m > n, and on
-// ragged shapes, on every micro-kernel the host has. Dsyrk's lower mode
-// is held to the same test.
+// C −= A·Bᵀ and its transpose Cᵀ −= B·Aᵀ read the same operand (the
+// one with more rows) in place, but once as A, in kernMR-row panels,
+// and once as B, in kernNR-row panels, each time packing the other in
+// the other role. The two must give the same bits, for m < n and
+// m > n, and on ragged shapes, on every micro-kernel the host has.
 func TestGemmLayoutInvariant(t *testing.T) {
 	t.Run("default", testGemmLayoutInvariant)
 	for _, name := range hostKernels() {
@@ -314,33 +276,19 @@ func TestGemmLayoutInvariant(t *testing.T) {
 
 func testGemmLayoutInvariant(t *testing.T) {
 	const pad = 3
-	for _, alpha := range []float64{1, -1, 2.5} {
-		for _, sz := range [][3]int{{14, 64, 300}, {64, 14, 300}, {7, 5, 37}, {130, 61, 9}, {3, 131, 520}, {261, 4, 64}} {
-			m, n, k := sz[0], sz[1], sz[2]
-			lda, ldb, ldc := m+pad, n+pad, m+1
-			a := randSlice(lda*k, int64(m+k))
-			b := randSlice(ldb*k, int64(n+k))
-			at, ldat := transposed(a, m, k, lda, pad)
-			bt, ldbt := transposed(b, n, k, ldb, pad)
-			got := randSlice(ldc*n, int64(m*n))
-			want := append([]float64(nil), got...)
-			Dgemm(NoTrans, Trans, m, n, k, alpha, a, lda, b, ldb, 1, got, ldc)
-			Dgemm(Trans, NoTrans, m, n, k, alpha, at, ldat, bt, ldbt, 1, want, ldc)
-			if i := firstDiff(got, want); i >= 0 {
-				t.Fatalf("alpha=%v m=%d n=%d k=%d: element %d in place %v, packed %v", alpha, m, n, k, i, got[i], want[i])
-			}
-		}
-		for _, sz := range [][2]int{{7, 37}, {45, 300}, {130, 64}} {
-			n, k := sz[0], sz[1]
-			ld := n + pad
-			a := randSlice(ld*k, int64(n+k))
-			at, ldat := transposed(a, n, k, ld, pad)
-			got := randSlice(ld*n, int64(n*k))
-			want := append([]float64(nil), got...)
-			Dsyrk(n, k, alpha, a, ld, 1, got, ld)
-			gemmPacked(true, Trans, NoTrans, n, n, k, alpha, at, ldat, at, ldat, want, ld)
-			if i := firstDiff(got, want); i >= 0 {
-				t.Fatalf("syrk alpha=%v n=%d k=%d: element %d in place %v, packed %v", alpha, n, k, i, got[i], want[i])
+	for _, sz := range [][3]int{{14, 64, 300}, {64, 14, 300}, {7, 5, 37}, {130, 61, 9}, {3, 131, 520}, {261, 4, 64}} {
+		m, n, k := sz[0], sz[1], sz[2]
+		lda, ldb, ldc := m+pad, n+pad, m+1
+		a := randSlice(lda*k, int64(m+k))
+		b := randSlice(ldb*k, int64(n+k))
+		got := randSlice(ldc*n, int64(m*n))
+		ct, ldct := transposed(got, m, n, ldc, pad)
+		Dgemm(NoTrans, Trans, m, n, k, -1, a, lda, b, ldb, 1, got, ldc)
+		Dgemm(NoTrans, Trans, n, m, k, -1, b, ldb, a, lda, 1, ct, ldct)
+		want, _ := transposed(ct, n, m, ldct, ldc-m)
+		for j := 0; j < n; j++ {
+			if i := firstDiff(got[j*ldc:][:m], want[j*ldc:][:m]); i >= 0 {
+				t.Fatalf("m=%d n=%d k=%d: element (%d, %d) is %v, transposed %v", m, n, k, i, j, got[i+j*ldc], want[i+j*ldc])
 			}
 		}
 	}
@@ -430,7 +378,7 @@ func trsmRightTransScalar(m, n int, l []float64, ldl int, b []float64, ldb int) 
 	for k0 := 0; k0 < n; k0 += trsmNB {
 		kb := min(trsmNB, n-k0)
 		if k0 > 0 {
-			gemmPacked(false, NoTrans, Trans, m, kb, k0, -1, b, ldb, l[k0:], ldl, b[k0*ldb:], ldb)
+			gemmPacked(m, kb, k0, b, ldb, l[k0:], ldl, b[k0*ldb:], ldb)
 		}
 		for k := k0; k < k0+kb; k++ {
 			bk := b[k*ldb:][:m]
@@ -587,9 +535,9 @@ func TestColChecksumsMaxIgnoresNaN(t *testing.T) {
 }
 
 // TestLevel3BitsIndependentOfStride pins what a padded working copy
-// relies on: Dgemm, Dsyrk and Dtrsm(Right, Trans) give the same bits on
-// operands stored at lda 512 and at lda 520, on every micro-kernel the
-// host has. Where A is read in place (m >= n, or alpha not ±1), lda
+// relies on: Dgemm, DsyrkBlocksParallel and Dtrsm(Right, Trans) give
+// the same bits on operands stored at lda 512 and at lda 520, on every
+// micro-kernel the host has. Where A is read in place (m >= n), lda
 // 520 runs macroKernel with A's panels outer and lda 512 with B's, so
 // the two leading dimensions also compare the two loop orders; the
 // m < n Dgemm reads B in place, with B's panels outer at both.
@@ -609,11 +557,9 @@ func TestLevel3BitsIndependentOfStride(t *testing.T) {
 		name string
 		fn   func(a, b, c []float64, ld int)
 	}{
-		{"dgemm NT A in place", func(a, b, c []float64, ld int) { Dgemm(NoTrans, Trans, 448, 64, 384, -1, a, ld, b, ld, 1, c, ld) }},
-		{"dgemm NT B in place", func(a, b, c []float64, ld int) { Dgemm(NoTrans, Trans, 64, 448, 384, -1, a, ld, b, ld, 1, c, ld) }},
-		{"dgemm NT alpha 2.5", func(a, b, c []float64, ld int) { Dgemm(NoTrans, Trans, 64, 448, 300, 2.5, a, ld, b, ld, 1, c, ld) }},
-		{"dgemm NN", func(a, b, c []float64, ld int) { Dgemm(NoTrans, NoTrans, 200, 130, 512, -1, a, ld, b, ld, 1, c, ld) }},
-		{"dsyrk", func(a, _, c []float64, ld int) { Dsyrk(448, 384, -1, a, ld, 1, c, ld) }},
+		{"dgemm A in place", func(a, b, c []float64, ld int) { Dgemm(NoTrans, Trans, 448, 64, 384, -1, a, ld, b, ld, 1, c, ld) }},
+		{"dgemm B in place", func(a, b, c []float64, ld int) { Dgemm(NoTrans, Trans, 64, 448, 384, -1, a, ld, b, ld, 1, c, ld) }},
+		{"dsyrk blocks", func(a, _, c []float64, ld int) { DsyrkBlocksParallel(448, 384, 64, a, ld, c, ld) }},
 		{"dtrsm right trans", func(a, _, c []float64, ld int) {
 			for j := 0; j < 64; j++ { // L in a's leading 64 x 64 block
 				copy(a[j*ld:][:64], lower[j*64:][:64])

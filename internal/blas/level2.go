@@ -8,44 +8,31 @@ const (
 	Trans
 )
 
-// Dgemv computes y ← alpha*op(A)*x + beta*y where A is m x n with
-// leading dimension lda and op is selected by trans. x and y use unit
-// stride.
+// Dgemv computes y ← alpha*A*x + beta*y where A is m x n with leading
+// dimension lda, and x and y use unit stride. The parameter list is
+// CBLAS's, but trans must be NoTrans; Trans panics.
 func Dgemv(trans Transpose, m, n int, alpha float64, a []float64, lda int, x []float64, beta float64, y []float64) {
-	ylen := m
-	if trans == Trans {
-		ylen = n
+	if trans != NoTrans {
+		panic("blas: Dgemv computes only y ← alpha·A·x + beta·y: Dgemv(NoTrans, ...)")
 	}
 	if beta != 1 {
-		for i := 0; i < ylen; i++ {
+		for i := 0; i < m; i++ {
 			y[i] *= beta
 		}
 	}
 	if alpha == 0 {
 		return
 	}
-	if trans == NoTrans {
-		// y += alpha * A * x, column-major: accumulate column by column.
-		for j := 0; j < n; j++ {
-			ax := alpha * x[j]
-			if ax == 0 {
-				continue
-			}
-			col := a[j*lda : j*lda+m]
-			for i, v := range col {
-				y[i] += ax * v
-			}
-		}
-		return
-	}
-	// y += alpha * Aᵀ * x: each output element is a column dot product.
+	// Column-major: accumulate column by column.
 	for j := 0; j < n; j++ {
-		col := a[j*lda : j*lda+m]
-		s := 0.0
-		for i, v := range col {
-			s += v * x[i]
+		ax := alpha * x[j]
+		if ax == 0 {
+			continue
 		}
-		y[j] += alpha * s
+		col := a[j*lda : j*lda+m]
+		for i, v := range col {
+			y[i] += ax * v
+		}
 	}
 }
 

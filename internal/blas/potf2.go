@@ -54,7 +54,9 @@ func Dpotf2(n int, a []float64, lda int) error {
 
 // Dpotrf computes a blocked right-looking Cholesky factorization of
 // the lower triangle of a, with block size nb. It is the serial
-// reference the hybrid and ABFT variants are validated against.
+// reference the hybrid and ABFT variants are validated against. The
+// strict upper triangle of each diagonal block is overwritten with
+// scratch; the rest of the upper triangle is not referenced.
 //
 // abft:hotpath
 // abft:bce checks=4
@@ -67,8 +69,9 @@ func Dpotrf(n, nb int, a []float64, lda int) error {
 		if j+jb > n {
 			jb = n - j
 		}
-		// Diagonal block update: A[j:j+jb, j:j+jb] -= A[j:j+jb, 0:j]*A[j:j+jb, 0:j]ᵀ
-		Dsyrk(jb, j, -1, a[j:], lda, 1, a[j+j*lda:], lda)
+		// Diagonal block update, the whole block (its strict upper
+		// triangle too): A[j:j+jb, j:j+jb] -= A[j:j+jb, 0:j]*A[j:j+jb, 0:j]ᵀ
+		Dgemm(NoTrans, Trans, jb, jb, j, -1, a[j:], lda, a[j:], lda, 1, a[j+j*lda:], lda)
 		if err := Dpotf2(jb, a[j+j*lda:], lda); err != nil {
 			if pe, ok := err.(*PivotError); ok {
 				pe.Index += j

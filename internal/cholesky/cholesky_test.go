@@ -110,11 +110,11 @@ func TestInverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A * A⁻¹ must be the identity.
-	prod := mat.New(n, n)
-	blas.Dgemm(blas.NoTrans, blas.NoTrans, n, n, n, 1, a.Data, a.Stride, inv.Data, inv.Stride, 0, prod.Data, prod.Stride)
-	if d := mat.MaxAbsDiff(prod, mat.Eye(n)); d > 1e-9 {
-		t.Fatalf("A*inv(A) deviates from I by %g", d)
+	// I − A·(A⁻¹)ᵀ must vanish: (A·(A⁻¹)ᵀ)ᵀ = A⁻¹·A.
+	res := mat.Eye(n)
+	blas.Dgemm(blas.NoTrans, blas.Trans, n, n, n, -1, a.Data, a.Stride, inv.Data, inv.Stride, 1, res.Data, res.Stride)
+	if d := mat.MaxAbsDiff(res, mat.New(n, n)); d > 1e-9 {
+		t.Fatalf("inv(A)*A deviates from I by %g", d)
 	}
 	// Symmetry within rounding.
 	if d := mat.MaxAbsDiff(inv, inv.Transpose()); d > 1e-11 {

@@ -162,7 +162,7 @@ func (e *exec) trailingUpdate(j int) error {
 	if e.a != nil {
 		r0 := (j + 1) * e.b
 		body = func() {
-			blas.DsyrkBlocksParallel(rows, e.b, e.b, -1,
+			blas.DsyrkBlocksParallel(rows, e.b, e.b,
 				e.a.Off(r0, j*e.b), e.a.Stride, // A[j+1:, j]
 				e.a.Off(r0, r0), e.a.Stride)
 		}

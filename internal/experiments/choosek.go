@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"abftchol/internal/core"
 	"abftchol/internal/fault"
 	"abftchol/internal/hetsim"
 )
@@ -64,36 +63,17 @@ func ChooseK(prof hetsim.Profile, n int, rate float64, trials int, candidates []
 	if trials < 1 {
 		trials = 1
 	}
-	nb := n / prof.BlockSize
 	choice := &KChoice{Profile: prof.Name, N: n, RatePerIteration: rate}
 	for _, k := range candidates {
-		var total float64
-		restarts := 0
 		runs := trials
 		if rate <= 0 {
 			runs = 1
 		}
-		for trial := 0; trial < runs; trial++ {
-			o := enhanced(prof, n, k)
-			o.MaxAttempts = 10
-			if rate > 0 {
-				o.Scenarios = fault.Campaign(fault.CampaignConfig{
-					Blocks:           nb,
-					BlockSize:        prof.BlockSize,
-					RatePerIteration: rate,
-					Seed:             int64(7919*k + trial),
-				})
-			}
-			r, err := core.Run(o)
-			if err != nil || r.Attempts > 1 {
-				restarts++
-			}
-			total += r.Time
-		}
+		st := storageTrials(Config{}, prof, n, k, runs, rate, func(trial int) int64 { return int64(7919*k + trial) })
 		choice.Candidates = append(choice.Candidates, KCandidate{
 			K:            k,
-			ExpectedTime: total / float64(runs),
-			RestartRate:  float64(restarts) / float64(runs),
+			ExpectedTime: st.meanTime,
+			RestartRate:  float64(st.restarts) / float64(runs),
 		})
 	}
 	best := choice.Candidates[0]
@@ -104,4 +84,44 @@ func ChooseK(prof hetsim.Profile, n int, rate float64, trials int, candidates []
 	}
 	choice.BestK = best.K
 	return choice
+}
+
+// trialStats is what storageTrials gathers over one interval's trials.
+type trialStats struct {
+	meanTime     float64 // mean Result.Time, restarts included
+	restarts     int     // runs that failed or took more than one attempt
+	propagations float64 // Result.PropagationEvents, summed
+	injections   float64 // len(Result.Injections), summed
+}
+
+// storageTrials runs trials Enhanced factorizations of order n at
+// verification interval k through cfg, each struck by its own Poisson
+// storage-error campaign over the factored region, seeded with
+// seed(trial) (no campaign when rate <= 0). Under a heavy campaign even
+// a restart can be struck by the remaining errors, so each run gets
+// ten attempts, and one that exhausts them counts as a restart.
+func storageTrials(cfg Config, prof hetsim.Profile, n, k, trials int, rate float64, seed func(trial int) int64) trialStats {
+	var s trialStats
+	var total float64
+	for trial := 0; trial < trials; trial++ {
+		o := enhanced(prof, n, k)
+		o.MaxAttempts = 10
+		if rate > 0 {
+			o.Scenarios = fault.Campaign(fault.CampaignConfig{
+				Blocks:           n / prof.BlockSize,
+				BlockSize:        prof.BlockSize,
+				RatePerIteration: rate,
+				Seed:             seed(trial),
+			})
+		}
+		r, err := cfg.runErr(o)
+		if err != nil || r.Attempts > 1 {
+			s.restarts++
+		}
+		total += r.Time
+		s.propagations += float64(r.PropagationEvents)
+		s.injections += float64(len(r.Injections))
+	}
+	s.meanTime = total / float64(trials)
+	return s
 }

@@ -47,7 +47,6 @@ func CoverageStudy(prof hetsim.Profile, cfg Config) *Figure {
 	if n == 0 {
 		n = 10240 // large enough for ~40 iterations, small enough to retry often
 	}
-	nb := n / prof.BlockSize
 	const (
 		trials = 30
 		rate   = 0.25 // expected storage errors per outer iteration (~10 per run)
@@ -65,39 +64,14 @@ func CoverageStudy(prof hetsim.Profile, cfg Config) *Figure {
 	}
 	base := baseline(cfg, prof, n)
 	for _, k := range []int{1, 2, 3, 5, 8} {
-		var time, exposure, errors float64
-		restarts := 0
-		for trial := 0; trial < trials; trial++ {
-			scen := fault.Campaign(fault.CampaignConfig{
-				Blocks:           nb,
-				BlockSize:        prof.BlockSize,
-				RatePerIteration: rate,
-				Seed:             int64(1000*k + trial),
-			})
-			o := enhanced(prof, n, k)
-			o.Scenarios = scen
-			// Under a heavy campaign even the restart can be struck by
-			// the remaining errors; allow plenty of retries and treat
-			// an exhausted run like the restarts it performed.
-			o.MaxAttempts = 10
-			r, err := cfg.runErr(o)
-			if err != nil {
-				restarts++
-			} else if r.Attempts > 1 {
-				restarts++
-			}
-			time += r.Time
-			exposure += float64(r.PropagationEvents)
-			errors += float64(len(r.Injections))
-		}
-		time /= trials
+		st := storageTrials(cfg, prof, n, k, trials, rate, func(trial int) int64 { return int64(1000*k + trial) })
 		perErr := 0.0
-		if errors > 0 {
-			perErr = exposure / errors
+		if st.injections > 0 {
+			perErr = st.propagations / st.injections
 		}
-		f.Series[0].Points = append(f.Series[0].Points, Point{k, (time/base.Time - 1) * 100})
+		f.Series[0].Points = append(f.Series[0].Points, Point{k, (st.meanTime/base.Time - 1) * 100})
 		f.Series[1].Points = append(f.Series[1].Points, Point{k, perErr})
-		f.Series[2].Points = append(f.Series[2].Points, Point{k, 100 * float64(restarts) / trials})
+		f.Series[2].Points = append(f.Series[2].Points, Point{k, 100 * float64(st.restarts) / trials})
 	}
 	return f
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"abftchol/internal/experiments"
@@ -142,17 +141,8 @@ func (sh *shared) campaignInfo(cs *campaignStatus) CampaignInfo {
 }
 
 func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.isDraining() {
-		failJSON(w, http.StatusServiceUnavailable, "draining", "daemon is shutting down; submissions are closed")
+	if !s.admit(w, r) {
 		return
-	}
-	if s.limiter != nil {
-		if ok, retry := s.limiter.allow(clientKey(r)); !ok {
-			s.reg.Inc("server.jobs.rejected.rate")
-			w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(retry)))
-			failJSON(w, http.StatusTooManyRequests, "rate_limited", "client %q exhausted its token bucket; retry after %d s", clientKey(r), retrySeconds(retry))
-			return
-		}
 	}
 	norm, fp, err := decodeCampaign(r.Body)
 	if err != nil {

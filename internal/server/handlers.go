@@ -99,24 +99,31 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
-func (s *Server) isDraining() bool {
+// admit is the admission check both submit routes run before reading
+// the body: it refuses with 503 while the daemon drains and with 429
+// when the client's token bucket is empty, writing the refusal to w
+// and returning false.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	var draining bool
 	s.st.Do(func(sh *shared) { draining = sh.draining })
-	return draining
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.isDraining() {
+	if draining {
 		failJSON(w, http.StatusServiceUnavailable, "draining", "daemon is shutting down; submissions are closed")
-		return
+		return false
 	}
 	if s.limiter != nil {
 		if ok, retry := s.limiter.allow(clientKey(r)); !ok {
 			s.reg.Inc("server.jobs.rejected.rate")
 			w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(retry)))
 			failJSON(w, http.StatusTooManyRequests, "rate_limited", "client %q exhausted its token bucket; retry after %d s", clientKey(r), retrySeconds(retry))
-			return
+			return false
 		}
+	}
+	return true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	if !s.admit(w, r) {
+		return
 	}
 	req, opts, fp, err := decodeJob(r.Body)
 	if err != nil {

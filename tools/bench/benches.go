@@ -21,8 +21,8 @@ import (
 	"abftchol/internal/reliability/campaign"
 )
 
-// The blas bench times the three kernels the factorization spends its
-// time in (Dgemm, Dsyrk, Dtrsm), serial and parallel, plain and fused
+// The blas bench times the two kernels the factorization spends its
+// time in (Dgemm, Dtrsm), serial and parallel, plain and fused
 // with the ABFT checksum update the factorization pairs them with. The
 // update is O(n²) against the kernel's O(n³), so fused should track
 // plain closely: the fused_overhead_pct rates show how closely. Rates
@@ -90,12 +90,10 @@ func benchBLAS(r *Report) error {
 	fill(chkA.Data, 4)
 	fill(chkB.Data, 7)
 
-	// The factorization's shapes: the trailing update C -= A·Bᵀ, the
-	// diagonal block update C -= A·Aᵀ, and the Right/Trans panel solve.
+	// The factorization's shapes: the update C -= A·Bᵀ and the
+	// Right/Trans panel solve.
 	gemm := func() { blas.Dgemm(blas.NoTrans, blas.Trans, n, n, k, -1, a, n, b, n, 1, c, n) }
 	gemmPar := func() { blas.DgemmParallel(blas.NoTrans, blas.Trans, n, n, k, -1, a, n, b, n, 1, c, n) }
-	syrk := func() { blas.Dsyrk(n, k, -1, a, n, 1, c, n) }
-	syrkPar := func() { blas.DsyrkParallel(n, k, -1, a, n, 1, c, n) }
 	trsm := func() { blas.Dtrsm(blas.Right, blas.Trans, n, k, 1, l, k, bt, n) }
 	trsmPar := func() { blas.DtrsmParallel(blas.Right, blas.Trans, n, k, 1, l, k, bt, n) }
 	rankK := func() { checksum.UpdateRankK(chkC, chkA, panel) }
@@ -103,7 +101,6 @@ func benchBLAS(r *Report) error {
 
 	flops := map[string]float64{
 		"dgemm": 2 * float64(n) * float64(n) * float64(k),
-		"dsyrk": float64(n) * float64(n+1) * float64(k),
 		"dtrsm": float64(n) * float64(k) * float64(k),
 	}
 	for _, kr := range []struct {
@@ -114,9 +111,6 @@ func benchBLAS(r *Report) error {
 		{"dgemm", "parallel", gemmPar},
 		{"dgemm", "fused-serial", fused(gemm, rankK)},
 		{"dgemm", "fused-parallel", fused(gemmPar, rankK)},
-		{"dsyrk", "serial", syrk},
-		{"dsyrk", "parallel", syrkPar},
-		{"dsyrk", "fused-serial", fused(syrk, rankK)},
 		{"dtrsm", "serial", trsm},
 		{"dtrsm", "parallel", trsmPar},
 		{"dtrsm", "fused-serial", fused(trsm, func() { checksum.UpdateTRSM(chkB, lm) })},

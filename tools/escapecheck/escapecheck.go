@@ -1,4 +1,4 @@
-// Command escapecheck proves the repository's hot-path annotations
+// Package escapecheck proves the repository's hot-path annotations
 // against the compiler rather than against a model of it. It rebuilds
 // internal/blas, internal/checksum, internal/mat and internal/fault with
 // `-gcflags='-m -m -d=ssa/check_bce,ssa/intrinsics/debug=1'` (escape
@@ -32,21 +32,19 @@
 // scalar reads. Pinning the exact count makes a rewrite that
 // re-introduces a per-element check in an inner loop a FAIL.
 //
-// Usage, from the module root:
+// Its runner is TestRepositoryAnnotations, part of `go test ./...`:
 //
-//	go run ./tools/escapecheck
+//	go test -v -run '^TestRepositoryAnnotations$' ./tools/escapecheck
 //
-// It prints one PASS or FAIL line per claim, each FAIL followed by its
-// violations, and exits 1 on any FAIL.
-package main
+// logs one PASS or FAIL line per claim, each FAIL followed by its
+// violations, and fails on any FAIL.
+package escapecheck
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -65,26 +63,6 @@ var packages = []string{
 }
 
 const gcflags = "-m -m -d=ssa/check_bce,ssa/intrinsics/debug=1"
-
-func main() {
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: go run ./tools/escapecheck   (from the module root; no flags)")
-	}
-	flag.Parse()
-	if flag.NArg() > 0 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	report, nfail, err := check(".", packages)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "escapecheck:", err)
-		os.Exit(2)
-	}
-	fmt.Print(report)
-	if nfail > 0 {
-		os.Exit(1)
-	}
-}
 
 // fn is one annotated function.
 type fn struct {

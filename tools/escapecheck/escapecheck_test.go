@@ -1,4 +1,4 @@
-package main
+package escapecheck
 
 import (
 	"go/ast"
@@ -43,8 +43,9 @@ func TestRepositoryAnnotations(t *testing.T) {
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
+	t.Log("report:\n" + report)
 	if nfail > 0 {
-		t.Fatalf("%d claim(s) fail; run `go run ./tools/escapecheck`:\n%s", nfail, report)
+		t.Fatalf("%d claim(s) fail, each FAIL line above followed by its violations; rerun with `go test -v -run '^TestRepositoryAnnotations$' ./tools/escapecheck`", nfail)
 	}
 }
 

@@ -74,6 +74,7 @@ func Run(o Options) (Result, error) {
 		}
 	}
 	e.finalizeMetrics(&res)
+	e.release()
 	if runErr != nil {
 		return res, fmt.Errorf("core: %s failed after %d attempts: %w", o.Scheme, attempts, runErr)
 	}

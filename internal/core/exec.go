@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"abftchol/internal/checksum"
 	"abftchol/internal/fault"
@@ -68,7 +69,30 @@ type exec struct {
 	failure       Failure // class of this attempt's failure, if it failed
 }
 
+// execPool recycles executors between runs, so a model-plane trial —
+// the unit a reliability campaign runs thousands of — reuses the
+// platform, its streams, the ledger's block grid and the injector
+// instead of building them again.
+var execPool = sync.Pool{
+	New: func() any {
+		led := fault.NewLedger()
+		return &exec{plat: hetsim.NewPlatform(hetsim.Profile{}), led: led, inj: fault.NewInjector(led)}
+	},
+}
+
+// newExec returns a pooled executor prepared for a run under o; the
+// run hands it back with release.
 func newExec(o *Options, nb int) *exec {
+	e := execPool.Get().(*exec)
+	e.prepare(o, nb)
+	return e
+}
+
+// prepare puts e in the state a run under o starts from. Everything a
+// run reads is set here or was emptied by release; what e keeps from
+// earlier runs is storage only: the platform's slot lists and streams,
+// the ledger's grid, the injector's flags and the block lists.
+func (e *exec) prepare(o *Options, nb int) {
 	prof := o.Profile
 	if o.Scheme == SchemeCULA {
 		// CULA R18's dpotrf trails MAGMA's: model it as the same
@@ -77,15 +101,21 @@ func newExec(o *Options, nb int) *exec {
 			prof.GPU.EffMax[c] *= prof.CULARelEff
 		}
 	}
-	plat := hetsim.NewPlatform(prof)
-	e := &exec{
+	e.plat.Reset(prof)
+	*e = exec{
 		opts: *o,
-		plat: plat,
+		plat: e.plat,
 		n:    o.N,
 		b:    o.BlockSize,
 		nb:   nb,
 		m:    o.ChecksumVectors,
-		led:  fault.NewLedger(),
+		led:  e.led,
+		inj:  e.inj,
+
+		sver:      e.sver[:0],
+		blocks:    e.blocks[:0],
+		smearRows: e.smearRows[:0],
+		singles:   e.singles[:0],
 	}
 	// BLAS-3 kernels saturate the device. On GPUs with deep hardware
 	// concurrency (Kepler Hyper-Q) a one-slot headroom lets the small
@@ -97,9 +127,9 @@ func newExec(o *Options, nb int) *exec {
 		e.bigSlots--
 	}
 	e.attachObservability()
-	e.sc = plat.GPUStream()
-	e.sx = plat.GPUStream()
-	e.scpu = plat.CPUStream()
+	e.sc = e.plat.GPUStream()
+	e.sx = e.plat.GPUStream()
+	e.scpu = e.plat.CPUStream()
 
 	e.placement = o.Placement
 	if !o.Scheme.FaultTolerant() {
@@ -109,29 +139,45 @@ func newExec(o *Options, nb int) *exec {
 	}
 	switch e.placement {
 	case PlaceCPU:
-		e.supd = plat.CPUStream()
+		e.supd = e.plat.CPUStream()
 	case PlaceGPU:
-		e.supd = plat.GPUStream()
+		e.supd = e.plat.GPUStream()
 	default: // PlaceInline
 		e.supd = e.sc
 	}
 
 	if o.ConcurrentRecalc {
 		for i := 0; i < prof.GPU.ConcurrentKernels; i++ {
-			e.sver = append(e.sver, plat.GPUStream())
+			e.sver = append(e.sver, e.plat.GPUStream())
 		}
 	} else {
-		e.sver = []*hetsim.Stream{e.sc}
+		e.sver = append(e.sver, e.sc)
 	}
 
-	e.inj = fault.NewInjector(e.led, o.Scenarios...)
+	e.inj.Arm(o.Scenarios...)
 	if o.Data != nil {
 		e.a = mat.NewStride(e.n, e.n, workingStride(e.n))
 		e.load()
 		e.scratch = mat.New(e.m, e.b)
 		e.inj.Applier = e
 	}
-	return e
+}
+
+// release returns e to the pool once its Result is assembled. It
+// first drops every reference to the caller's data — the options (and
+// with them Data, Metrics and Scenarios), the working copy that became
+// Result.L, the checksums, the ledger history that became
+// Result.Injections, and the trace and metrics observer the platform
+// holds — and the scratch block prepare makes anew, so the pool holds
+// only storage the next run reuses and a Result shares no storage
+// with a pooled exec.
+func (e *exec) release() {
+	e.plat.Reset(hetsim.Profile{})
+	e.led.Reuse()
+	e.inj.Arm()
+	e.inj.Applier = nil
+	e.opts, e.a, e.chk, e.scratch, e.trace = Options{}, nil, nil, nil, nil
+	execPool.Put(e)
 }
 
 // workingStride is the leading dimension of the real plane's working

@@ -296,9 +296,10 @@ func SubSeed(seed int64, iter int) int64 {
 // concatenating CampaignAt over every iteration.
 func Campaign(cfg CampaignConfig) []Scenario {
 	cfg = cfg.Normalized()
+	rng := rand.New(newStream(0))
 	var out []Scenario
 	for j := 1; j < cfg.Blocks; j++ {
-		out = append(out, campaignAt(cfg, j)...)
+		out = campaignAt(out, cfg, rng, j)
 	}
 	return out
 }
@@ -308,21 +309,23 @@ func Campaign(cfg CampaignConfig) []Scenario {
 // can be generated in one pass or split across iterations (or shards)
 // without changing a single scenario.
 func CampaignAt(cfg CampaignConfig, iter int) []Scenario {
-	return campaignAt(cfg.Normalized(), iter)
+	return campaignAt(nil, cfg.Normalized(), rand.New(newStream(0)), iter)
 }
 
-// campaignAt requires a normalized config.
-func campaignAt(cfg CampaignConfig, j int) []Scenario {
+// campaignAt appends iteration j's scenarios to out. It requires a
+// normalized config, and re-seeds rng with the iteration's SubSeed:
+// rand.Rand.Seed restarts the source and drops any buffered draws, so
+// one rng serves every iteration of a campaign.
+func campaignAt(out []Scenario, cfg CampaignConfig, rng *rand.Rand, j int) []Scenario {
 	if j < 1 || j >= cfg.Blocks {
-		return nil
+		return out
 	}
 	if cfg.Class.Strike == StrikeCompute && j >= cfg.Blocks-1 {
 		// The last iteration has no trailing blocks, hence no GEMM to
 		// mis-compute.
-		return nil
+		return out
 	}
-	rng := rand.New(newStream(SubSeed(cfg.Seed, j)))
-	var out []Scenario
+	rng.Seed(SubSeed(cfg.Seed, j))
 	for n := poisson(rng, cfg.RatePerIteration); n > 0; n-- {
 		out = append(out, strike(cfg, rng, j)...)
 	}

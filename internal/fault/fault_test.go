@@ -69,11 +69,11 @@ func TestLedgerMarkClear(t *testing.T) {
 	if got := len(l.Pending(2, 1)); got != 1 {
 		t.Fatalf("pending = %d", got)
 	}
-	repaired := l.Clear(2, 1)
-	if len(repaired) != 1 || repaired[0].Delta != 5 {
-		t.Fatalf("cleared %v", repaired)
+	if got := l.Pending(2, 1)[0].Delta; got != 5 {
+		t.Fatalf("pending delta = %g, want 5", got)
 	}
-	if l.AnyCorrupt() {
+	l.SetPending(2, 1, nil)
+	if l.AnyCorrupt() || len(l.Pending(2, 1)) != 0 {
 		t.Fatal("ledger still corrupt after clear")
 	}
 	if len(l.History()) != 1 {
@@ -257,19 +257,27 @@ func TestInjectorExplicitDelta(t *testing.T) {
 	}
 }
 
+// TestInjectorRearm: Arm replaces the scenarios with unfired ones,
+// growing or shrinking the set, and Arm with none disarms.
 func TestInjectorRearm(t *testing.T) {
 	inj := NewInjector(nil, DefaultComputation(1))
 	inj.KernelTick(OpGEMM, 1, 2, 1)
 	if inj.Injected() != 1 {
 		t.Fatal("no fire")
 	}
-	inj.Rearm()
+	inj.Arm(DefaultComputation(1), DefaultStorage(2))
 	if inj.Injected() != 0 {
 		t.Fatal("rearm failed")
 	}
 	inj.KernelTick(OpGEMM, 1, 2, 1)
-	if inj.Injected() != 1 {
-		t.Fatal("no fire after rearm")
+	inj.StorageTick(2)
+	if inj.Injected() != 2 {
+		t.Fatalf("injected %d after rearm, want 2", inj.Injected())
+	}
+	inj.Arm()
+	inj.KernelTick(OpGEMM, 1, 2, 1)
+	if inj.Injected() != 0 {
+		t.Fatal("an injector armed with nothing fired")
 	}
 }
 

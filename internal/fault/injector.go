@@ -1,6 +1,9 @@
 package fault
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Op identifies which update operation of the blocked Cholesky an
 // injection hook fires after. It mirrors the four MAGMA kernels.
@@ -92,20 +95,19 @@ func NewInjector(ledger *Ledger, scenarios ...Scenario) *Injector {
 	if ledger == nil {
 		ledger = NewLedger()
 	}
-	return &Injector{
-		Ledger:    ledger,
-		scenarios: scenarios,
-		fired:     make([]bool, len(scenarios)),
-	}
+	inj := &Injector{Ledger: ledger}
+	inj.Arm(scenarios...)
+	return inj
 }
 
-// Rearm marks every scenario un-fired again. A restarted
-// factorization (the Offline/Online redo path) does NOT rearm: the
-// paper's experiments inject each error once, so the redo runs clean.
-func (inj *Injector) Rearm() {
-	for i := range inj.fired {
-		inj.fired[i] = false
-	}
+// Arm replaces the injector's scenarios, none of them fired yet, and
+// keeps the storage of their fired flags. A restarted factorization
+// (the Offline/Online redo path) does NOT re-arm: the paper's
+// experiments inject each error once, so the redo runs clean.
+func (inj *Injector) Arm(scenarios ...Scenario) {
+	inj.scenarios = scenarios
+	inj.fired = slices.Grow(inj.fired[:0], len(scenarios))[:len(scenarios)]
+	clear(inj.fired)
 }
 
 // Injected reports how many scenarios have fired so far.

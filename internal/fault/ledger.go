@@ -90,20 +90,6 @@ func (l *Ledger) Pending(bi, bj int) []Injection {
 	return nil
 }
 
-// Clear removes the pending corruption of a block (a successful
-// verification + correction, or the block being overwritten wholesale)
-// and returns what was repaired.
-func (l *Ledger) Clear(bi, bj int) []Injection {
-	i, ok := l.at(bi, bj)
-	if !ok || len(l.pending[i]) == 0 {
-		return nil
-	}
-	ins := l.pending[i]
-	l.pending[i] = nil // ins is the caller's now; the next mark starts afresh
-	l.corrupt--
-	return ins
-}
-
 // SetPending replaces the pending set of block (bi, bj), used by
 // verification logic that repairs some injections of a block while
 // leaving others (e.g. checksum-consistent corruption it cannot see).
@@ -253,4 +239,14 @@ func (l *Ledger) Reset() {
 		l.pending[i] = l.pending[i][:0]
 	}
 	l.corrupt = 0
+}
+
+// Reuse empties the ledger for a new run, as NewLedger would, but
+// keeps the block grid and each block's pending capacity. History is
+// dropped, not truncated: a slice History returned before stays its
+// holder's and is never written again.
+func (l *Ledger) Reuse() {
+	l.Reset()
+	l.propagations = 0
+	l.history = nil
 }

@@ -89,11 +89,13 @@ func TestLedgerHistoryOrderAndClearIdempotence(t *testing.T) {
 	if l.CorruptBlocks() != 1 {
 		t.Fatalf("CorruptBlocks = %d, want 1 (both marks hit one block)", l.CorruptBlocks())
 	}
-	if cleared := l.Clear(1, 2); len(cleared) != 2 {
-		t.Fatalf("Clear drained %d injections, want 2", len(cleared))
+	if got := len(l.Pending(1, 2)); got != 2 {
+		t.Fatalf("block holds %d injections, want 2", got)
 	}
-	if again := l.Clear(1, 2); len(again) != 0 {
-		t.Fatal("Clear of a clean block returned injections")
+	l.SetPending(1, 2, nil)
+	l.SetPending(1, 2, nil)
+	if l.CorruptBlocks() != 0 {
+		t.Fatalf("CorruptBlocks = %d after clearing one block twice, want 0", l.CorruptBlocks())
 	}
 	if h := l.History(); len(h) != 2 || h[0] != in1 || h[1] != in2 {
 		t.Fatalf("History = %v, want the two marks in order", h)
@@ -103,5 +105,30 @@ func TestLedgerHistoryOrderAndClearIdempotence(t *testing.T) {
 	l.Mark(Injection{Kind: Computation, BI: 1, BJ: 1})
 	if !l.IsCorrupt(1, 1) || len(l.History()) != 3 {
 		t.Fatal("ledger unusable after Reset")
+	}
+}
+
+// TestLedgerReuse: Reuse leaves a ledger that behaves as a new one,
+// with its block storage kept, and never writes a history slice handed
+// out before it.
+func TestLedgerReuse(t *testing.T) {
+	l := NewLedger()
+	first := Injection{Kind: Storage, BI: 3, BJ: 1, Row: 2}
+	l.Mark(first)
+	l.Propagate(3, 1, 4, 1, 2, false, 1, 2)
+	h := l.History()
+	l.Reuse()
+	if l.AnyCorrupt() || l.CorruptBlocks() != 0 || l.Propagations() != 0 || len(l.History()) != 0 {
+		t.Fatal("Reuse left corruption, propagations or history")
+	}
+	if cap(l.Pending(3, 1)) == 0 {
+		t.Fatal("Reuse dropped a block's pending storage")
+	}
+	l.Mark(Injection{Kind: Computation, BI: 4, BJ: 1})
+	if len(h) != 1 || h[0] != first {
+		t.Fatalf("a history returned before Reuse reads %v, want [%v]", h, first)
+	}
+	if !l.IsCorrupt(4, 1) || l.IsCorrupt(3, 1) || l.CorruptBlocks() != 1 {
+		t.Fatal("reused ledger tracks corruption wrongly")
 	}
 }

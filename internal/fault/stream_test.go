@@ -136,10 +136,11 @@ func TestMulMod(t *testing.T) {
 
 func BenchmarkCampaignAt(b *testing.B) {
 	cfg := CampaignConfig{Blocks: 16, BlockSize: 64, RatePerIteration: 0.05, Seed: 1}.Normalized()
+	rng := rand.New(newStream(0))
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
 		for j := 1; j < cfg.Blocks; j++ {
-			campaignAt(cfg, j)
+			campaignAt(nil, cfg, rng, j)
 		}
 	}
 }

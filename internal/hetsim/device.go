@@ -2,6 +2,7 @@ package hetsim
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -55,19 +56,30 @@ type Device struct {
 
 // NewDevice creates a device with all slots free at t=0.
 func NewDevice(spec DeviceSpec) *Device {
-	if spec.ConcurrentKernels < 1 {
-		spec.ConcurrentKernels = 1
-	}
-	return &Device{
-		Spec:  spec,
-		slots: make([]float64, spec.ConcurrentKernels),
-	}
+	d := new(Device)
+	d.reset(spec)
+	return d
+}
+
+// reset returns the device to t=0 under spec: every slot free, no
+// streams, stats, contention, trace or observer. It keeps the slot
+// list's storage and the resource name.
+func (d *Device) reset(spec DeviceSpec) {
+	spec.ConcurrentKernels = max(spec.ConcurrentKernels, 1)
+	slots := slices.Grow(d.slots[:0], spec.ConcurrentKernels)[:spec.ConcurrentKernels]
+	clear(slots)
+	*d = Device{Spec: spec, slots: slots, resource: d.resource}
 }
 
 // Stream creates a new in-order queue on the device.
-func (d *Device) Stream() *Stream {
+func (d *Device) Stream() *Stream { return d.bind(new(Stream)) }
+
+// bind makes s an empty queue on the device with the device's next
+// stream id.
+func (d *Device) bind(s *Stream) *Stream {
 	d.nextStream++
-	return &Stream{dev: d, id: d.nextStream}
+	*s = Stream{dev: d, id: d.nextStream}
+	return s
 }
 
 // defaultSlots gives each class its occupancy: the big BLAS-3 kernels
@@ -210,12 +222,9 @@ func (d *Device) Busy() float64 {
 	return maxT
 }
 
-// Stats returns per-class accounting since construction or the last
-// ResetStats.
+// Stats returns per-class accounting since the device was built or
+// its platform last Reset.
 func (d *Device) Stats() Stats { return d.stats }
-
-// ResetStats clears accounting without touching the timeline.
-func (d *Device) ResetStats() { d.stats = Stats{} }
 
 // insertionSort keeps the slot list ordered; it is at most
 // ConcurrentKernels long (<= 32) and nearly sorted between launches,

@@ -2,6 +2,7 @@ package hetsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -274,9 +275,98 @@ func TestStatsAccounting(t *testing.T) {
 	if st.BusyOf(ClassGEMM) <= 0 {
 		t.Fatal("busy time missing")
 	}
-	d.ResetStats()
-	if d.Stats().TotalKernels() != 0 {
-		t.Fatal("reset failed")
+}
+
+// replay is what a platform reports after one fixed run: a traced and
+// observed mix of contended kernels on several streams of both
+// devices, cross-stream events, transfers both ways, and a restart.
+type replay struct {
+	Sync                float64
+	GPU, CPU            Stats
+	GPUWaits, CPUWaits  int
+	GPUWait, CPUWait    float64
+	Transfers           int
+	XferBytes, XferBusy float64
+	Trace               *Trace
+	Observed            []Span
+}
+
+// recorder is an observer that keeps every span it sees.
+type recorder struct{ spans []Span }
+
+func (r *recorder) KernelLaunched(sp Span)            { r.spans = append(r.spans, sp) }
+func (r *recorder) TransferDone(sp Span, _ Direction) { r.spans = append(r.spans, sp) }
+
+func runReplay(p *Platform, streams int) replay {
+	tr := p.StartTrace()
+	rec := &recorder{}
+	p.Observe(rec)
+	sc, sx, scpu := p.GPUStream(), p.GPUStream(), p.CPUStream()
+	var fan []*Stream
+	for range streams {
+		fan = append(fan, p.GPUStream())
+	}
+	for j := range 4 {
+		p.GPU.Launch(sc, Kernel{Name: "gemm", Index: []int{j}, Class: ClassGEMM, Flops: 1e10})
+		done := p.Link.Transfer(sx, sc.Record(), DeviceToHost, 1e6)
+		scpu.Wait(done)
+		p.CPU.Launch(scpu, Kernel{Name: "potf2", Index: []int{j}, Class: ClassPOTF2, Flops: 1e8})
+		p.Link.Transfer(sx, scpu.Record(), HostToDevice, 1e6)
+		for i, s := range fan {
+			s.Wait(sc.Record())
+			p.GPU.Launch(s, Kernel{Name: "chk-recalc", Index: []int{j, i}, Class: ClassChkRecalc, Flops: 1e7, Slots: 1})
+		}
+		for _, s := range fan {
+			sc.Wait(s.Record())
+		}
+	}
+	t := p.Sync()
+	tr.Mark("restart", t)
+	p.AlignAll(t)
+	p.GPU.Launch(sc, Kernel{Name: "syrk", Class: ClassSYRK, Flops: 1e9})
+	r := replay{Sync: p.Sync(), GPU: p.GPU.Stats(), CPU: p.CPU.Stats(), Trace: tr, Observed: rec.spans}
+	r.GPUWaits, r.GPUWait = p.GPU.Contention()
+	r.CPUWaits, r.CPUWait = p.CPU.Contention()
+	r.Transfers, r.XferBytes, r.XferBusy = p.Link.TransferStats()
+	return r
+}
+
+// TestResetPlatformReplaysLikeNew: a platform that ran something else
+// under another profile and was then Reset replays a run exactly as a
+// new platform does: the same Sync, stats, contention, transfer
+// accounting, trace (stream ids included) and observed spans. Its
+// streams are recycled: the replay makes no more of them than the
+// longest run before it did.
+func TestResetPlatformReplaysLikeNew(t *testing.T) {
+	want := runReplay(NewPlatform(Tardis()), 4)
+	if want.GPUWaits == 0 || want.Transfers == 0 || len(want.Observed) == 0 {
+		t.Fatalf("the replay exercises too little: %+v", want)
+	}
+	p := NewPlatform(Laptop())
+	runReplay(p, 7)
+	p.Reset(Tardis())
+	made := len(p.streams)
+	if got := runReplay(p, 4); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reset platform replayed\n%+v\nwant\n%+v", got, want)
+	}
+	if len(p.streams) != made {
+		t.Errorf("replay after Reset made %d new streams, want 0", len(p.streams)-made)
+	}
+	// Sync and AlignAll see only the streams handed out since the
+	// reset: a stream of the earlier run left far ahead neither holds
+	// the clock nor is moved.
+	p.Reset(Tardis())
+	p.GPUStream()
+	ahead := p.CPUStream()
+	ahead.WaitTime(100)
+	p.Reset(Tardis())
+	p.GPUStream()
+	if got := p.Sync(); got != 0 {
+		t.Errorf("Sync after Reset = %g, want 0", got)
+	}
+	p.AlignAll(200)
+	if ahead.Done() != 100 {
+		t.Errorf("AlignAll moved a stream of the earlier run to %g", ahead.Done())
 	}
 }
 

@@ -92,21 +92,32 @@ type Platform struct {
 	CPU  *Device
 	Link *Link
 
+	// streams holds every stream the platform has made, in creation
+	// order; the first live of them belong to the current run.
 	streams []*Stream
+	live    int
 }
 
 // NewPlatform builds a platform from a machine profile with all
 // clocks at zero.
 func NewPlatform(prof Profile) *Platform {
-	p := &Platform{
-		Prof: prof,
-		GPU:  NewDevice(prof.GPU),
-		CPU:  NewDevice(prof.CPU),
-		Link: &Link{Spec: prof.Link},
-	}
-	p.GPU.resource = "gpu"
-	p.CPU.resource = "cpu"
+	p := &Platform{GPU: &Device{resource: "gpu"}, CPU: &Device{resource: "cpu"}, Link: &Link{}}
+	p.Reset(prof)
 	return p
+}
+
+// Reset returns the platform to t = 0 under prof, as NewPlatform would
+// build it: every slot free, no stats, contention, trace or observer,
+// an idle link, and stream ids starting again at 1. It keeps its
+// storage: the slot lists and the streams it made, which GPUStream and
+// CPUStream hand back in creation order. Every stream handed out
+// before the reset is invalid after it.
+func (p *Platform) Reset(prof Profile) {
+	p.Prof = prof
+	p.GPU.reset(prof.GPU)
+	p.CPU.reset(prof.CPU)
+	*p.Link = Link{Spec: prof.Link}
+	p.live = 0
 }
 
 // StartTrace attaches a fresh Trace capturing every subsequent kernel
@@ -120,17 +131,20 @@ func (p *Platform) StartTrace() *Trace {
 }
 
 // GPUStream returns a new GPU stream, tracked for Sync.
-func (p *Platform) GPUStream() *Stream {
-	s := p.GPU.Stream()
-	p.streams = append(p.streams, s)
-	return s
-}
+func (p *Platform) GPUStream() *Stream { return p.stream(p.GPU) }
 
 // CPUStream returns a new CPU queue, tracked for Sync.
-func (p *Platform) CPUStream() *Stream {
-	s := p.CPU.Stream()
-	p.streams = append(p.streams, s)
-	return s
+func (p *Platform) CPUStream() *Stream { return p.stream(p.CPU) }
+
+// stream binds the platform's next stream to d, making one only when
+// every stream made before a Reset is already handed out.
+func (p *Platform) stream(d *Device) *Stream {
+	if p.live == len(p.streams) {
+		p.streams = append(p.streams, new(Stream))
+	}
+	s := p.streams[p.live]
+	p.live++
+	return d.bind(s)
 }
 
 // Sync returns the simulated time at which every stream created via
@@ -138,7 +152,7 @@ func (p *Platform) CPUStream() *Stream {
 // moment a host-side cudaDeviceSynchronize would return.
 func (p *Platform) Sync() float64 {
 	t := 0.0
-	for _, s := range p.streams {
+	for _, s := range p.streams[:p.live] {
 		if s.t > t {
 			t = s.t
 		}
@@ -156,7 +170,7 @@ func (p *Platform) Sync() float64 {
 // used when the host serializes the whole machine (e.g. before
 // restarting a failed factorization).
 func (p *Platform) AlignAll(t float64) {
-	for _, s := range p.streams {
+	for _, s := range p.streams[:p.live] {
 		s.WaitTime(t)
 	}
 	if p.Link.h2d < t {

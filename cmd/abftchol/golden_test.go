@@ -91,7 +91,7 @@ func TestGoldenMatchesParallelAndCache(t *testing.T) {
 	path := filepath.Join("testdata", "all-quick.txt")
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Skipf("golden file missing (%v); TestGoldenExpAllQuick creates it", err)
+		t.Fatalf("%v (run `go test ./cmd/abftchol -run TestGolden -update` to create it)", err)
 	}
 	parallel := captureStdout(t, func() error {
 		return runExperiments("all", false, true, false, false, obsCfg{}, schedWith(8, ""))

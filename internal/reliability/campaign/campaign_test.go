@@ -186,6 +186,39 @@ func TestJournalResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestOpenJournalTruncatesTornTail: opening a journal whose last line
+// is torn leaves only its intact lines on disk, so no byte of the torn
+// append outlives the open, however little the resumed run appends.
+func TestOpenJournalTruncatesTornTail(t *testing.T) {
+	cfg := quickConfig()
+	fp, err := cfg.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	runBytes(t, cfg, 2, path)
+	intact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := strings.SplitAfter(string(intact), "\n")[1:] // drop the header
+	torn := records[0][:len(records[0])/2]
+	if err := os.WriteFile(path, []byte(string(intact)+torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, done, err := OpenJournal(path, fp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if want := len(records) - 1; len(done) != want { // SplitAfter's trailing ""
+		t.Fatalf("resumed %d shards, want %d", len(done), want)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != string(intact) {
+		t.Fatalf("the journal holds %d bytes after the open, want its %d intact bytes (err %v)", len(got), len(intact), err)
+	}
+}
+
 // TestJournalRejectsForeignCampaign: a journal keyed to one config
 // cannot silently seed a different campaign.
 func TestJournalRejectsForeignCampaign(t *testing.T) {

@@ -133,7 +133,7 @@ func docSteps() []docStep {
 		},
 		{
 			title:   "A deduplicated job's metrics",
-			comment: "Each job records into a private metrics registry. The duplicate's snapshot shows only the sweep engine's accounting — zero kernel launches, one memo hit — which is how `make serve-smoke` proves warm submissions execute nothing.",
+			comment: "Each job records into a private metrics registry. The duplicate's snapshot shows only the sweep engine's accounting — zero kernel launches, one memo hit — which is how `TestServeSession` (cmd/abftd) proves warm submissions execute nothing.",
 			method:  http.MethodGet, path: "/v1/jobs/" + docJobIDDup + "/metrics", elide: 44,
 		},
 		{

@@ -126,15 +126,27 @@ func benchBLAS(r *Report) error {
 		plain, fused := r.entry(op+"/serial").MinMS, r.entry(op+"/fused-serial").MinMS
 		r.Rates["fused_overhead_pct/"+op] = (fused - plain) / plain * 100
 	}
-	r.setExact("n", n)
-	r.setExact("k", k)
 	if err := benchTileShapes(r); err != nil {
 		return err
 	}
 	if err := benchLevel2(r); err != nil {
 		return err
 	}
-	return benchMagma(r)
+	if err := benchMagma(r); err != nil {
+		return err
+	}
+	blasExact(r)
+	return nil
+}
+
+// blasExact records the sizes the blas bench times at.
+func blasExact(r *Report) {
+	r.setExact("n", blasN)
+	r.setExact("k", blasK)
+	r.setExact("level2_n", level2N)
+	r.setExact("level2_b", level2B)
+	r.setExact("magma_n", magmaNs)
+	r.setExact("magma_b", magmaB)
 }
 
 func benchMagma(r *Report) error {
@@ -155,8 +167,6 @@ func benchMagma(r *Report) error {
 		r.Rates["gflops/"+name] = gflops[i]
 	}
 	r.Rates["cliff_2048_vs_neighbours"] = gflops[1] / ((gflops[0] + gflops[2]) / 2)
-	r.setExact("magma_n", magmaNs)
-	r.setExact("magma_b", magmaB)
 	return nil
 }
 
@@ -250,15 +260,10 @@ func benchLevel2(r *Report) error {
 	}
 	chk, chk0 := mat.New(2, b), mat.New(2, b)
 	checksum.EncodeBlockInto(src, chk0)
-	if err := level2("updatepotf2/m=2", func() { chk.CopyFrom(chk0) }, func() error {
+	return level2("updatepotf2/m=2", func() { chk.CopyFrom(chk0) }, func() error {
 		checksum.UpdatePOTF2(chk, diag)
 		return nil
-	}); err != nil {
-		return err
-	}
-	r.setExact("level2_n", level2N)
-	r.setExact("level2_b", b)
-	return nil
+	})
 }
 
 func fill(s []float64, seed int) {
@@ -267,28 +272,29 @@ func fill(s []float64, seed int) {
 	}
 }
 
-// The sweep bench renders the full `-exp all` experiment set three
-// ways per rep: serial from a cold start, parallel over a cold cache,
-// and parallel again over the now warm cache. All three must be
-// byte-identical, and the warm pass must execute no point: a cold pass
-// that failed to fill the cache would still render identical output.
-// The warm pass's metrics snapshot, the cache-hit accounting, goes to
-// sweepMetricsOut.
+// The sweep bench times sweepPasses sweepReps times, each rep over a
+// fresh cache, and writes the last warm pass's metrics snapshot, the
+// cache-hit accounting, to sweepMetricsOut.
 const (
 	sweepReps       = 5
 	sweepMetricsOut = "artifacts/sweep-cache-metrics.json"
 )
 
-func benchSweep(r *Report) error {
-	root, err := os.MkdirTemp("", "bench-sweep-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(root)
+// step runs one pass of a bench: Report.time in the timed loop,
+// untimed in TestExactValues.
+type step func(name string, fn func() error) error
+
+// sweepPasses renders the full `-exp all` experiment set three ways,
+// each pass through step: serial from a cold start, parallel over a
+// cold cache in dir, and parallel again over the now warm cache. Every
+// pass must render *want (the first pass sets it when empty), and the
+// warm pass must execute no point: a cold pass that failed to fill the
+// cache would still render identical output. It returns the warm
+// pass's metrics.
+func sweepPasses(dir string, step step, want *string) (*obs.Registry, error) {
 	reg, ids := experiments.Registry(), experiments.IDs()
-	var want string
 	pass := func(name string, sched *experiments.Scheduler, sink *experiments.Obs) error {
-		return r.time(name, func() error {
+		return step(name, func() error {
 			var b strings.Builder
 			for _, id := range ids {
 				fmt.Fprintln(&b, sched.Run(reg[id].Run, reg[id].Profile, experiments.Config{Obs: sink}))
@@ -296,85 +302,117 @@ func benchSweep(r *Report) error {
 			if err := sched.StoreErr(); err != nil {
 				return fmt.Errorf("%s pass: %w", name, err)
 			}
-			if want == "" {
-				want = b.String()
-			} else if b.String() != want {
+			if *want == "" {
+				*want = b.String()
+			} else if b.String() != *want {
 				return fmt.Errorf("the %s pass did not render byte-identical output", name)
 			}
 			return nil
 		})
 	}
-	var warm *experiments.Obs
+	cache := experiments.NewCache(dir)
+	warm := &experiments.Obs{Metrics: obs.NewRegistry()}
+	if err := pass("serial_cold", experiments.NewScheduler(1, nil), nil); err != nil {
+		return nil, err
+	}
+	if err := pass("parallel_cold", experiments.NewScheduler(0, cache), nil); err != nil {
+		return nil, err
+	}
+	if err := pass("parallel_warm", experiments.NewScheduler(0, cache), warm); err != nil {
+		return nil, err
+	}
+	if n := warm.Metrics.Counter("sweep.points.executed"); n != 0 {
+		return nil, fmt.Errorf("the warm pass executed %d points the cold pass should have cached", n)
+	}
+	return warm.Metrics, nil
+}
+
+// sweepExact records the sweep's exact values: the experiment set and
+// the warm pass's point accounting.
+func sweepExact(r *Report, warm *obs.Registry) {
+	r.setExact("experiments", slices.Sorted(slices.Values(experiments.IDs())))
+	r.setExact("byte_identical", true)
+	r.setExact("points_planned", warm.Counter("sweep.points.planned"))
+	r.setExact("points_executed_warm", warm.Counter("sweep.points.executed"))
+	r.setExact("cache_hits_warm", warm.Counter("sweep.cache.hits"))
+	r.setExact("dedup_hits_warm", warm.Counter("sweep.dedup.hits"))
+}
+
+func benchSweep(r *Report) error {
+	root, err := os.MkdirTemp("", "bench-sweep-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(root)
+	var want string
+	var warm *obs.Registry
 	for i := range sweepReps {
-		cache := experiments.NewCache(filepath.Join(root, strconv.Itoa(i)))
-		warm = &experiments.Obs{Metrics: obs.NewRegistry()}
-		if err := pass("serial_cold", experiments.NewScheduler(1, nil), nil); err != nil {
+		if warm, err = sweepPasses(filepath.Join(root, strconv.Itoa(i)), r.time, &want); err != nil {
 			return err
-		}
-		if err := pass("parallel_cold", experiments.NewScheduler(0, cache), nil); err != nil {
-			return err
-		}
-		if err := pass("parallel_warm", experiments.NewScheduler(0, cache), warm); err != nil {
-			return err
-		}
-		if n := warm.Metrics.Counter("sweep.points.executed"); n != 0 {
-			return fmt.Errorf("the warm pass executed %d points the cold pass should have cached", n)
 		}
 	}
 	r.Rates["speedup_warm_vs_serial_cold"] = r.entry("serial_cold").MedianMS / r.entry("parallel_warm").MedianMS
-	r.setExact("experiments", slices.Sorted(slices.Values(ids)))
-	r.setExact("byte_identical", true)
-	r.setExact("points_planned", warm.Metrics.Counter("sweep.points.planned"))
-	r.setExact("points_executed_warm", warm.Metrics.Counter("sweep.points.executed"))
-	r.setExact("cache_hits_warm", warm.Metrics.Counter("sweep.cache.hits"))
-	r.setExact("dedup_hits_warm", warm.Metrics.Counter("sweep.dedup.hits"))
-	snap, err := warm.Metrics.Snapshot()
+	sweepExact(r, warm)
+	snap, err := warm.Snapshot()
 	if err != nil {
 		return err
 	}
 	return writeFile(sweepMetricsOut, snap)
 }
 
-// The reliability bench runs the default (machine × scheme × fault
-// class) campaign grid serially and on the parallel worker pool,
-// requires every report to be byte-identical, and keeps the report,
-// the outcome rates with Wilson 95% intervals per cell, as an exact
-// value: byte-for-byte what `abftchol -campaign` with the same seed
-// prints.
+// The reliability bench times campaignPasses relReps times.
 const (
 	relReps = 5
 	relSeed = 20160523
 )
 
-func benchReliability(r *Report) error {
-	var want []byte
+// campaignPasses runs the default (machine × scheme × fault class)
+// campaign grid at relSeed serially and then on the parallel worker
+// pool, each pass through step. Every report must be *want (the first
+// pass sets it when nil): the outcome rates with Wilson 95% intervals
+// per cell, byte for byte what `abftchol -campaign` with the same seed
+// prints. It returns the campaign's trial count.
+func campaignPasses(step step, want *[]byte) (int, error) {
 	trials := 0
 	pass := func(name string, workers int) error {
-		return r.time(name, func() error {
+		return step(name, func() error {
 			rep, err := campaign.Run(context.Background(), campaign.Config{Seed: relSeed}, experiments.NewScheduler(workers, nil), campaign.RunOptions{})
 			if err != nil {
 				return err
 			}
 			data, err := rep.Marshal()
-			if err == nil && want != nil && !bytes.Equal(data, want) {
+			if err == nil && *want != nil && !bytes.Equal(data, *want) {
 				err = fmt.Errorf("the %s campaign report is not byte-identical to the first", name)
 			}
-			want, trials = data, rep.TotalTrials
+			*want, trials = data, rep.TotalTrials
 			return err
 		})
 	}
+	if err := pass("serial", 1); err != nil {
+		return 0, err
+	}
+	err := pass("parallel", 0) // 0: GOMAXPROCS workers
+	return trials, err
+}
+
+// reliabilityExact records the campaign report as an exact value.
+func reliabilityExact(r *Report, report []byte) {
+	r.setExact("byte_identical", true)
+	r.setExact("campaign", json.RawMessage(report))
+}
+
+func benchReliability(r *Report) error {
+	var report []byte
+	var trials int
+	var err error
 	for range relReps {
-		if err := pass("serial", 1); err != nil {
-			return err
-		}
-		if err := pass("parallel", 0); err != nil { // 0: GOMAXPROCS workers
+		if trials, err = campaignPasses(r.time, &report); err != nil {
 			return err
 		}
 	}
 	parallel := r.entry("parallel").MedianMS
 	r.Rates["speedup_parallel_vs_serial"] = r.entry("serial").MedianMS / parallel
 	r.Rates["trials_per_second_parallel"] = float64(trials) / parallel * 1e3
-	r.setExact("byte_identical", true)
-	r.setExact("campaign", json.RawMessage(want))
+	reliabilityExact(r, report)
 	return nil
 }

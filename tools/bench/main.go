@@ -9,11 +9,13 @@
 //	go run ./tools/bench -check <blas|sweep|reliability>  # gate against it
 //
 // With -check the fresh report goes to artifacts/BENCH_<name>.json
-// instead, and the run fails when an exact value differs from the
-// committed file, an entry is on one side only, or an entry's median
-// exceeds checkFactor times its committed median. The factor is loose
-// because wall time varies across machines, but a path that got three
-// times slower than its recorded self is a regression, not noise.
+// instead, and the run fails when an entry is on one side only or an
+// entry's median exceeds checkFactor times its committed median. The
+// factor is loose because wall time varies across machines, but a path
+// that got three times slower than its recorded self is a regression,
+// not noise. The exact values have one runner, TestExactValues
+// (`go test ./tools/bench`), which runs each bench's passes once,
+// untimed, and compares them with the committed files.
 //
 // Wall-clock timing lives here, outside the determinism-clean
 // internal packages: the benchmark is the one place where real elapsed
@@ -21,7 +23,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -53,7 +54,8 @@ type Report struct {
 	// Rates are derived from the entries for a reader (throughput,
 	// speedups, overheads); -check does not compare them.
 	Rates map[string]float64 `json:"rates,omitempty"`
-	// Exact holds the values a rerun must reproduce byte for byte.
+	// Exact holds the values a rerun must reproduce byte for byte;
+	// TestExactValues compares them, -check does not.
 	Exact map[string]json.RawMessage `json:"exact"`
 }
 
@@ -93,12 +95,17 @@ func main() {
 	}
 }
 
-func record(name string, run func(*Report) error, check bool) error {
-	r := &Report{
+// newReport is an empty report of this machine and toolchain.
+func newReport() *Report {
+	return &Report{
 		Env:   Env{runtime.Version(), runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0), blas.Workers, blas.Kernel()},
 		Rates: map[string]float64{},
 		Exact: map[string]json.RawMessage{},
 	}
+}
+
+func record(name string, run func(*Report) error, check bool) error {
+	r := newReport()
 	if err := run(r); err != nil {
 		return fmt.Errorf("%s: %w", name, err)
 	}
@@ -136,21 +143,14 @@ func record(name string, run func(*Report) error, check bool) error {
 		return fmt.Errorf("%s fails the gate against %s (re-record it only for an intended change):\n  %s",
 			out, committed, strings.Join(fails, "\n  "))
 	}
-	fmt.Printf("bench: %s matches %s, every median within %dx\n", out, committed, checkFactor)
+	fmt.Printf("bench: %s has every entry of %s, every median within %dx\n", out, committed, checkFactor)
 	return nil
 }
 
-// compare lists every way fresh fails the gate that base sets.
+// compare lists every way fresh's timings fail the gate that base
+// sets.
 func compare(base, fresh *Report) []string {
 	var fails []string
-	keys := map[string]json.RawMessage{}
-	maps.Copy(keys, base.Exact)
-	maps.Copy(keys, fresh.Exact)
-	for _, k := range slices.Sorted(maps.Keys(keys)) {
-		if b, f := compact(base.Exact[k]), compact(fresh.Exact[k]); b != f {
-			fails = append(fails, fmt.Sprintf("exact %s: committed %.64s, measured %.64s", k, b, f))
-		}
-	}
 	for _, b := range base.Entries {
 		f := fresh.entry(b.Name)
 		switch {
@@ -167,20 +167,6 @@ func compare(base, fresh *Report) []string {
 		}
 	}
 	return fails
-}
-
-// compact is raw JSON with insignificant space removed, so an
-// indented committed value compares equal to a fresh one; a missing
-// value is "absent", an invalid one is kept as it is and so differs.
-func compact(raw json.RawMessage) string {
-	if raw == nil {
-		return "absent"
-	}
-	var b bytes.Buffer
-	if json.Compact(&b, raw) != nil {
-		return string(raw)
-	}
-	return b.String()
 }
 
 func (r *Report) entry(name string) *Entry {
